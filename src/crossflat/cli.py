@@ -105,6 +105,21 @@ def _check_number(params: dict, key: str, out: list[str], required: bool = True)
         out.append(f"parameters.{key}: must be a number")
 
 
+def _check_degrees(params: dict, out: list[str]) -> None:
+    if "n_values" not in params:
+        return
+    ns = params["n_values"]
+    if not (
+        isinstance(ns, list)
+        and len(ns) >= 3
+        and all(isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in ns)
+        and all(a < b for a, b in zip(ns, ns[1:]))
+    ):
+        out.append(
+            "parameters.n_values: must be a list of at least three strictly increasing positive integers"
+        )
+
+
 def _check_space(params: dict, out: list[str]) -> None:
     space = params.get("space")
     if not isinstance(space, dict):
@@ -130,12 +145,16 @@ def validate(config: dict) -> list[str]:
     if not isinstance(params, dict):
         out.append("parameters: must be an object")
         return out
+    seed = config.get("seed")
+    if isinstance(seed, bool):
+        out.append("seed: must be an integer, not a boolean")
+    elif command == "opnorm" and not isinstance(seed, int):
+        out.append("seed: required for opnorm (fixes the randomized lower-bound search)")
     if command == "opnorm":
-        if not isinstance(config.get("seed"), int):
-            out.append("seed: required for opnorm (fixes the randomized lower-bound search)")
         _check_number(params, "alpha", out)
         _check_number(params, "beta", out)
         _check_number(params, "p", out)
+        _check_degrees(params, out)
         p = params.get("p")
         if isinstance(p, (int, float)) and p < 2:
             out.append("parameters.p: operator-norm sweeps are stated for p >= 2")
@@ -145,6 +164,7 @@ def validate(config: dict) -> list[str]:
     elif command == "kernel-norms":
         _check_number(params, "alpha", out)
         _check_number(params, "beta", out)
+        _check_degrees(params, out)
         qs = params.get("q_values", [2])
         if not (isinstance(qs, list) and qs and all(isinstance(q, (int, float)) and q > 0 for q in qs)):
             out.append("parameters.q_values: must be a nonempty list of positive numbers")
@@ -315,8 +335,7 @@ def _cmd_fourier(params: dict, seed, threads):
     header = ["n", "min_coefficient", "max_coefficient", "coefficient_sum"]
     rows = []
     passed = True
-    for n in space.degrees(n_max):
-        exp = spaces.fourier_expansion(space, n)
+    for n, exp in spaces.fourier_expansions(space, space.degrees(n_max)):
         c = exp.coefficients()
         lo, hi, total = float(np.min(c)), float(np.max(c)), float(np.sum(c))
         rows.append((n, lo, hi, total))

@@ -21,6 +21,7 @@ from .special import (
     JacobiParams,
     jacobi_degree_table,
     jacobi_eval,
+    jacobi_fourier_rows,
     jacobi_theta_derivative,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "spherical_eval",
     "spherical_table",
     "fourier_expansion",
+    "fourier_expansions",
     "rep_dimension",
     "spherical_gram",
     "laplace_eigenvalue",
@@ -249,30 +251,31 @@ class FourierExpansion:
 
 
 def fourier_expansion(space: CrossSpace, n: int, grid_size: int | None = None) -> FourierExpansion:
-    """Fourier coefficients of Phi_n by trigonometric quadrature on a uniform grid.
+    """Fourier coefficients of Phi_n, from the coefficient-space Jacobi recurrence.
 
-    The grid must oversample the top frequency n, otherwise aliasing folds
-    coefficients on top of each other and the call is rejected.
+    A sampling grid size given here must oversample the top frequency n,
+    otherwise aliasing would fold coefficients on top of each other and the
+    call is rejected.
     """
-    if grid_size is None:
-        grid_size = max(64, 1 << (2 * n + 2).bit_length())
-    if grid_size <= 2 * n + 1:
+    if grid_size is not None and grid_size <= 2 * n + 1:
         raise AliasingError(
             f"grid of size {grid_size} aliases frequencies of Phi_{n}; need more than {2 * n + 1}"
         )
-    theta = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    samples = spherical_eval(space, n, theta)
-    coefs = np.fft.fft(samples) / grid_size
-    ms = np.fft.fftfreq(grid_size, d=1.0 / grid_size).astype(int)
-    keep = np.abs(ms) <= n
-    worst_imag = float(np.max(np.abs(coefs[keep].imag))) if np.any(keep) else 0.0
-    if worst_imag > 1e-7:
-        raise AliasingError(f"unexpectedly complex coefficients (imag {worst_imag:.2e})")
-    order = np.argsort(ms[keep])
-    pairs = tuple(
-        (int(m), float(c)) for m, c in zip(ms[keep][order], coefs[keep].real[order])
-    )
-    return FourierExpansion(pairs)
+    return next(fourier_expansions(space, [n]))[1]
+
+
+def fourier_expansions(space: CrossSpace, degrees):
+    """Yield (n, fourier_expansion(space, n)) for several degrees, in
+    increasing order, from one recurrence sweep."""
+    wanted = set(int(n) for n in degrees)
+    if not wanted:
+        return
+    for n, c in jacobi_fourier_rows(space.params.alpha, space.params.beta, max(wanted)):
+        if n in wanted:
+            # Divide by the row's own value at theta = 0, so that Phi_n(0) = 1
+            # as in spherical_eval.
+            c = c / (c[0] + 2.0 * np.sum(c[1:]))
+            yield n, FourierExpansion(tuple((m, float(c[abs(m)])) for m in range(-n, n + 1)))
 
 
 # ---------------------------------------------------------------------------

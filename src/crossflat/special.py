@@ -1,9 +1,11 @@
 """Jacobi polynomials, their main asymptotic terms, and Bessel/Gamma helpers.
 
 Everything is evaluated by the forward three-term recurrence in the degree,
-which is stable on [-1, 1] and needs no coefficient tables.  Gamma ratios go
-through log-Gamma so that degrees in the thousands do not overflow.  The
-normalization is P_n(1) = binomial(n + alpha, n) throughout.
+which is stable on [-1, 1] and needs no coefficient tables: on point values
+for spatial evaluation, and on Fourier coefficient vectors for the kernels
+P_n(cos theta) on the circle.  Gamma ratios go through log-Gamma so that
+degrees in the thousands do not overflow.  The normalization is
+P_n(1) = binomial(n + alpha, n) throughout.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, jv
 
 __all__ = [
     "REGIME_WINDOW_CONSTANT",
     "JacobiParams",
     "AsymptoticFrame",
     "jacobi_recurrence_rows",
+    "jacobi_fourier_rows",
     "jacobi_eval",
     "jacobi_degree_table",
     "jacobi_binomial",
@@ -97,12 +100,6 @@ class AsymptoticFrame:
         return cls(n=n, n_tilde=n + (a + b + 1.0) / 2.0, gamma_phase=-(a + 0.5) * math.pi / 2.0)
 
 
-def _check_params(params: JacobiParams) -> tuple[float, float]:
-    if params.alpha <= -1 or params.beta <= -1:
-        raise ValueError("jacobi parameters must exceed -1")
-    return params.alpha, params.beta
-
-
 def _check_x(x):
     x = np.asarray(x)
     if x.dtype != np.longdouble:
@@ -114,7 +111,24 @@ def _check_x(x):
     return x
 
 
-def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x, out_dtype=float):
+def _check_recurrence(alpha: float, beta: float, n_max: int) -> None:
+    if alpha <= -1 or beta <= -1:
+        raise ValueError("jacobi parameters must exceed -1")
+    if n_max < 0:
+        raise ValueError("degree must be nonnegative")
+
+
+def _recurrence_coefficients(a: float, b: float, n: int) -> tuple[float, float, float, float]:
+    # P_n = ((c0 + c1 x) P_{n-1} - c2 P_{n-2}) / den, for n >= 2.
+    s = 2 * n + a + b
+    den = 2.0 * n * (n + a + b) * (s - 2.0)
+    c0 = (s - 1.0) * (a * a - b * b)
+    c1 = (s - 1.0) * s * (s - 2.0)
+    c2 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * s
+    return den, c0, c1, c2
+
+
+def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x):
     """Yield (n, values) for P_n^{(alpha,beta)} at the points x, n = 0..n_max.
 
     This is the raw engine: it takes plain floats and runs the forward
@@ -124,37 +138,59 @@ def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x, out_dtype=f
     the thousands keep roughly ten spare digits; for half-integer parameters
     every recurrence coefficient is exactly representable.
     """
-    if alpha <= -1 or beta <= -1:
-        raise ValueError("jacobi parameters must exceed -1")
-    if n_max < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_recurrence(alpha, beta, n_max)
     x = _check_x(x)
     a, b = float(alpha), float(beta)
     wide = np.asarray(x, dtype=np.longdouble)
     p_prev = np.ones_like(wide)
-    yield 0, np.asarray(p_prev, dtype=out_dtype)
+    yield 0, np.asarray(p_prev, dtype=float)
     if n_max == 0:
         return
     p = ((a + b + 2.0) * wide + np.longdouble(a - b)) / 2.0
-    yield 1, np.asarray(p, dtype=out_dtype)
+    yield 1, np.asarray(p, dtype=float)
     for n in range(2, n_max + 1):
-        den = np.longdouble(2.0 * n * (n + a + b) * (2 * n + a + b - 2.0))
-        c0 = np.longdouble((2 * n + a + b - 1.0) * (a * a - b * b))
-        c1 = np.longdouble((2 * n + a + b - 1.0) * (2 * n + a + b) * (2 * n + a + b - 2.0))
-        c2 = np.longdouble(2.0 * (n + a - 1.0) * (n + b - 1.0) * (2 * n + a + b))
+        den, c0, c1, c2 = map(np.longdouble, _recurrence_coefficients(a, b, n))
         p, p_prev = ((c0 + c1 * wide) * p - c2 * p_prev) / den, p
-        yield n, np.asarray(p, dtype=out_dtype)
+        yield n, np.asarray(p, dtype=float)
+
+
+def jacobi_fourier_rows(alpha: float, beta: float, n_max: int):
+    """Yield (n, c) for the kernel P_n^{(alpha,beta)}(cos(theta)), n = 0..n_max.
+
+    c[m], m = 0..n, is the coefficient of exp(i m theta), which equals that of
+    exp(-i m theta).  The three-term recurrence runs on coefficient vectors:
+    multiplying by cos(theta) averages the two neighbouring entries.  No
+    angle is rounded on the way, so float64 suffices; each degree costs O(n).
+    """
+    _check_recurrence(alpha, beta, n_max)
+    a, b = float(alpha), float(beta)
+    # Zero-padded buffers for degrees n-1 and n-2: the cos(theta) product
+    # reads one entry past the support of degree n-1.
+    p_prev, p = np.zeros(n_max + 2), np.zeros(n_max + 2)
+    p_prev[0] = 1.0
+    yield 0, p_prev[:1].copy()
+    if n_max == 0:
+        return
+    p[0], p[1] = (a - b) / 2.0, (a + b + 2.0) / 4.0
+    yield 1, p[:2].copy()
+    x_p = np.empty(n_max + 1)
+    for n in range(2, n_max + 1):
+        den, c0, c1, c2 = _recurrence_coefficients(a, b, n)
+        x_p[0] = p[1]
+        x_p[1 : n + 1] = 0.5 * (p[:n] + p[2 : n + 2])
+        p_prev[: n + 1] = (c0 * p[: n + 1] + c1 * x_p[: n + 1] - c2 * p_prev[: n + 1]) / den
+        p, p_prev = p_prev, p
+        yield n, p[: n + 1].copy()
 
 
 def jacobi_eval(params: JacobiParams, n: int, x):
     """P_n^{(alpha,beta)}(x) for |x| <= 1, scalar or array argument."""
-    a, b = _check_params(params)
     if n < 0:
         raise ValueError("degree must be nonnegative")
     scalar = np.isscalar(x)
     xa = _check_x(x)
     value = None
-    for _, row in jacobi_recurrence_rows(a, b, n, xa):
+    for _, row in jacobi_recurrence_rows(params.alpha, params.beta, n, xa):
         value = row
     return float(value) if scalar else value
 
@@ -166,8 +202,7 @@ def jacobi_degree_table(params: JacobiParams, degrees, x) -> dict[int, np.ndarra
         return {}
     out: dict[int, np.ndarray] = {}
     remaining = set(wanted)
-    a, b = _check_params(params)
-    for n, row in jacobi_recurrence_rows(a, b, wanted[-1], x):
+    for n, row in jacobi_recurrence_rows(params.alpha, params.beta, wanted[-1], x):
         if n in remaining:
             out[n] = row
             remaining.discard(n)
@@ -220,7 +255,7 @@ def jacobi_theta_derivative(params: JacobiParams, n: int, theta):
     Equals -(sin(theta)/2) (n+alpha+beta+1) P_{n-1}^{(alpha+1,beta+1)}(cos(theta));
     degree 0 gives exactly 0.
     """
-    a, b = _check_params(params)
+    a, b = params.alpha, params.beta
     scalar = np.isscalar(theta)
     th = np.asarray(theta, dtype=float)
     if n == 0:
@@ -238,7 +273,7 @@ def interior_main_term(params: JacobiParams, frame: AsymptoticFrame, theta):
     cos(n_tilde * theta + gamma), restricted to the window
     c/(n+1) <= theta <= pi - c/(n+1).
     """
-    a, b = _check_params(params)
+    a, b = params.alpha, params.beta
     n = frame.n
     if n < 1:
         raise ValueError("interior main term needs degree >= 1")
@@ -268,7 +303,7 @@ def edge_main_term(params: JacobiParams, frame: AsymptoticFrame, theta, mirror: 
     with mirror=True the same expression near theta = pi, with beta in place
     of alpha, pi - theta in place of theta, and an extra (-1)^n.
     """
-    a, b = _check_params(params)
+    a, b = params.alpha, params.beta
     n = frame.n
     scalar = np.isscalar(theta)
     th = np.asarray(theta, dtype=float)
@@ -285,9 +320,7 @@ def edge_main_term(params: JacobiParams, frame: AsymptoticFrame, theta, mirror: 
     s = np.sin(th)
     tiny = np.abs(phi) < 1e-14
     with np.errstate(divide="ignore", invalid="ignore"):
-        bess = np.vectorize(lambda t: bessel_j(order, frame.n_tilde * t), otypes=[float])(
-            np.where(tiny, 1.0, phi)
-        )
+        bess = jv(order, frame.n_tilde * np.where(tiny, 1.0, phi))
         out = (
             sign
             * np.sin(th / 2.0) ** (-a)
@@ -305,59 +338,10 @@ def edge_main_term(params: JacobiParams, frame: AsymptoticFrame, theta, mirror: 
     return float(out) if scalar else out
 
 
-def _bessel_series(order: float, x: float) -> float:
-    # Alternating power series; safe for x <= ~12 where cancellation stays
-    # below a few digits.
-    half = x / 2.0
-    if half == 0.0:
-        return 1.0 if order == 0 else 0.0
-    term = math.exp(order * math.log(half) - math.lgamma(order + 1.0))
-    total = term
-    k = 0
-    while k < 400:
-        k += 1
-        term *= -half * half / (k * (order + k))
-        total += term
-        if k > half + 8 and abs(term) <= 1e-20 * (abs(total) + 1e-300):
-            break
-    return total
-
-
-def _bessel_backward_recurrence(order: float, x: float) -> float:
-    # Miller's algorithm: run the order recurrence downward from a trial seed
-    # and normalize with sum_k (order+2k) Gamma(order+k)/k! J_{order+2k}(x)
-    # = (x/2)^order.
-    start = int(math.ceil(x + order + 15.0 * x ** (1.0 / 3.0) + 30.0))
-    if start % 2:
-        start += 1
-    f = np.zeros(start + 2)
-    f[start] = 1e-160
-    for m in range(start, 0, -1):
-        f[m - 1] = 2.0 * (order + m) / x * f[m] - f[m + 1]
-        if abs(f[m - 1]) > 1e250:
-            f[m - 1 :] /= 1e250
-    ks = np.arange(start // 2 + 1)
-    log_w = np.where(
-        ks == 0,
-        gammaln(order + 1.0),
-        np.log(np.maximum(order + 2.0 * ks, 1e-300)) + gammaln(order + ks) - gammaln(ks + 1.0),
-    )
-    norm = float(np.sum(np.exp(log_w) * f[2 * ks]))
-    return f[0] * math.exp(order * math.log(x / 2.0)) / norm
-
-
 def bessel_j(order: float, x: float) -> float:
-    """Bessel function of the first kind, J_order(x), for order >= 0, x >= 0.
-
-    Power series below x = 12, backward recurrence above; relative accuracy
-    around 1e-11 over the supported range x <= 64 (and well beyond).
-    """
+    """Bessel function of the first kind, J_order(x), for order >= 0, x >= 0."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if x < 0:
         raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if x <= 12.0:
-        return _bessel_series(order, x)
-    return _bessel_backward_recurrence(order, x)
+    return float(jv(order, x))

@@ -5,7 +5,8 @@ The kernel of interest is k(theta) = P_n^{(alpha,beta)}(cos(theta)) acting by
 plain Lebesgue measure.  Upper bounds come from Young's inequality (the
 L^{p/2} norm of the kernel) or, at p = 2, from the exact Fourier multiplier;
 lower bounds come from a candidate family refined by a fixed-budget power
-iteration and are best-effort diagnostics.
+iteration and are best-effort diagnostics.  A kernel is held as its Fourier
+coefficients; samples on a grid are synthesized from them.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .spaces import AliasingError
-from .special import JacobiParams, jacobi_eval
+from .special import JacobiParams, jacobi_fourier_rows
 
 __all__ = [
     "PeriodicGrid",
@@ -76,16 +77,38 @@ def lp_norm_periodic(grid: PeriodicGrid, samples, p) -> float:
         raise ValueError("sample count must match the grid size")
     if not np.all(np.isfinite(f)):
         raise ValueError("samples must be finite")
-    if p == math.inf or p == "inf":
-        return float(np.max(np.abs(f)))
     p = float(p)
     if p <= 0:
         raise ValueError("p must be positive or inf")
-    return float(np.sum(np.abs(f) ** p * grid.weight) ** (1.0 / p))
+    return _grid_lp(f, p, grid.weight)
+
+
+def _check_resolves(n: int, grid: PeriodicGrid | None) -> None:
+    if grid is not None and grid.size <= 2 * n + 1:
+        raise AliasingError(
+            f"grid of size {grid.size} aliases kernel frequencies; need more than {2 * n + 1}"
+        )
+
+
+def _coefficients(params: JacobiParams, n: int) -> np.ndarray:
+    for _, c in jacobi_fourier_rows(params.alpha, params.beta, n):
+        pass
+    return c
+
+
+def _synthesize(c: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    # Frequencies past the grid's Nyquist bin fold onto m mod size, which
+    # keeps the samples exact on grids of any size.
+    n = len(c) - 1
+    ms = np.arange(-n, n + 1)
+    folded = np.bincount(ms % grid.size, weights=c[np.abs(ms)], minlength=grid.size)
+    return irfft(folded[: grid.size // 2 + 1], grid.size, norm="forward")
 
 
 def kernel_samples(params: JacobiParams, n: int, grid: PeriodicGrid) -> np.ndarray:
-    return jacobi_eval(params, n, np.cos(grid.thetas))
+    """P_n^{(alpha,beta)}(cos(theta)) on the grid, synthesized from its
+    Fourier coefficients."""
+    return _synthesize(_coefficients(params, n), grid)
 
 
 def kernel_lp_norm(params: JacobiParams, n: int, q, grid: PeriodicGrid | None = None) -> float:
@@ -116,65 +139,23 @@ def envelope_A_tilde(delta: float, p: float, n: int) -> float:
     return envelope_A(delta, p, n)
 
 
-def _multiplier_values(params: JacobiParams, n: int, grid: PeriodicGrid) -> np.ndarray:
-    if grid.size <= 2 * n + 1:
-        raise AliasingError(
-            f"grid of size {grid.size} aliases kernel frequencies; need more than {2 * n + 1}"
-        )
-    k = kernel_samples(params, n, grid)
-    return np.fft.fft(k) * grid.weight
-
-
 def fourier_multiplier(params: JacobiParams, n: int, grid: PeriodicGrid | None = None):
-    """Frequencies m and multiplier values khat(m) = int k e^{-im theta} dtheta."""
-    if grid is None:
-        grid = PeriodicGrid.for_degree(n)
-    khat = _multiplier_values(params, n, grid)
-    ms = np.fft.fftfreq(grid.size, d=1.0 / grid.size).astype(int)
-    keep = np.abs(ms) <= n
-    order = np.argsort(ms[keep])
-    return ms[keep][order], khat[keep].real[order]
+    """Frequencies m = -n..n and multiplier values khat(m) = int k e^{-im theta} dtheta.
+
+    A grid given here must resolve every kernel frequency.
+    """
+    _check_resolves(n, grid)
+    ms = np.arange(-n, n + 1)
+    return ms, 2.0 * math.pi * _coefficients(params, n)[np.abs(ms)]
 
 
 def opnorm_l2_exact(params: JacobiParams, n: int, grid: PeriodicGrid | None = None) -> float:
     """Exact L^2 -> L^2 norm of convolution with the kernel: max_m |khat(m)|.
 
-    The winning multiplier bins are re-summed in extended precision, since a
-    single float64 FFT leaves the small coefficients of a large kernel with
-    only about ten accurate digits.
+    A grid given here must resolve every kernel frequency.
     """
-    if grid is None:
-        grid = PeriodicGrid.for_degree(n)
-    if grid.size <= 2 * n + 1:
-        raise AliasingError(
-            f"grid of size {grid.size} aliases kernel frequencies; need more than {2 * n + 1}"
-        )
-    from .special import jacobi_recurrence_rows
-
-    m_count = grid.size
-    # Uniform nodes and phase factors built from one extended-precision node
-    # array; e^(-i m theta_j) reuses theta at index (m j mod M), so nodes and
-    # phases stay exactly consistent.
-    two_pi = 2.0 * np.arccos(np.longdouble(-1.0))
-    thetas = two_pi * np.arange(m_count, dtype=np.longdouble) / m_count
-    wide = None
-    for _, row in jacobi_recurrence_rows(
-        params.alpha, params.beta, n, np.cos(thetas), out_dtype=np.longdouble
-    ):
-        wide = row
-    coarse = np.abs(np.fft.fft(np.asarray(wide, dtype=float))) * grid.weight
-    candidates = np.argsort(coarse)[-6:]
-    ms = np.fft.fftfreq(m_count, d=1.0 / m_count).astype(int)
-    cos_nodes = np.cos(thetas)
-    sin_nodes = np.sin(thetas)
-    weight = np.longdouble(2.0) * np.arccos(np.longdouble(-1.0)) / m_count
-    best = 0.0
-    for idx in candidates:
-        t = (int(ms[idx]) * np.arange(m_count, dtype=np.int64)) % m_count
-        re = float(np.dot(wide, cos_nodes[t]) * weight)
-        im = float(np.dot(wide, sin_nodes[t]) * weight)
-        best = max(best, math.hypot(re, im))
-    return best
+    _check_resolves(n, grid)
+    return 2.0 * math.pi * float(np.max(np.abs(_coefficients(params, n))))
 
 
 @dataclass(frozen=True)
@@ -258,24 +239,26 @@ def opnorm_bracket(
         raise ValueError("bracket requires p >= 2")
     if grid is None:
         grid = PeriodicGrid.for_degree(n)
-    khat = _multiplier_values(params, n, grid)
-    mult = np.abs(khat)
-    top_m = _argmax_freq(mult, grid)
+    _check_resolves(n, grid)
+    c = _coefficients(params, n)
+    top_m = int(np.argmax(np.abs(c)))
+    top = 2.0 * math.pi * abs(float(c[top_m]))
     if p == 2:
-        value = opnorm_l2_exact(params, n, grid)
-        return NormBracket(value, value, f"exponential m={top_m}", UPPER_EXACT_MULTIPLIER)
+        return NormBracket(top, top, f"exponential m={top_m}", UPPER_EXACT_MULTIPLIER)
 
-    k = kernel_samples(params, n, grid)
+    k = _synthesize(c, grid)
     upper = lp_norm_periodic(grid, k, p / 2.0)
     weight = grid.weight
-    fk = np.fft.fft(k)
+    # The kernel is real and even, so its multiplier is real.
+    khat = np.zeros(grid.size // 2 + 1)
+    khat[: n + 1] = 2.0 * math.pi * c
 
     def apply_op(f: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.fft(f) * fk).real * weight
+        return irfft(rfft(f) * khat, grid.size)
 
     p_dual = p / (p - 1.0)
     # Single exponentials admit a closed-form ratio |khat(m)| (2 pi)^(1/p - 1/p').
-    exp_ratio = float(np.max(mult)) * (2.0 * math.pi) ** (1.0 / p - 1.0 / p_dual)
+    exp_ratio = top * (2.0 * math.pi) ** (1.0 / p - 1.0 / p_dual)
     lower = exp_ratio
     witness = f"exponential m={top_m}"
 
@@ -307,11 +290,6 @@ def opnorm_bracket(
             witness = f"{name} (power iteration)"
     lower = min(lower, upper)  # guard roundoff at rank-one equality cases
     return NormBracket(lower, upper, witness, UPPER_YOUNG, refined)
-
-
-def _argmax_freq(mult: np.ndarray, grid: PeriodicGrid) -> int:
-    ms = np.fft.fftfreq(grid.size, d=1.0 / grid.size).astype(int)
-    return int(ms[int(np.argmax(mult))])
 
 
 def tensor_opnorm_upper(factors, p: float, grids=None) -> float:
@@ -355,6 +333,8 @@ def fit_exponent(points) -> ExponentFit:
         raise ValueError("values must be positive")
     if np.any(np.diff(ns) <= 0):
         raise ValueError("abscissas must be strictly increasing")
+    if ns[0] <= 0:
+        raise ValueError(f"abscissas must be positive for a log-log fit, got n = {pts[0][0]}")
     x = np.log(ns)
     y = np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)

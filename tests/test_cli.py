@@ -44,6 +44,19 @@ class TestValidate:
     def test_unknown_command(self):
         assert validate({"command": "frobnicate"}) != []
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"command": "opnorm", "seed": True, "parameters": {"alpha": 0.5, "beta": 0.5, "p": 2, "n_values": [16, 32, 64]}},
+            {"command": "opnorm", "seed": 1, "parameters": {"alpha": 0.5, "beta": 0.5, "p": 2, "n_values": [16, 32]}},
+            {"command": "kernel-norms", "parameters": {"alpha": 1.0, "beta": 1.0, "n_values": [0, 1, 2]}},
+        ],
+        ids=["boolean-seed", "two-degrees", "degree-zero"],
+    )
+    def test_check_agrees_with_run(self, tmp_path, cfg):
+        assert validate(cfg) != []
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+
 
 class TestRun:
     def test_dimension_sphere2_csv_oracle(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -16,6 +17,7 @@ from crossflat.special import (
     jacobi_binomial,
     jacobi_degree_table,
     jacobi_eval,
+    jacobi_fourier_rows,
     jacobi_recurrence_rows,
     jacobi_theta_derivative,
 )
@@ -119,6 +121,52 @@ class TestJacobiEval:
         from crossflat.torus import fit_exponent
 
         assert abs(fit_exponent(points).slope) <= 0.02
+
+
+def gegenbauer_coefficients(alpha: float, n: int) -> np.ndarray:
+    # P_n^(a,a) = (a+1)_n / (2a+1)_n C_n^l with l = a + 1/2, and
+    # C_n^l(cos t) = sum_k (l)_k (l)_{n-k} / (k! (n-k)!) e^{i(n-2k)t}  (Szego 4.9).
+    lam = mpmath.mpf(alpha) + mpmath.mpf(1) / 2
+    scale = mpmath.rf(alpha + 1, n) / mpmath.rf(2 * alpha + 1, n)
+    out = np.zeros(n + 1)
+    for k in range(n // 2 + 1):
+        term = mpmath.rf(lam, k) * mpmath.rf(lam, n - k) / (mpmath.factorial(k) * mpmath.factorial(n - k))
+        out[n - 2 * k] = float(scale * term)
+    return out
+
+
+def mpmath_coefficients(alpha: float, beta: float, n: int) -> np.ndarray:
+    # The trapezoid rule on 2n+2 nodes is exact for the degree-n kernel.
+    size = 2 * n + 2
+    with mpmath.workdps(30):
+        thetas = [2 * mpmath.pi * j / size for j in range(size)]
+        values = [mpmath.jacobi(n, alpha, beta, mpmath.cos(t)) for t in thetas]
+        return np.array(
+            [float(sum(v * mpmath.cos(m * t) for v, t in zip(values, thetas)) / size) for m in range(n + 1)]
+        )
+
+
+class TestFourierRows:
+    DEGREES = (0, 1, 2, 3, 17, 40)
+
+    @pytest.mark.parametrize("params", [p for p in CATALOG_PARAMS if p.alpha == p.beta], ids=str)
+    def test_gegenbauer_closed_form(self, params):
+        for n, c in jacobi_fourier_rows(params.alpha, params.beta, 40):
+            ref = gegenbauer_coefficients(params.alpha, n)
+            assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("params", [p for p in CATALOG_PARAMS if p.alpha != p.beta], ids=str)
+    def test_mpmath_coefficients(self, params):
+        for n, c in jacobi_fourier_rows(params.alpha, params.beta, 40):
+            if n in self.DEGREES:
+                ref = mpmath_coefficients(params.alpha, params.beta, n)
+                assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_rejections(self):
+        with pytest.raises(ValueError):
+            next(jacobi_fourier_rows(-1.0, 0.0, 4))
+        with pytest.raises(ValueError):
+            next(jacobi_fourier_rows(0.5, 0.5, -1))
 
 
 class TestChebyshevHalfCase:

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossflat.spaces import AliasingError
-from crossflat.special import JacobiParams, jacobi_binomial
+from crossflat.special import JacobiParams, jacobi_binomial, jacobi_eval
 from crossflat.torus import (
     ExponentFit,
     NormBracket,
@@ -45,6 +46,13 @@ class TestLpNorm:
         n = 50
         norm = lp_norm_periodic(g, kernel_samples(HALF, n, g), 2)
         assert norm == pytest.approx(math.sqrt(dirichlet_l2_sq(n)), rel=1e-8)
+
+    def test_dirichlet_kernel_l2_at_high_degree(self):
+        # Exact value from mpmath: jacobi_binomial's log-gamma route is itself
+        # about 3e-12 off at this degree.
+        n = 4096
+        exact = float(mpmath.binomial(mpmath.mpf(n) + 0.5, n) * mpmath.sqrt(2 * mpmath.pi / (n + 1)))
+        assert kernel_lp_norm(HALF, n, 2) == pytest.approx(exact, rel=1e-12)
 
     def test_infinity_norm(self):
         g = PeriodicGrid(32)
@@ -86,6 +94,19 @@ class TestLpNorm:
             power = nxt
         exact = (2 * math.pi * power.get(0, 0).real) ** (1 / p)
         assert lp_norm_periodic(g, f, p) == pytest.approx(exact, rel=1e-10, abs=1e-12)
+
+
+class TestKernelSamples:
+    @pytest.mark.parametrize("size", [64, 151, 200])
+    @pytest.mark.parametrize("params", [HALF, JacobiParams.of(1, 0), JacobiParams.of(3, 1)], ids=str)
+    def test_folded_grid_matches_pointwise(self, params, size):
+        # grids of at most 2n points alias the kernel's frequencies; folding
+        # them keeps the samples exact, relative to the kernel's sup norm
+        n = 100
+        grid = PeriodicGrid(size)
+        ref = jacobi_eval(params, n, np.cos(grid.thetas))
+        dev = np.max(np.abs(kernel_samples(params, n, grid) - ref))
+        assert dev <= 1e-12 * jacobi_binomial(params.alpha, n)
 
 
 class TestEnvelopes:
@@ -233,6 +254,10 @@ class TestFitExponent:
             fit_exponent([(1, 1.0), (1, 2.0), (3, 1.0)])
         with pytest.raises(ValueError):
             ExponentFit(1.0, 0.0, 0.0, 2)
+
+    def test_rejects_nonpositive_abscissas(self):
+        with pytest.raises(ValueError, match="abscissas must be positive for a log-log fit, got n = 0"):
+            fit_exponent([(0, 1.0), (1, 2.0), (2, 3.0)])
 
 
 class TestKinkNoLog:

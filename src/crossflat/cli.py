@@ -105,6 +105,10 @@ def _check_number(params: dict, key: str, out: list[str], required: bool = True)
         out.append(f"parameters.{key}: must be a number")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_degrees(params: dict, out: list[str]) -> None:
     if "n_values" not in params:
         return
@@ -112,7 +116,7 @@ def _check_degrees(params: dict, out: list[str]) -> None:
     if not (
         isinstance(ns, list)
         and len(ns) >= 3
-        and all(isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in ns)
+        and all(_is_int(n) and n > 0 for n in ns)
         and all(a < b for a, b in zip(ns, ns[1:]))
     ):
         out.append(
@@ -129,6 +133,37 @@ def _check_space(params: dict, out: list[str]) -> None:
         spaces.space_from_dict(space)
     except (KeyError, ValueError) as exc:
         out.append(f"parameters.space: {exc}")
+
+
+def _check_factors(params: dict, out: list[str]) -> None:
+    spec = params.get("factors")
+    if isinstance(spec, dict):
+        copies = spec.get("copies")
+        if not (_is_int(copies) and copies >= 2):
+            out.append("parameters.factors.copies: must be an integer >= 2")
+        space_specs = [spec.get("space")]
+    elif isinstance(spec, list) and len(spec) >= 2:
+        space_specs = spec
+    else:
+        out.append(
+            "parameters.factors: must be a list of at least two spaces or {space, copies}"
+        )
+        return
+    for space in space_specs:
+        if not isinstance(space, dict):
+            out.append("parameters.factors: every space must be an object")
+            return
+        try:
+            spaces.space_from_dict(space)
+        except (KeyError, ValueError) as exc:
+            out.append(f"parameters.factors: {exc}")
+
+
+def _check_level_list(params: dict, key: str, out: list[str]) -> None:
+    if key in params:
+        values = params[key]
+        if not (isinstance(values, list) and values and all(_is_int(v) and v >= 0 for v in values)):
+            out.append(f"parameters.{key}: must be a nonempty list of nonnegative integers")
 
 
 def validate(config: dict) -> list[str]:
@@ -171,14 +206,28 @@ def validate(config: dict) -> list[str]:
     elif command in ("fourier", "dimension"):
         _check_space(params, out)
     elif command == "shell":
-        if "factors" not in params:
-            out.append("parameters.factors: missing")
-        _check_number(params, "level", out)
+        _check_factors(params, out)
+        level = params.get("level")
+        if not (_is_int(level) and level >= 0):
+            out.append("parameters.level: missing or not a nonnegative integer")
+        if not isinstance(params.get("ordering_constraint", True), bool):
+            out.append("parameters.ordering_constraint: must be true or false")
     elif command == "sharpness":
-        if "factors" not in params:
-            out.append("parameters.factors: missing")
+        _check_factors(params, out)
         if "matrix" not in params:
             out.append("parameters.matrix: missing")
+        _check_level_list(params, "levels", out)
+        _check_level_list(params, "degrees", out)
+        if "levels" not in params and "degrees" not in params:
+            lo, hi = params.get("level_min", 1700), params.get("level_max", 9900)
+            if not (_is_int(lo) and _is_int(hi) and 0 < lo < hi):
+                out.append("parameters.level_min, level_max: must be integers with 0 < level_min < level_max")
+            count = params.get("level_count", 12)
+            if not (_is_int(count) and count >= 3):
+                out.append("parameters.level_count: must be an integer >= 3 (the slope fit needs three levels)")
+        epsilon = params.get("epsilon", 0.05)
+        if not (isinstance(epsilon, (int, float)) and not isinstance(epsilon, bool) and 0 < epsilon < 1):
+            out.append("parameters.epsilon: must be a number in (0, 1)")
         for key in ("p_values",):
             ps = params.get(key, [2])
             if not (isinstance(ps, list) and ps and all(isinstance(q, (int, float)) and q >= 2 for q in ps)):
@@ -385,8 +434,8 @@ def _cmd_dimension(params: dict, seed, threads):
 
 def _cmd_shell(params: dict, seed, threads):
     manifold = _factors_from(params)
-    level = int(params["level"])
-    constrained = bool(params.get("ordering_constraint", True))
+    level = params["level"]
+    constrained = params.get("ordering_constraint", True)
     shell = products.enumerate_shell(manifold, level, constrained)
     header = ["level", "member"]
     rows = [(level, "(" + ",".join(str(n) for n in member) + ")") for member in shell.members]

@@ -96,16 +96,50 @@ class LatticeShell:
         return math.sqrt(self.level)
 
 
-def _max_degree(shift: int, budget: int) -> int:
-    # Largest n with n^2 + shift*n <= budget.
-    if budget < 0:
-        return -1
-    n = int((-shift + math.sqrt(shift * shift + 4.0 * budget)) / 2.0)
-    while n * n + shift * n > budget:
-        n -= 1
-    while (n + 1) * (n + 1) + shift * (n + 1) <= budget:
-        n += 1
+def _max_degree(shift: int, budget):
+    # Largest n with n^2 + shift*n <= budget, elementwise; -1 where budget < 0.
+    budget = np.asarray(budget, dtype=np.int64)
+    root = np.sqrt(shift * shift + 4.0 * np.maximum(budget, 0))
+    n = ((root - shift) / 2.0).astype(np.int64)
+    n -= n * n + shift * n > budget
+    n += (n + 1) * (n + 1) + shift * (n + 1) <= budget
     return n
+
+
+def _sweep(
+    manifold: ProductManifold, level_lo: int, level_hi: int, ordering_constraint: bool
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every admissible degree tuple with level_lo <= level <= level_hi.
+
+    The tuples grow one factor column at a time: each row is repeated over
+    its admissible range of the next degree.  With the constraint on, that
+    range is capped by the previous degree and starts at ceil(n_1 / 2); on
+    the last column it starts where the total reaches level_lo.  Returns one
+    degree column per factor, whose rows run in ascending lexicographic
+    order, and the level of each row.
+    """
+    columns: list[np.ndarray] = []
+    used = np.zeros(1, dtype=np.int64)
+    last = manifold.rank - 1
+    for i, factor in enumerate(manifold.factors):
+        shift = factor.eigenvalue_shift
+        step = 2 if factor.even_degrees_only else 1
+        hi = _max_degree(shift, level_hi - used)
+        lo = np.zeros_like(used)
+        if ordering_constraint and i > 0:
+            hi = np.minimum(hi, columns[-1])
+            lo = (columns[0] + 1) // 2
+        if i == last:
+            lo = np.maximum(lo, _max_degree(shift, level_lo - used - 1) + 1)
+        if step == 2:
+            lo += lo % 2
+        counts = np.maximum((hi - lo) // step + 1, 0)
+        rows = np.repeat(np.arange(len(used)), counts)
+        starts = np.cumsum(counts) - counts
+        n = lo[rows] + step * (np.arange(len(rows)) - starts[rows])
+        columns = [column[rows] for column in columns] + [n]
+        used = used[rows] + n * n + shift * n
+    return columns, used
 
 
 def enumerate_shell(
@@ -117,47 +151,10 @@ def enumerate_shell(
     (checked as 2 n_r >= n_1 in integers).  With it off, every tuple solving
     sum_i (n_i^2 + a_i n_i) = level is returned.
     """
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    shifts = [f.eigenvalue_shift for f in manifold.factors]
-    steps = [2 if f.even_degrees_only else 1 for f in manifold.factors]
-    r = manifold.rank
-    members: list[tuple[int, ...]] = []
-
-    def eig(i: int, n: int) -> int:
-        return n * n + shifts[i] * n
-
-    if ordering_constraint:
-
-        def recurse(i: int, remaining: int, hi: int, head: int, prefix: list[int]) -> None:
-            if i == r:
-                if remaining == 0:
-                    members.append(tuple(prefix))
-                return
-            lo = (head + 1) // 2 if head >= 0 else 0
-            top = min(hi, _max_degree(shifts[i], remaining))
-            for n in range(top, lo - 1, -1):
-                if steps[i] == 2 and n % 2:
-                    continue
-                rest = remaining - eig(i, n)
-                if rest < 0:
-                    continue
-                recurse(i + 1, rest, n, head if head >= 0 else n, prefix + [n])
-
-        recurse(0, level, _max_degree(shifts[0], level), -1, [])
-    else:
-
-        def recurse_free(i: int, remaining: int, prefix: list[int]) -> None:
-            if i == r:
-                if remaining == 0:
-                    members.append(tuple(prefix))
-                return
-            top = _max_degree(shifts[i], remaining)
-            for n in range(0, top + 1, steps[i]):
-                recurse_free(i + 1, remaining - eig(i, n), prefix + [n])
-
-        recurse_free(0, level, [])
-    return LatticeShell(level, tuple(sorted(members)))
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or level < 0:
+        raise ValueError(f"level must be a nonnegative integer, got {level!r}")
+    columns, _ = _sweep(manifold, level, level, ordering_constraint)
+    return LatticeShell(int(level), tuple(zip(*(column.tolist() for column in columns))))
 
 
 def count_unconstrained(manifold: ProductManifold, level_max: int) -> np.ndarray:
@@ -171,7 +168,7 @@ def count_unconstrained(manifold: ProductManifold, level_max: int) -> np.ndarray
     for factor in manifold.factors:
         nxt = np.zeros_like(counts)
         step = 2 if factor.even_degrees_only else 1
-        for n in range(0, _max_degree(factor.eigenvalue_shift, level_max) + 1, step):
+        for n in range(0, int(_max_degree(factor.eigenvalue_shift, level_max)) + 1, step):
             e = n * n + factor.eigenvalue_shift * n
             nxt[e:] += counts[: level_max + 1 - e]
         counts = nxt
@@ -181,27 +178,11 @@ def count_unconstrained(manifold: ProductManifold, level_max: int) -> np.ndarray
 def count_constrained(manifold: ProductManifold, level_max: int) -> np.ndarray:
     """Counts of ordering-constrained shell tuples for every level 0..level_max.
 
-    One backtracking sweep over all admissible tuples with total eigenvalue
-    at most level_max; matches len(enumerate_shell(..., True)) levelwise.
+    One sweep over all admissible tuples with total eigenvalue at most
+    level_max; matches len(enumerate_shell(..., True)) levelwise.
     """
-    shifts = [f.eigenvalue_shift for f in manifold.factors]
-    steps = [2 if f.even_degrees_only else 1 for f in manifold.factors]
-    r = manifold.rank
-    counts = np.zeros(level_max + 1, dtype=np.int64)
-
-    def recurse(i: int, used: int, hi: int, head: int) -> None:
-        if i == r:
-            counts[used] += 1
-            return
-        lo = (head + 1) // 2 if head >= 0 else 0
-        top = min(hi, _max_degree(shifts[i], level_max - used))
-        for n in range(top, lo - 1, -1):
-            if steps[i] == 2 and n % 2:
-                continue
-            recurse(i + 1, used + n * n + shifts[i] * n, n, head if head >= 0 else n)
-
-    recurse(0, 0, _max_degree(shifts[0], level_max), -1)
-    return counts
+    _, levels = _sweep(manifold, 0, level_max, True)
+    return np.bincount(levels, minlength=level_max + 1)
 
 
 def trend_levels(

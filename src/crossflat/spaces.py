@@ -205,19 +205,17 @@ def spherical_eval(space: CrossSpace, n: int, theta):
     so that Phi_n(0) = 1 exactly."""
     scalar = np.isscalar(theta)
     th = np.asarray(theta, dtype=float)
-    p = jacobi_eval(space.params, n, np.cos(th))
-    norm = jacobi_eval(space.params, n, 1.0)
-    out = p / norm
+    values = jacobi_eval(space.params, n, np.append(np.cos(th), 1.0))
+    out = (values[:-1] / values[-1]).reshape(th.shape)
     return float(out) if scalar else out
 
 
 def spherical_table(space: CrossSpace, degrees, theta) -> dict[int, np.ndarray]:
-    """Normalized values for several degrees from one recurrence sweep."""
+    """Normalized values for several degrees from one recurrence sweep; the
+    point x = 1 rides along in the sweep and supplies each normalization."""
     th = np.asarray(theta, dtype=float)
-    wanted = sorted(set(int(n) for n in degrees))
-    raw = jacobi_degree_table(space.params, wanted, np.cos(th))
-    norms = jacobi_degree_table(space.params, wanted, np.array([1.0]))
-    return {n: raw[n] / norms[n][0] for n in wanted}
+    raw = jacobi_degree_table(space.params, degrees, np.append(np.cos(th), 1.0))
+    return {n: (row[:-1] / row[-1]).reshape(th.shape) for n, row in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -312,7 +310,8 @@ def _require_order(order: int | None, needed: int, n: int) -> int:
 @lru_cache(maxsize=65536)
 def _rep_dimension_cached(space: CrossSpace, n: int, order: int) -> float:
     x, w = measure_nodes(space, order)
-    phi = jacobi_eval(space.params, n, x) / jacobi_eval(space.params, n, 1.0)
+    values = jacobi_eval(space.params, n, np.append(x, 1.0))
+    phi = values[:-1] / values[-1]
     return float(1.0 / np.sum(w * phi * phi))
 
 

@@ -7,6 +7,11 @@ import pytest
 from crossflat.cli import OUTPUT_ENV_VAR, main, run, validate
 
 
+S3 = {"kind": "sphere", "dimension": 3}
+S3_FIFTH = {"space": S3, "copies": 5}
+SHARPNESS = {"factors": S3_FIFTH, "matrix": [[1.0]] * 5, "p_values": [2]}
+
+
 def write_config(tmp_path, config, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
@@ -50,8 +55,38 @@ class TestValidate:
             {"command": "opnorm", "seed": True, "parameters": {"alpha": 0.5, "beta": 0.5, "p": 2, "n_values": [16, 32, 64]}},
             {"command": "opnorm", "seed": 1, "parameters": {"alpha": 0.5, "beta": 0.5, "p": 2, "n_values": [16, 32]}},
             {"command": "kernel-norms", "parameters": {"alpha": 1.0, "beta": 1.0, "n_values": [0, 1, 2]}},
+            {"command": "shell", "parameters": {"factors": S3_FIFTH, "level": 40.7}},
+            {"command": "shell", "parameters": {"factors": S3_FIFTH, "level": True}},
+            {"command": "shell", "parameters": {"factors": S3_FIFTH, "level": -5}},
+            {"command": "shell", "parameters": {"factors": S3_FIFTH, "level": 40, "ordering_constraint": "no"}},
+            {"command": "shell", "parameters": {"factors": 5, "level": 40}},
+            {"command": "shell", "parameters": {"factors": [S3], "level": 40}},
+            {"command": "shell", "parameters": {"factors": {"space": S3, "copies": 1}, "level": 40}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "level_min": 900, "level_max": 400}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "level_count": 2}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "levels": []}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [-5, 40]}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "degrees": "ab"}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [40], "epsilon": 2}},
         ],
-        ids=["boolean-seed", "two-degrees", "degree-zero"],
+        ids=[
+            "boolean-seed",
+            "two-degrees",
+            "degree-zero",
+            "non-integral-level",
+            "boolean-level",
+            "negative-level",
+            "string-ordering-constraint",
+            "integer-factors",
+            "single-factor",
+            "one-copy",
+            "level-min-above-max",
+            "two-trend-levels",
+            "empty-levels",
+            "negative-levels",
+            "string-degrees",
+            "epsilon-above-one",
+        ],
     )
     def test_check_agrees_with_run(self, tmp_path, cfg):
         assert validate(cfg) != []

@@ -25,10 +25,18 @@ from crossflat.products import (
     tau_exponent,
     trend_levels,
 )
-from crossflat.spaces import measure_nodes, real_projective, sphere, spherical_eval
+from crossflat.spaces import (
+    complex_projective,
+    measure_nodes,
+    real_projective,
+    sphere,
+    spherical_eval,
+)
 
 S3_FIFTH = ProductManifold.of(*[sphere(3)] * 5)
 MIXED = ProductManifold.of(sphere(3), sphere(5))
+# The rank-4 mixed product S^2 x S^3 x CP^2 x S^3 of the benchmark.
+MIXED_RANK4 = ProductManifold.of(sphere(2), sphere(3), complex_projective(4), sphere(3))
 
 
 def brute_force_shell(manifold, level, constrained):
@@ -88,16 +96,25 @@ class TestEnumerateShell:
                 assert mine == brute_force_shell(S3_FIFTH, level, constrained)
 
     def test_brute_force_oracle_mixed(self):
-        for level in range(0, 120, 7):
-            for constrained in (True, False):
-                mine = enumerate_shell(MIXED, level, constrained).members
-                assert mine == brute_force_shell(MIXED, level, constrained)
+        for m in (MIXED, MIXED_RANK4):
+            for level in range(0, 120, 7):
+                for constrained in (True, False):
+                    mine = enumerate_shell(m, level, constrained).members
+                    assert mine == brute_force_shell(m, level, constrained)
 
     def test_brute_force_oracle_projective(self):
-        m = ProductManifold.of(real_projective(3), sphere(3))
-        for level in range(0, 80, 5):
-            mine = enumerate_shell(m, level, False).members
-            assert mine == brute_force_shell(m, level, False)
+        for m in (
+            ProductManifold.of(real_projective(3), sphere(3)),
+            ProductManifold.of(real_projective(3), sphere(3), real_projective(4)),
+        ):
+            for level in range(0, 80, 5):
+                for constrained in (True, False):
+                    mine = enumerate_shell(m, level, constrained).members
+                    assert mine == brute_force_shell(m, level, constrained)
+
+    def test_rejects_non_integral_level(self):
+        with pytest.raises(ValueError, match="integer"):
+            enumerate_shell(S3_FIFTH, 40.7)
 
     def test_empty_shell(self):
         assert len(enumerate_shell(S3_FIFTH, 1)) == 0
@@ -121,6 +138,11 @@ class TestEnumerateShell:
         for level in range(201):
             assert unconstrained[level] == len(enumerate_shell(S3_FIFTH, level, False))
             assert constrained[level] == len(enumerate_shell(S3_FIFTH, level, True))
+        unconstrained = count_unconstrained(MIXED_RANK4, 60)
+        constrained = count_constrained(MIXED_RANK4, 60)
+        for level in range(61):
+            assert unconstrained[level] == len(brute_force_shell(MIXED_RANK4, level, False))
+            assert constrained[level] == len(brute_force_shell(MIXED_RANK4, level, True))
 
 
 class TestExtremizer:

@@ -302,9 +302,10 @@ class FlatSubmanifold:
                 raise ValueError("box intervals must be nondegenerate")
 
     @classmethod
-    def of(cls, matrix, offset, box=None) -> "FlatSubmanifold":
+    def of(cls, matrix, offset=None, box=None) -> "FlatSubmanifold":
+        """offset None puts the submanifold through the origin."""
         m = tuple(tuple(float(v) for v in row) for row in matrix)
-        b = tuple(float(v) for v in offset)
+        b = (0.0,) * len(m) if offset is None else tuple(float(v) for v in offset)
         bx = None if box is None else tuple((float(lo), float(hi)) for lo, hi in box)
         return cls(m, b, bx)
 

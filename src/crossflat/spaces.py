@@ -182,16 +182,21 @@ def space_to_dict(space: CrossSpace) -> dict:
 
 
 def space_from_dict(data: dict) -> CrossSpace:
-    space = _make(
-        Kind(data["kind"]),
-        int(data["dimension"]),
-        bool(data.get("even_degrees_only", False)),
-    )
+    """Inverse of space_to_dict.  Values are checked, never coerced: the
+    dimension must be an integer and even_degrees_only true or false."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a space must be an object, got {data!r}")
+    dimension, even = data["dimension"], data.get("even_degrees_only", False)
+    if isinstance(dimension, bool) or not isinstance(dimension, int):
+        raise ValueError(f"dimension must be an integer, got {dimension!r}")
+    if not isinstance(even, bool):
+        raise ValueError(f"even_degrees_only must be true or false, got {even!r}")
+    space = _make(Kind(data["kind"]), dimension, even)
     if "alpha" in data and 2 * data["alpha"] != space.params.twice_alpha:
         raise ValueError("alpha inconsistent with dimension")
     if "beta" in data and 2 * data["beta"] != space.params.twice_beta:
         raise ValueError("beta inconsistent with the catalog")
-    if "a" in data and int(data["a"]) != space.eigenvalue_shift:
+    if "a" in data and data["a"] != space.eigenvalue_shift:
         raise ValueError("eigenvalue shift inconsistent with the catalog")
     return space
 

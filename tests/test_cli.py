@@ -1,15 +1,69 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crossflat.cli import OUTPUT_ENV_VAR, main, run, validate
+from crossflat.cli import COMMANDS, OUTPUT_ENV_VAR, main, run, validate
 
 
+S2 = {"kind": "sphere", "dimension": 2}
 S3 = {"kind": "sphere", "dimension": 3}
 S3_FIFTH = {"space": S3, "copies": 5}
 SHARPNESS = {"factors": S3_FIFTH, "matrix": [[1.0]] * 5, "p_values": [2]}
+JACOBI = {"alpha": 0.5, "beta": 0.5}
+OPNORM = {"alpha": 0.5, "beta": 0.5, "p": 2, "n_values": [16, 32, 64]}
+KERNEL_NORMS = {"alpha": 1.0, "beta": 1.0, "n_values": [16, 32, 64]}
+EXPONENTS = {"d_list": [3, 3], "k": 1, "p": 2}
+
+# A small passing config per command, and every key its parse function reads.
+CONTRACT_BASES = {
+    "jacobi": {"parameters": {"alpha": 1.0, "beta": 0.0, "n_max": 16, "grid_size": 64}},
+    "kernel-norms": {"parameters": {**KERNEL_NORMS, "q_values": [2]}},
+    "opnorm": {"seed": 1, "parameters": {**OPNORM, "p": 4, "iteration_budget": 5}},
+    "fourier": {"parameters": {"space": S3, "n_max": 8}},
+    "dimension": {"parameters": {"space": S2, "n_max": 8}},
+    "shell": {"parameters": {"factors": S3_FIFTH, "level": 40}},
+    "sharpness": {"parameters": {"factors": [S2, S2], "matrix": [[1], [1]], "levels": [12, 24, 40]}},
+    "exponents": {"parameters": EXPONENTS},
+}
+TOLERANCES = ["normalization_tolerance", "reflection_tolerance", "closed_form_tolerance"]
+CONTRACT_KEYS = {
+    "jacobi": ["alpha", "beta", "n_max", "grid_size", *TOLERANCES],
+    "kernel-norms": ["alpha", "beta", "n_values", "q_values", "slope_tolerance"],
+    "opnorm": ["alpha", "beta", "p", "n_values", "iteration_budget", "slope_tolerance"],
+    "fourier": ["space", "n_max", "negativity_tolerance", "sum_tolerance"],
+    "dimension": ["space", "n_values", "n_max", "integer_tolerance", "slope_tolerance", "check_slope"],
+    "shell": ["factors", "level", "ordering_constraint"],
+    "sharpness": [
+        "factors", "matrix", "offset", "box", "levels", "degrees", "level_min", "level_max",
+        "level_count", "p_values", "points_per_wavelength", "slope_tolerance", "epsilon",
+    ],
+    "exponents": ["d_list", "k", "p"],
+}
+# No huge sizes: nothing bounds the cost of a run yet.
+MALFORMED = [
+    "abc", "", True, False, None, -1, -3, -0.5, 0, 0.3,
+    [], [-2, 3], [True], [[1], [1, 2]], {"a": {"b": [1]}},
+]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A base config with one parameter deleted or replaced by a malformed value."""
+    command = draw(st.sampled_from(sorted(CONTRACT_BASES)))
+    config = {"command": command, **copy.deepcopy(CONTRACT_BASES[command])}
+    key = draw(st.sampled_from(CONTRACT_KEYS[command]))
+    if draw(st.booleans()):
+        config["parameters"].pop(key, None)
+    else:
+        config["parameters"][key] = copy.deepcopy(draw(st.sampled_from(MALFORMED)))
+    return config
 
 
 def write_config(tmp_path, config, name="run.json"):
@@ -68,6 +122,30 @@ class TestValidate:
             {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [-5, 40]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "degrees": "ab"}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [40], "epsilon": 2}},
+            {"command": "jacobi", "parameters": {**JACOBI, "alpha": -3}},
+            {"command": "jacobi", "parameters": {**JACOBI, "alpha": 0.3}},
+            {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "alpha": 0.3}},
+            {"command": "kernel-norms", "parameters": {**KERNEL_NORMS, "alpha": 0.3}},
+            {"command": "jacobi", "parameters": {**JACOBI, "n_max": "abc"}},
+            {"command": "jacobi", "parameters": {**JACOBI, "grid_size": 0}},
+            {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "iteration_budget": "abc"}},
+            {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "slope_tolerance": "abc"}},
+            {"command": "fourier", "parameters": {"space": S3, "n_max": "abc"}},
+            {"command": "fourier", "parameters": {"space": S3, "n_max": -3}},
+            {"command": "dimension", "parameters": {"space": S3, "n_values": "abc"}},
+            {"command": "dimension", "parameters": {"space": S3, "n_values": [-2, 3]}},
+            {"command": "dimension", "parameters": {"space": S3, "n_max": "abc"}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "matrix": "abc"}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "matrix": [[1.0]] * 4}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "offset": [0, 0]}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "box": [[1]]}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "points_per_wavelength": "abc"}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "slope_tolerance": "abc"}},
+            {"command": "exponents", "parameters": {**EXPONENTS, "p": "abc"}},
+            {"command": "exponents", "parameters": {**EXPONENTS, "k": 7}},
+            {"command": "kernel-norms", "parameters": {**KERNEL_NORMS, "q_values": [True]}},
+            {"command": "exponents", "parameters": {**EXPONENTS, "k": True}},
+            {"command": "exponents", "parameters": {**EXPONENTS, "p": "1/0"}},
         ],
         ids=[
             "boolean-seed",
@@ -86,11 +164,48 @@ class TestValidate:
             "negative-levels",
             "string-degrees",
             "epsilon-above-one",
+            "jacobi-alpha-below-minus-one",
+            "jacobi-non-half-integer-alpha",
+            "opnorm-non-half-integer-alpha",
+            "kernel-norms-non-half-integer-alpha",
+            "jacobi-string-n-max",
+            "jacobi-zero-grid",
+            "opnorm-string-budget",
+            "opnorm-string-slope-tolerance",
+            "fourier-string-n-max",
+            "fourier-negative-n-max",
+            "dimension-string-degrees",
+            "dimension-negative-degree",
+            "dimension-string-n-max",
+            "sharpness-string-matrix",
+            "sharpness-matrix-rank-mismatch",
+            "sharpness-short-offset",
+            "sharpness-one-ended-box",
+            "sharpness-string-points-per-wavelength",
+            "sharpness-string-slope-tolerance",
+            "exponents-string-p",
+            "exponents-k-above-rank",
+            "kernel-norms-boolean-q",
+            "exponents-boolean-k",
+            "exponents-zero-denominator-p",
         ],
     )
     def test_check_agrees_with_run(self, tmp_path, cfg):
         assert validate(cfg) != []
         assert run(cfg, out_dir=str(tmp_path)) == 2
+
+    @settings(max_examples=120, deadline=None)
+    @given(mutated_configs())
+    def test_check_is_a_contract_for_run(self, cfg):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+            code = run(cfg, out_dir=out)
+        if validate(cfg) == []:
+            assert code in (0, 1, 3), err.getvalue()
+        else:
+            assert code == 2
+        if code == 2:
+            assert "config error: " in err.getvalue()
 
 
 class TestRun:
@@ -174,6 +289,15 @@ class TestRun:
             },
         }
         assert run(cfg, out_dir=str(tmp_path)) == 3
+
+    def test_unexpected_error_exits_four(self, tmp_path, monkeypatch, capsys):
+        def handler(seed, threads):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(COMMANDS, "exponents", lambda reader: handler)
+        cfg = {"command": "exponents", "parameters": EXPONENTS}
+        assert run(cfg, out_dir=str(tmp_path)) == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
     def test_bad_parameter_values_exit_two(self, tmp_path):
         cfg = {

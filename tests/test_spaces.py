@@ -88,6 +88,14 @@ class TestCatalog:
         for s in (*SPACES, real_projective(4)):
             assert space_from_dict(space_to_dict(s)) == s
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dimension", 3.7), ("dimension", "3"), ("dimension", True), ("even_degrees_only", "no")],
+    )
+    def test_json_rejects_values_it_would_have_to_coerce(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            space_from_dict({"kind": "sphere", "dimension": 3, field: value})
+
     def test_json_rejects_inconsistent_fields(self):
         bad = space_to_dict(sphere(4))
         bad["beta"] = 0.0

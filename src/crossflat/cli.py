@@ -520,9 +520,9 @@ COMMANDS = {
 }
 
 
-def _parse(config) -> tuple[list[str], object]:
-    """Diagnostics of a config and the handler its command runs.  `--check`
-    and run() both read a config only through here."""
+def _parse(config, seed_override: int | None = None) -> tuple[list[str], object]:
+    """Diagnostics of a config (seed_override, if given, checked as its seed)
+    and the handler its command runs.  `--check` and run() both use this."""
     if not isinstance(config, dict):
         return ["config: must be a JSON object"], None
     command = config.get("command")
@@ -532,7 +532,7 @@ def _parse(config) -> tuple[list[str], object]:
     if not isinstance(params, dict):
         return ["parameters: must be an object"], None
     errors = []
-    seed = config.get("seed")
+    seed = config.get("seed") if seed_override is None else seed_override
     if isinstance(seed, bool):
         errors.append("seed: must be an integer, not a boolean")
     elif command == "opnorm" and not (isinstance(seed, int) and seed >= 0):
@@ -550,7 +550,7 @@ def validate(config: dict) -> list[str]:
 
 def run(config: dict, out_dir: str | None = None, seed_override: int | None = None, threads: int = 1) -> int:
     """Validate, execute, and write artifacts; returns the process exit code."""
-    diagnostics, handler = _parse(config)
+    diagnostics, handler = _parse(config, seed_override)
     if diagnostics:
         for line in diagnostics:
             print(f"config error: {line}", file=sys.stderr)

@@ -417,6 +417,14 @@ class TestMain:
         summary = json.loads((out / "opnorm_summary.json").read_text())
         assert summary["seed"] == 9
 
+    def test_seed_override_is_checked_like_the_config_seed(self, tmp_path, capsys):
+        cfg = {"command": "opnorm", "parameters": {**OPNORM, "n_values": [8, 16, 32]}}
+        path = write_config(tmp_path, {**cfg, "seed": 1})
+        assert main(["--config", path, "--out", str(tmp_path / "negative"), "--seed", "-1"]) == 2
+        assert "config error: seed:" in capsys.readouterr().err
+        path = write_config(tmp_path, cfg, name="unseeded.json")
+        assert main(["--config", path, "--out", str(tmp_path / "seeded"), "--seed", "3"]) == 0
+
     def test_threads_fanout_matches_serial(self, tmp_path):
         cfg = {
             "command": "opnorm",

@@ -92,6 +92,7 @@ _REQUIRED = object()
 _ANY = ("", lambda x: True)
 _NONNEGATIVE = (">= 0", lambda x: x >= 0)
 _POSITIVE = ("> 0", lambda x: x > 0)
+_FINITE_POSITIVE = ("> 0 and finite", lambda x: 0 < x < math.inf)
 _OPEN_UNIT = ("in (0, 1)", lambda x: 0 < x < 1)
 _EXPONENT = (">= 2 (the norms are stated for p >= 2)", lambda x: x >= 2)
 
@@ -408,7 +409,7 @@ def _parse_sharpness(r: _Parameters):
         r.fail("level_min, level_max", "must satisfy level_min < level_max")
     level_count = r.integer("level_count", 12, minimum=3)  # the slope fit needs three levels
     p_values = r.numbers("p_values", [2.0], _EXPONENT)
-    ppw = r.number("points_per_wavelength", 8.0, _POSITIVE)
+    ppw = r.number("points_per_wavelength", 8.0, _FINITE_POSITIVE)
     slope_tol = r.number("slope_tolerance", 0.25)
     epsilon = r.number("epsilon", 0.05, _OPEN_UNIT)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -243,6 +243,25 @@ def _member_amplitudes(manifold: ProductManifold, shell: LatticeShell) -> np.nda
     )
 
 
+def _extremizer_grid(manifold: ProductManifold, shell: LatticeShell, amps, points, index) -> np.ndarray:
+    """sum over the shell of amp * prod_i Phi_{i,n_i}(points[i])[index[i]].
+
+    Each factor's spherical table is built once, on its own distinct angles
+    points[i]; the integer arrays index[i] broadcast to the output grid.
+    """
+    tables = [
+        spherical_table(space, {m[i] for m in shell.members}, points[i])
+        for i, space in enumerate(manifold.factors)
+    ]
+    f = np.zeros(np.broadcast_shapes(*(np.shape(ix) for ix in index)))
+    for member, amp in zip(shell.members, amps):
+        prod = tables[0][member[0]][index[0]]
+        for i in range(1, len(member)):
+            prod = prod * tables[i][member[i]][index[i]]
+        f += amp * prod
+    return f
+
+
 def extremizer_eval(manifold: ProductManifold, shell: LatticeShell, theta) -> float:
     """f(theta) = sum over the shell of prod_i sqrt(k_i(n_i)) Phi_{i,n_i}(theta_i)."""
     if len(shell) == 0:
@@ -250,15 +269,8 @@ def extremizer_eval(manifold: ProductManifold, shell: LatticeShell, theta) -> fl
     theta = tuple(float(t) for t in theta)
     if len(theta) != manifold.rank:
         raise ValueError("theta must have one coordinate per factor")
-    values = []
-    for i, space in enumerate(manifold.factors):
-        degrees = {m[i] for m in shell.members}
-        table = spherical_table(space, degrees, np.array([theta[i]]))
-        values.append({n: float(v[0]) for n, v in table.items()})
-    total = 0.0
-    for member, amp in zip(shell.members, _member_amplitudes(manifold, shell)):
-        total += amp * np.prod([values[i][n] for i, n in enumerate(member)])
-    return float(total)
+    amps = _member_amplitudes(manifold, shell)
+    return float(_extremizer_grid(manifold, shell, amps, [[t] for t in theta], [0] * manifold.rank))
 
 
 def extremizer_l2_norm(shell: LatticeShell) -> float:
@@ -293,11 +305,15 @@ class FlatSubmanifold:
             raise ValueError("intrinsic dimension must lie in [0, rank]")
         if len(self.offset) != r:
             raise ValueError("offset must have one entry per factor")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(self.offset))):
+            raise ValueError("matrix and offset entries must be finite")
         if k > 0 and np.linalg.matrix_rank(a) != k:
             raise ValueError("matrix must have full column rank")
         if self.box is not None:
             if len(self.box) != k:
                 raise ValueError("box must have one interval per parameter")
+            if not np.all(np.isfinite(self.box)):
+                raise ValueError("box ends must be finite")
             if any(hi <= lo for lo, hi in self.box):
                 raise ValueError("box intervals must be nondegenerate")
 
@@ -342,32 +358,26 @@ def _column_frequencies(shell: LatticeShell, a: np.ndarray) -> np.ndarray:
     return np.abs(a).T @ n_max  # per parameter axis
 
 
-def _accumulate_members(shell, amps, factor_value, shape) -> np.ndarray:
-    f = np.zeros(shape)
-    for member, amp in zip(shell.members, amps):
-        prod = factor_value(0, member[0]).copy()
-        for i in range(1, len(member)):
-            prod *= factor_value(i, member[i])
-        f += amp * prod
-    return f
+def _lp_norm(f: np.ndarray, p, cell: float, density: float) -> float:
+    # Midpoint-rule L^p norm of grid values f, or their sup for p = inf.
+    if p == math.inf:
+        return float(np.max(np.abs(f)))
+    return float((np.sum(np.abs(f) ** p) * cell * density) ** (1.0 / p))
 
 
 def _restriction_general(manifold, shell, sub, p, axes_nodes, cell, amps) -> float:
+    # Factor i's angle depends only on the axes its matrix row uses: on a
+    # sparse grid a one-axis row needs a one-dimensional table and an
+    # all-zero row a single point.
     a = sub.matrix_array
-    r, k = a.shape
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
-    tables: list[dict[int, np.ndarray]] = []
-    for i in range(r):
-        theta_i = sub.offset[i] + sum(a[i, j] * grids[j] for j in range(k))
-        degrees = {m[i] for m in shell.members}
-        tables.append(spherical_table(manifold.factors[i], degrees, theta_i.ravel()))
-
-    f = _accumulate_members(
-        shell, amps, lambda i, n: tables[i][n], grids[0].size
-    )
-    if p == math.inf:
-        return float(np.max(np.abs(f)))
-    return float((np.sum(np.abs(f) ** p) * cell * sub.density) ** (1.0 / p))
+    grids = np.meshgrid(*axes_nodes, indexing="ij", sparse=True)
+    points, index = [], []
+    for row, b in zip(a, sub.offset):
+        theta = np.asarray(b + sum(row[j] * grids[j] for j in np.flatnonzero(row)))
+        points.append(theta.ravel())
+        index.append(np.arange(theta.size).reshape(theta.shape))
+    f = _extremizer_grid(manifold, shell, amps, points, index)
+    return _lp_norm(f, p, cell, sub.density)
 
 
 def _restriction_lattice(manifold, shell, sub, p, points_per_wavelength, amps) -> float:
@@ -391,35 +401,20 @@ def _restriction_lattice(manifold, shell, sub, p, points_per_wavelength, amps) -
         sizes = [max(8, int(math.ceil(length / h))) for length in lengths]
         # The integrated box snaps up to whole grid cells.
 
-    index_grids = np.meshgrid(*[np.arange(m, dtype=np.int64) for m in sizes], indexing="ij")
-    f_shape = index_grids[0].size
-    cell = h ** k
-
-    factor_tables: list[dict[int, np.ndarray]] = []
-    index_flat: list[np.ndarray] = []
+    index_grids = np.meshgrid(*[np.arange(m, dtype=np.int64) for m in sizes], indexing="ij", sparse=True)
+    points, index = [], []
     for i in range(r):
-        t = sum(int(a[i, j]) * index_grids[j] for j in range(k))
-        t = np.asarray(t, dtype=np.int64)
+        t = np.asarray(sum(int(a[i, j]) * index_grids[j] for j in np.flatnonzero(a[i])), dtype=np.int64)
         if full_torus:
             t %= sizes[0]
-            t_lo, t_hi = 0, sizes[0] - 1
-        else:
-            t_lo, t_hi = int(t.min()), int(t.max())
-            t = t - t_lo
+        t_lo, t_hi = int(t.min()), int(t.max())
         base = sub.offset[i] + (h / 2.0) * float(np.sum(a[i])) + (
             0.0 if full_torus else float(np.dot(a[i], los))
         )
-        lattice = base + h * np.arange(t_lo, t_hi + 1)
-        degrees = {m[i] for m in shell.members}
-        factor_tables.append(spherical_table(manifold.factors[i], degrees, lattice))
-        index_flat.append(t.ravel())
-
-    f = _accumulate_members(
-        shell, amps, lambda i, n: factor_tables[i][n][index_flat[i]], f_shape
-    )
-    if p == math.inf:
-        return float(np.max(np.abs(f)))
-    return float((np.sum(np.abs(f) ** p) * cell * sub.density) ** (1.0 / p))
+        points.append(base + h * np.arange(t_lo, t_hi + 1))
+        index.append(t - t_lo)
+    f = _extremizer_grid(manifold, shell, amps, points, index)
+    return _lp_norm(f, p, h ** k, sub.density)
 
 
 _LATTICE_THRESHOLD = 200_000
@@ -495,15 +490,9 @@ def pointwise_lower_check(
         raise ValueError("polydisc grid too large; lower samples_per_axis")
     n_big = max(shell.spectral_parameter, 1.0)
     axis = np.linspace(-epsilon / n_big, epsilon / n_big, samples_per_axis)
-    tables = []
-    for i, space in enumerate(manifold.factors):
-        degrees = {m[i] for m in shell.members}
-        tables.append(spherical_table(space, degrees, axis))
+    index = np.meshgrid(*[np.arange(samples_per_axis)] * manifold.rank, indexing="ij", sparse=True)
     amps = _member_amplitudes(manifold, shell)
-    f = np.zeros((samples_per_axis,) * manifold.rank)
-    for member, amp in zip(shell.members, amps):
-        rows = [tables[i][n] for i, n in enumerate(member)]
-        f += amp * reduce(np.multiply.outer, rows)
+    f = _extremizer_grid(manifold, shell, amps, [axis] * manifold.rank, index)
     return float(np.min(np.abs(f)) / np.sum(amps))
 
 

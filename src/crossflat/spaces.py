@@ -208,11 +208,8 @@ def space_from_dict(data: dict) -> CrossSpace:
 def spherical_eval(space: CrossSpace, n: int, theta):
     """Phi_n(theta): the degree-n Jacobi polynomial at cos(theta), normalized
     so that Phi_n(0) = 1 exactly."""
-    scalar = np.isscalar(theta)
-    th = np.asarray(theta, dtype=float)
-    values = jacobi_eval(space.params, n, np.append(np.cos(th), 1.0))
-    out = (values[:-1] / values[-1]).reshape(th.shape)
-    return float(out) if scalar else out
+    out = spherical_table(space, [n], theta)[n]
+    return float(out) if np.isscalar(theta) else out
 
 
 def spherical_table(space: CrossSpace, degrees, theta) -> dict[int, np.ndarray]:

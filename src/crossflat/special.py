@@ -3,9 +3,9 @@
 Everything is evaluated by the forward three-term recurrence in the degree,
 which is stable on [-1, 1] and needs no coefficient tables: on point values
 for spatial evaluation, and on Fourier coefficient vectors for the kernels
-P_n(cos theta) on the circle.  Gamma ratios go through log-Gamma so that
-degrees in the thousands do not overflow.  The normalization is
-P_n(1) = binomial(n + alpha, n) throughout.
+P_n(cos theta) on the circle.  Gamma ratios in the main terms go through
+log-Gamma so that degrees in the thousands do not overflow.  The
+normalization is P_n(1) = binomial(n + alpha, n) throughout.
 """
 
 from __future__ import annotations
@@ -210,12 +210,16 @@ def jacobi_degree_table(params: JacobiParams, degrees, x) -> dict[int, np.ndarra
 
 
 def jacobi_binomial(alpha: float, n: int) -> float:
-    """binomial(n + alpha, n) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1))."""
+    """binomial(n + alpha, n) = prod_{k=1..n} (1 + alpha/k).
+
+    The product keeps every digit a log-Gamma difference would cancel away
+    at degrees in the thousands.
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if alpha <= -1:
         raise ValueError("alpha must exceed -1")
-    return float(np.exp(gammaln(n + alpha + 1.0) - gammaln(n + 1.0) - gammaln(alpha + 1.0)))
+    return float(np.prod(1.0 + alpha / np.arange(1.0, n + 1.0)))
 
 
 def binomial_main_term(alpha: float, n: int) -> float:

@@ -295,8 +295,9 @@ def opnorm_bracket(
 def tensor_opnorm_upper(factors, p: float, grids=None) -> float:
     """Certified upper bound for the tensor-product kernel operator on T^k:
     the product of the per-factor bracket uppers."""
+    factors = list(factors)
     if grids is None:
-        grids = [None] * len(list(factors))
+        grids = [None] * len(factors)
     out = 1.0
     for (params, n), grid in zip(factors, grids):
         out *= opnorm_bracket(params, n, p, grid=grid).upper

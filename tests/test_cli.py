@@ -146,6 +146,11 @@ class TestValidate:
             {"command": "kernel-norms", "parameters": {**KERNEL_NORMS, "q_values": [True]}},
             {"command": "exponents", "parameters": {**EXPONENTS, "k": True}},
             {"command": "exponents", "parameters": {**EXPONENTS, "p": "1/0"}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "box": [[0, math.inf]]}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "points_per_wavelength": math.inf}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "box": [[math.nan, 1]]}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "offset": [math.nan, 0, 0, 0, 0]}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "offset": [math.inf, 0, 0, 0, 0]}},
         ],
         ids=[
             "boolean-seed",
@@ -188,6 +193,11 @@ class TestValidate:
             "kernel-norms-boolean-q",
             "exponents-boolean-k",
             "exponents-zero-denominator-p",
+            "sharpness-infinite-box",
+            "sharpness-infinite-points-per-wavelength",
+            "sharpness-nan-box",
+            "sharpness-nan-offset",
+            "sharpness-infinite-offset",
         ],
     )
     def test_check_agrees_with_run(self, tmp_path, cfg):

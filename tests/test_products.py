@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossflat import products
 from crossflat.products import (
     FlatSubmanifold,
     LatticeShell,
@@ -303,6 +304,82 @@ class TestPointwiseLower:
     def test_level_40_above_half(self):
         shell = enumerate_shell(S3_FIFTH, 40)
         assert pointwise_lower_check(S3_FIFTH, shell, 0.05) >= 0.5
+
+
+def dense_extremizer(manifold, shell, thetas):
+    """f at every point of a grid; thetas[i] holds factor i's angle at each
+    point.  Every factor is evaluated afresh for every member."""
+    amps = products._member_amplitudes(manifold, shell)
+    f = np.zeros(np.shape(thetas[0]))
+    for member, amp in zip(shell.members, amps):
+        term = amp
+        for space, n, theta in zip(manifold.factors, member, thetas):
+            term = term * spherical_eval(space, n, np.asarray(theta))
+        f += term
+    return f
+
+
+def dense_norm(manifold, shell, sub, p, axes_nodes, cell):
+    grids = np.meshgrid(*axes_nodes, indexing="ij")
+    u = np.stack([g.ravel() for g in grids])
+    thetas = sub.matrix_array @ u + np.array(sub.offset)[:, None]
+    f = dense_extremizer(manifold, shell, list(thetas))
+    if p == math.inf:
+        return float(np.max(np.abs(f)))
+    return float((np.sum(np.abs(f) ** p) * cell * sub.density) ** (1.0 / p))
+
+
+class TestExtremizerOracle:
+    """Every evaluation of the extremizer against a dense point-by-point oracle."""
+
+    SHELL = enumerate_shell(MIXED_RANK4, 38, ordering_constraint=False)
+
+    @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
+    def test_general_path_on_a_box(self, p):
+        # rows using two axes (one non-integer entry), one axis, and none
+        sub = FlatSubmanifold.of(
+            [[1.0, 0.5], [0.0, 1.0], [0.0, 0.0], [-1.0, 0.0]],
+            [0.1, -0.2, 0.3, 0.05],
+            box=[(-0.3, 0.4), (0.1, 0.9)],
+        )
+        axes = [-0.3 + (np.arange(13) + 0.5) * (0.7 / 13), 0.1 + (np.arange(11) + 0.5) * (0.8 / 11)]
+        cell = (0.7 / 13) * (0.8 / 11)
+        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
+        mine = products._restriction_general(MIXED_RANK4, self.SHELL, sub, p, axes, cell, amps)
+        assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, cell), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
+    @pytest.mark.parametrize("box", [None, [(-0.25, 0.25), (0.0, 0.6)]])
+    def test_lattice_path(self, p, box):
+        sub = FlatSubmanifold.of([[1, 0], [2, -1], [0, 1], [0, 0]], [0.1, 0.0, -0.3, 0.2], box=box)
+        ppw = 8.0
+        n_max = np.max(np.array(self.SHELL.members), axis=0)
+        freqs = np.abs(sub.matrix_array).T @ n_max
+        if box is None:
+            m = max(8, math.ceil(ppw * max(freqs)))
+            h = 2 * math.pi / m
+            axes = [(np.arange(m) + 0.5) * h] * 2
+        else:
+            h = min(2 * math.pi / (ppw * max(f, 1.0)) for f in freqs)
+            axes = [lo + (np.arange(max(8, math.ceil((hi - lo) / h))) + 0.5) * h for lo, hi in box]
+        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
+        mine = products._restriction_lattice(MIXED_RANK4, self.SHELL, sub, p, ppw, amps)
+        assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, h * h), rel=1e-12)
+
+    def test_pointwise_lower_check(self):
+        epsilon, samples = 0.4, 5
+        n_big = self.SHELL.spectral_parameter
+        axis = np.linspace(-epsilon / n_big, epsilon / n_big, samples)
+        f = dense_extremizer(MIXED_RANK4, self.SHELL, np.meshgrid(*[axis] * 4, indexing="ij"))
+        expected = np.min(np.abs(f)) / np.sum(products._member_amplitudes(MIXED_RANK4, self.SHELL))
+        assert expected < 0.99
+        mine = pointwise_lower_check(MIXED_RANK4, self.SHELL, epsilon, samples)
+        assert mine == pytest.approx(expected, rel=1e-12)
+
+    def test_extremizer_eval(self):
+        theta = [0.3, -1.1, 2.0, 0.7]
+        expected = float(dense_extremizer(MIXED_RANK4, self.SHELL, theta))
+        assert extremizer_eval(MIXED_RANK4, self.SHELL, theta) == pytest.approx(expected, rel=1e-12)
 
 
 class TestExponentAlgebra:

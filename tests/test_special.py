@@ -356,6 +356,13 @@ class TestBinomial:
     def test_half_alpha_exact_gamma(self):
         assert jacobi_binomial(0.5, 1) == pytest.approx(1.5, rel=1e-13)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 7.0])
+    def test_matches_mpmath(self, alpha):
+        # exp of a log-Gamma difference is up to 1.4e-11 off at these points.
+        for n in [0, 1, 2, 7, 40, 408, 1000, 2048, 4096, 9999, 10_000]:
+            exact = mpmath.binomial(n + mpmath.mpf(alpha), n)
+            assert abs(jacobi_binomial(alpha, n) / exact - 1) <= 1e-13
+
     def test_asymptotic_companion(self):
         n = 10_000
         assert jacobi_binomial(1.0, n) / binomial_main_term(1.0, n) == pytest.approx(1.0, abs=1e-3)

@@ -48,8 +48,7 @@ class TestLpNorm:
         assert norm == pytest.approx(math.sqrt(dirichlet_l2_sq(n)), rel=1e-8)
 
     def test_dirichlet_kernel_l2_at_high_degree(self):
-        # Exact value from mpmath: jacobi_binomial's log-gamma route is itself
-        # about 3e-12 off at this degree.
+        # Exact value from mpmath, independent of jacobi_binomial.
         n = 4096
         exact = float(mpmath.binomial(mpmath.mpf(n) + 0.5, n) * mpmath.sqrt(2 * mpmath.pi / (n + 1)))
         assert kernel_lp_norm(HALF, n, 2) == pytest.approx(exact, rel=1e-12)
@@ -216,6 +215,12 @@ class TestTensor:
         grid = PeriodicGrid(256)
         expected = opnorm_bracket(*factor, 4.0, grid=grid).upper
         assert tensor_opnorm_upper([factor], 4.0, [grid]) == pytest.approx(expected, rel=1e-13)
+
+    def test_accepts_an_iterator(self):
+        factors = [(JacobiParams(1, 1), 8), (JacobiParams(2, 0), 6)]
+        expected = tensor_opnorm_upper(factors, 4.0)
+        assert expected > 1.0
+        assert tensor_opnorm_upper(iter(factors), 4.0) == expected
 
     def test_two_factor_p2_against_2d_multiplier(self):
         # oracle: the 2-D multiplier of the tensor kernel on a small grid

@@ -105,6 +105,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _bounds(minimum: int, below: int | None) -> str:
+    return f">= {minimum}" + ("" if below is None else f" and < {below}")
+
+
 class _Parameters:
     """Typed reads of one command's parameters.
 
@@ -130,8 +134,11 @@ class _Parameters:
         self.fail(key, f"must be {expected}" if key in self.params else "missing")
         return None
 
-    def integer(self, key: str, default=_REQUIRED, minimum: int = 0):
-        return self.read(key, default, lambda v: _is_int(v) and v >= minimum, f"an integer >= {minimum}")
+    def integer(self, key: str, default=_REQUIRED, minimum: int = 0, below: int | None = None):
+        def ok(v) -> bool:
+            return _is_int(v) and v >= minimum and (below is None or v < below)
+
+        return self.read(key, default, ok, f"an integer {_bounds(minimum, below)}")
 
     def number(self, key: str, default=_REQUIRED, rule=_NONNEGATIVE):
         text, test = rule
@@ -141,12 +148,13 @@ class _Parameters:
     def boolean(self, key: str, default: bool):
         return self.read(key, default, lambda v: isinstance(v, bool), "true or false")
 
-    def integers(self, key: str, default=_REQUIRED, minimum: int = 0, min_length: int = 1):
+    def integers(self, key: str, default=_REQUIRED, minimum: int = 0, min_length: int = 1, below: int | None = None):
         def ok(v) -> bool:
             return (isinstance(v, list) and len(v) >= min_length
-                    and all(_is_int(n) and n >= minimum for n in v) and all(a < b for a, b in zip(v, v[1:])))
+                    and all(_is_int(n) and n >= minimum for n in v) and all(a < b for a, b in zip(v, v[1:]))
+                    and (below is None or v[-1] < below))
 
-        expected = f"a strictly increasing list of integers >= {minimum}, of length >= {min_length}"
+        expected = f"a strictly increasing list of integers {_bounds(minimum, below)}, of length >= {min_length}"
         return self.read(key, default, ok, expected)
 
     def numbers(self, key: str, default, rule):
@@ -382,7 +390,7 @@ def _parse_dimension(r: _Parameters):
 
 def _parse_shell(r: _Parameters):
     manifold = r.build("factors", _manifold, r.read("factors"))
-    level = r.integer("level")
+    level = r.integer("level", below=products.LEVEL_BOUND)
     constrained = r.boolean("ordering_constraint", True)
 
     def handler(seed, threads):
@@ -401,10 +409,15 @@ def _parse_sharpness(r: _Parameters):
                   r.read("matrix"), r.read("offset", None), r.read("box", None))
     if manifold is not None and sub is not None and len(sub.offset) != manifold.rank:
         r.fail("matrix", f"has {len(sub.offset)} rows but the product has rank {manifold.rank}")
-    given_levels = r.integers("levels", None)
+    given_levels = r.integers("levels", None, below=products.LEVEL_BOUND)
     degrees = r.integers("degrees", None)
-    level_min = r.integer("level_min", 1700, minimum=1)
-    level_max = r.integer("level_max", 9900, minimum=1)
+    diagonal = None
+    if degrees is not None and manifold is not None:
+        diagonal = products.diagonal_levels(manifold, degrees)
+        if diagonal[-1] >= products.LEVEL_BOUND:
+            r.fail("degrees", f"reach level {diagonal[-1]}; levels must be < {products.LEVEL_BOUND}")
+    level_min = r.integer("level_min", 1700, minimum=1, below=products.LEVEL_BOUND)
+    level_max = r.integer("level_max", 9900, minimum=1, below=products.LEVEL_BOUND)
     if level_min is not None and level_max is not None and level_min >= level_max:
         r.fail("level_min, level_max", "must satisfy level_min < level_max")
     level_count = r.integer("level_count", 12, minimum=3)  # the slope fit needs three levels
@@ -416,8 +429,8 @@ def _parse_sharpness(r: _Parameters):
     def handler(seed, threads):
         if given_levels is not None:
             levels = given_levels
-        elif degrees is not None:
-            levels = products.diagonal_levels(manifold, degrees)
+        elif diagonal is not None:
+            levels = diagonal
         else:
             levels = products.trend_levels(manifold, level_min, level_max, level_count)
         header = ["p", "level", "N", "shell_size", "ratio", "envelope", "fit_value", "fit_residual"]

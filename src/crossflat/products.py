@@ -21,13 +21,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spaces import CrossSpace, rep_dimension, spherical_table
+from .spaces import CrossSpace, spherical_table
 from .torus import ExponentFit, fit_exponent
 
 __all__ = [
     "ResolutionError",
     "ProductManifold",
     "LatticeShell",
+    "LEVEL_BOUND",
     "enumerate_shell",
     "count_unconstrained",
     "count_constrained",
@@ -96,6 +97,11 @@ class LatticeShell:
         return math.sqrt(self.level)
 
 
+# Levels stay below this bound: the sweep holds levels and squared degrees in
+# int64, which cannot overflow beneath it.
+LEVEL_BOUND = 2**62
+
+
 def _max_degree(shift: int, budget):
     # Largest n with n^2 + shift*n <= budget, elementwise; -1 where budget < 0.
     budget = np.asarray(budget, dtype=np.int64)
@@ -153,6 +159,8 @@ def enumerate_shell(
     """
     if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or level < 0:
         raise ValueError(f"level must be a nonnegative integer, got {level!r}")
+    if level >= LEVEL_BOUND:
+        raise ValueError(f"level must be below 2**62, got {level}")
     columns, _ = _sweep(manifold, level, level, ordering_constraint)
     return LatticeShell(int(level), tuple(zip(*(column.tolist() for column in columns))))
 
@@ -229,9 +237,22 @@ def trend_levels(
 # the extremizer
 # ---------------------------------------------------------------------------
 
+def _weyl_dimension(space: CrossSpace, n: int) -> Fraction:
+    """k(n) = (2n+rho)/rho (rho)_n (alpha+1)_n / ((beta+1)_n n!), rho = alpha + beta + 1:
+    the dimension of the degree-n spherical representation, in exact
+    arithmetic.  spaces.rep_dimension reaches it through quadrature."""
+    twice_a, twice_b = space.params.twice_alpha, space.params.twice_beta
+    rho = space.eigenvalue_shift  # alpha + beta + 1, an integer
+    num, den = 2 * n + rho, rho
+    for j in range(n):
+        num *= (rho + j) * (twice_a + 2 + 2 * j)
+        den *= (twice_b + 2 + 2 * j) * (j + 1)
+    return Fraction(num, den)
+
+
 @lru_cache(maxsize=65536)
 def _sqrt_dim(space: CrossSpace, n: int) -> float:
-    return math.sqrt(rep_dimension(space, n))
+    return math.sqrt(_weyl_dimension(space, n))
 
 
 def _member_amplitudes(manifold: ProductManifold, shell: LatticeShell) -> np.ndarray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 from .special import (
     JacobiParams,
@@ -285,7 +284,11 @@ def fourier_expansions(space: CrossSpace, degrees):
 @lru_cache(maxsize=256)
 def _measure_rule(twice_alpha: int, twice_beta: int, order: int):
     # Probability measure on [0, pi] with density ~ sin(t/2)^(2a+1) cos(t/2)^(2b+1),
-    # pulled back to Gauss-Jacobi nodes in x = cos(theta).
+    # pulled back to Gauss-Jacobi nodes in x = cos(theta).  scipy is imported
+    # here, not at module level: importing it costs a CLI process more
+    # start-up than most runs take.
+    from scipy.special import gammaln, roots_jacobi
+
     a, b = twice_alpha / 2.0, twice_beta / 2.0
     x, w = roots_jacobi(order, a, b)
     log_total = (a + b + 1.0) * math.log(2.0) + float(

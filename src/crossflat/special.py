@@ -5,7 +5,8 @@ which is stable on [-1, 1] and needs no coefficient tables: on point values
 for spatial evaluation, and on Fourier coefficient vectors for the kernels
 P_n(cos theta) on the circle.  Gamma ratios in the main terms go through
 log-Gamma so that degrees in the thousands do not overflow.  The
-normalization is P_n(1) = binomial(n + alpha, n) throughout.
+normalization is P_n(1) = binomial(n + alpha, n) throughout.  The Bessel
+helpers import scipy when called, so that importing this module does not.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, jv
 
 __all__ = [
     "REGIME_WINDOW_CONSTANT",
@@ -226,7 +226,7 @@ def binomial_main_term(alpha: float, n: int) -> float:
     """Leading growth n^alpha / Gamma(alpha+1) of binomial(n + alpha, n)."""
     if n == 0:
         return 1.0 if alpha == 0 else 0.0
-    return float(np.exp(alpha * math.log(n) - gammaln(alpha + 1.0)))
+    return math.exp(alpha * math.log(n) - math.lgamma(alpha + 1.0))
 
 
 def chebyshev_half_case(n: int, theta):
@@ -307,6 +307,8 @@ def edge_main_term(params: JacobiParams, frame: AsymptoticFrame, theta, mirror: 
     with mirror=True the same expression near theta = pi, with beta in place
     of alpha, pi - theta in place of theta, and an extra (-1)^n.
     """
+    from scipy.special import jv
+
     a, b = params.alpha, params.beta
     n = frame.n
     scalar = np.isscalar(theta)
@@ -320,7 +322,7 @@ def edge_main_term(params: JacobiParams, frame: AsymptoticFrame, theta, mirror: 
         if np.any(th < -1e-15) or np.any(th > width + 1e-15):
             raise ValueError(f"angle outside the edge window [0, {width:.3g}]")
         order, phi, sign = a, th, 1.0
-    gamma_ratio = np.exp(gammaln(n + order + 1.0) - gammaln(n + 1.0))
+    gamma_ratio = math.exp(math.lgamma(n + order + 1.0) - math.lgamma(n + 1.0))
     s = np.sin(th)
     tiny = np.abs(phi) < 1e-14
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -348,4 +350,6 @@ def bessel_j(order: float, x: float) -> float:
         raise ValueError("order must be nonnegative")
     if x < 0:
         raise ValueError("argument must be nonnegative")
+    from scipy.special import jv
+
     return float(jv(order, x))

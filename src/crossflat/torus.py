@@ -12,10 +12,12 @@ coefficients; samples on a grid are synthesized from them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .spaces import AliasingError
 from .special import JacobiParams, jacobi_fourier_rows
@@ -41,6 +43,27 @@ UPPER_YOUNG = "young"
 UPPER_EXACT_MULTIPLIER = "exact_multiplier"
 
 
+@lru_cache(maxsize=None)
+def _smooth_numbers(limit: int) -> list[int]:
+    # Every 11-smooth integer up to limit, in increasing order.
+    numbers = {1}
+    for prime in (2, 3, 5, 7, 11):
+        grown = set()
+        for n in numbers:
+            while n <= limit:
+                grown.add(n)
+                n *= prime
+        numbers = grown
+    return sorted(numbers)
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer >= target, the rule of
+    scipy.fft.next_fast_len for complex transforms."""
+    table = _smooth_numbers(1 << (target - 1).bit_length())  # a power of two caps it
+    return table[bisect_left(table, target)]
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform grid theta_j = 2*pi*j/size on the circle."""
@@ -55,7 +78,7 @@ class PeriodicGrid:
     def for_degree(cls, n: int) -> "PeriodicGrid":
         # At least 4x oversampling of the top frequency; rounded up to an
         # FFT-friendly length.
-        return cls(next_fast_len(max(8192, 8 * (n + 1))))
+        return cls(_next_fast_len(max(8192, 8 * (n + 1))))
 
     @property
     def thetas(self) -> np.ndarray:

@@ -4,11 +4,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crossflat
 from crossflat.cli import COMMANDS, OUTPUT_ENV_VAR, main, run, validate
 
 
@@ -151,6 +154,9 @@ class TestValidate:
             {"command": "sharpness", "parameters": {**SHARPNESS, "box": [[math.nan, 1]]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "offset": [math.nan, 0, 0, 0, 0]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "offset": [math.inf, 0, 0, 0, 0]}},
+            {"command": "shell", "parameters": {"factors": S3_FIFTH, "level": 10**30}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [10**30]}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "degrees": [1, 2, 10**15]}},
         ],
         ids=[
             "boolean-seed",
@@ -198,6 +204,9 @@ class TestValidate:
             "sharpness-nan-box",
             "sharpness-nan-offset",
             "sharpness-infinite-offset",
+            "shell-level-beyond-int64",
+            "sharpness-level-beyond-int64",
+            "sharpness-degree-beyond-int64",
         ],
     )
     def test_check_agrees_with_run(self, tmp_path, cfg):
@@ -216,6 +225,52 @@ class TestValidate:
             assert code == 2
         if code == 2:
             assert "config error: " in err.getvalue()
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Runs in a fresh interpreter, so that no other test can have loaded scipy:
+# validates the given bundled configs, runs the small ones, and prints the
+# scipy modules loaded after each stage.
+COLD_START = """
+import json, sys
+from crossflat.cli import run, validate
+
+bundled, small, out = json.loads(sys.argv[1])
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+for path in bundled:
+    with open(path) as handle:
+        assert validate(json.load(handle)) == [], path
+after_check = scipy_modules()
+codes = {config["command"]: run(config, out_dir=out) for config in small}
+print(json.dumps([after_check, codes, scipy_modules()]))
+"""
+
+
+class TestColdStart:
+    def test_no_scipy_outside_dimension(self, tmp_path):
+        bundled = {}
+        for name in sorted(os.listdir(os.path.join(REPO, "configs"))):
+            path = os.path.join(REPO, "configs", name)
+            with open(path) as handle:
+                bundled.setdefault(json.load(handle)["command"], path)
+        assert sorted(bundled) == sorted(COMMANDS)
+        # dimension runs Gauss-Jacobi quadrature, which is scipy's.
+        small = [
+            {"command": command, **copy.deepcopy(CONTRACT_BASES[command])}
+            for command in sorted(COMMANDS) if command != "dimension"
+        ]
+        opnorm = next(config for config in small if config["command"] == "opnorm")
+        opnorm["parameters"]["p"] = 6  # p > 2 runs the FFT power iteration
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crossflat.__file__))}
+        argument = json.dumps([list(bundled.values()), small, str(tmp_path)])
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_START, argument], env=env, capture_output=True, text=True, check=True
+        )
+        after_check, codes, after_runs = json.loads(done.stdout)
+        assert after_check == []
+        assert set(codes.values()) == {0}, codes
+        assert after_runs == []
 
 
 class TestRun:

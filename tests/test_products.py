@@ -27,9 +27,11 @@ from crossflat.products import (
     trend_levels,
 )
 from crossflat.spaces import (
+    catalog,
     complex_projective,
     measure_nodes,
     real_projective,
+    rep_dimension,
     sphere,
     spherical_eval,
 )
@@ -117,6 +119,12 @@ class TestEnumerateShell:
         with pytest.raises(ValueError, match="integer"):
             enumerate_shell(S3_FIFTH, 40.7)
 
+    def test_rejects_level_beyond_int64_sweep(self):
+        # Squared degrees near 10**30 would overflow the int64 sweep.
+        for level in (products.LEVEL_BOUND, 10**30):
+            with pytest.raises(ValueError, match="below 2\\*\\*62"):
+                enumerate_shell(S3_FIFTH, level)
+
     def test_empty_shell(self):
         assert len(enumerate_shell(S3_FIFTH, 1)) == 0
 
@@ -144,6 +152,19 @@ class TestEnumerateShell:
         for level in range(61):
             assert unconstrained[level] == len(brute_force_shell(MIXED_RANK4, level, False))
             assert constrained[level] == len(brute_force_shell(MIXED_RANK4, level, True))
+
+
+class TestExactAmplitudes:
+    """The shell amplitudes sqrt(k(n)) come from the Weyl dimension formula;
+    the Gauss-Jacobi quadrature of spaces.rep_dimension is the oracle."""
+
+    @pytest.mark.parametrize("space", catalog() + (real_projective(3),), ids=lambda s: s.label())
+    def test_exact_dimension_is_an_integer_matching_quadrature(self, space):
+        for n in list(range(121)) + [200, 300]:
+            k = products._weyl_dimension(space, n)
+            assert k.denominator == 1, (n, k)
+            assert rep_dimension(space, n) == pytest.approx(float(k), rel=1e-13, abs=0)
+            assert products._sqrt_dim(space, n) ** 2 == pytest.approx(float(k), rel=1e-13, abs=0)
 
 
 class TestExtremizer:

@@ -21,6 +21,7 @@ from crossflat.torus import (
     opnorm_bracket,
     opnorm_l2_exact,
     tensor_opnorm_upper,
+    _next_fast_len,
 )
 
 HALF = JacobiParams.of(0.5, 0.5)
@@ -106,6 +107,16 @@ class TestKernelSamples:
         ref = jacobi_eval(params, n, np.cos(grid.thetas))
         dev = np.max(np.abs(kernel_samples(params, n, grid) - ref))
         assert dev <= 1e-12 * jacobi_binomial(params.alpha, n)
+
+
+class TestNextFastLen:
+    def test_matches_scipy(self):
+        # Every grid size PeriodicGrid.for_degree asks for up to n = 70000,
+        # and every small target.
+        from scipy.fft import next_fast_len
+
+        targets = list(range(1, 20001)) + [8 * (n + 1) for n in range(70001)]
+        assert [_next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
 
 
 class TestEnvelopes:

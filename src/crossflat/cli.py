@@ -95,6 +95,7 @@ _POSITIVE = ("> 0", lambda x: x > 0)
 _FINITE_POSITIVE = ("> 0 and finite", lambda x: 0 < x < math.inf)
 _OPEN_UNIT = ("in (0, 1)", lambda x: 0 < x < 1)
 _EXPONENT = (">= 2 (the norms are stated for p >= 2)", lambda x: x >= 2)
+_FINITE_EXPONENT = (">= 2 and finite (the bracket is stated for finite p >= 2)", lambda x: 2 <= x < math.inf)
 
 
 def _is_int(value) -> bool:
@@ -216,24 +217,25 @@ def _parse_jacobi(r: _Parameters):
         half = jp.twice_alpha == 1 and jp.twice_beta == 1
         theta = 2.0 * math.pi * np.arange(grid_size) / grid_size
         x_half = np.linspace(1.0 / grid_size, 1.0 - 1.0 / grid_size, max(grid_size // 4, 8))
-        swapped = dict(jacobi_recurrence_rows(jp.beta, jp.alpha, n_max, x_half))
-        closed = (
-            dict(jacobi_recurrence_rows(jp.alpha, jp.beta, n_max, np.cos(theta))) if half else {}
+        # One (alpha, beta) sweep carries -x_half, then x = 1, then (half case
+        # only) cos(theta); it runs in step with one (beta, alpha) sweep on x_half.
+        k = len(x_half)
+        points = np.concatenate((-x_half, [1.0], np.cos(theta) if half else []))
+        sweeps = zip(
+            jacobi_recurrence_rows(jp.alpha, jp.beta, n_max, points),
+            jacobi_recurrence_rows(jp.beta, jp.alpha, n_max, x_half),
         )
         header = ["n", "normalization_dev", "reflection_dev", "closed_form_dev"]
         rows = []
         worst = {"normalization": 0.0, "reflection": 0.0, "closed_form": 0.0}
-        mirrored = dict(jacobi_recurrence_rows(jp.alpha, jp.beta, n_max, -x_half))
-        for n, value_at_one in jacobi_recurrence_rows(jp.alpha, jp.beta, n_max, np.array([1.0])):
-            norm_dev = abs(value_at_one[0] / jacobi_binomial(jp.alpha, n) - 1.0)
-            reference = (-1.0) ** n * swapped[n]
-            refl_dev = float(
-                np.max(np.abs(mirrored[n] - reference) / np.maximum(1.0, np.abs(reference)))
-            )
+        for (n, row), (_, swapped) in sweeps:
+            norm_dev = abs(row[k] / jacobi_binomial(jp.alpha, n) - 1.0)
+            reference = (-1.0) ** n * swapped
+            refl_dev = float(np.max(np.abs(row[:k] - reference) / np.maximum(1.0, np.abs(reference))))
             closed_dev = 0.0
             if half:
                 cf = chebyshev_half_case(n, theta)
-                closed_dev = float(np.max(np.abs(closed[n] - cf) / np.maximum(1.0, np.abs(cf))))
+                closed_dev = float(np.max(np.abs(row[k + 1 :] - cf) / np.maximum(1.0, np.abs(cf))))
             rows.append((n, norm_dev, refl_dev, closed_dev))
             worst["normalization"] = max(worst["normalization"], norm_dev)
             worst["reflection"] = max(worst["reflection"], refl_dev)
@@ -289,7 +291,7 @@ def _parse_kernel_norms(r: _Parameters):
 
 def _parse_opnorm(r: _Parameters):
     jp, n_values, slope_tol = _parse_circle_kernel(r)
-    p = r.number("p", rule=_EXPONENT)
+    p = r.number("p", rule=_FINITE_EXPONENT)
     budget = r.integer("iteration_budget", 200)
 
     def handler(seed, threads):
@@ -364,11 +366,11 @@ def _parse_dimension(r: _Parameters):
             dev = abs(k - nearest) / max(k, 1.0)
             rows.append((n, k, nearest, dev))
             int_ok = int_ok and dev <= integer_tol
-        positive = [n for n in n_values if n >= 1]
+        growth = [(n + 1, k) for n, k, _, _ in rows if n >= 1]
         summary: dict = {"integer_tolerance": integer_tol, "integrality_ok": int_ok}
         passed = int_ok
-        if len(positive) >= 3:
-            fit = torus.fit_exponent([(n + 1, spaces.rep_dimension(space, n)) for n in positive])
+        if len(growth) >= 3:
+            fit = torus.fit_exponent(growth)
             expected = space.dimension - 1
             slope_ok = abs(fit.slope - expected) <= slope_tol
             summary.update(

@@ -219,34 +219,33 @@ def spherical_table(space: CrossSpace, degrees, theta) -> dict[int, np.ndarray]:
     return {n: (row[:-1] / row[-1]).reshape(th.shape) for n, row in raw.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierExpansion:
-    """Integer-frequency expansion Phi_n(theta) = sum_j c_j exp(i m_j theta)."""
+    """Integer-frequency expansion Phi_n(theta) = sum_{|m| <= n} c_|m| exp(i m theta),
+    held as the one-sided row c_0..c_n of the even coefficients."""
 
-    terms: tuple[tuple[int, float], ...]
+    row: np.ndarray
 
     def frequencies(self) -> np.ndarray:
-        return np.array([m for m, _ in self.terms], dtype=int)
+        n = len(self.row) - 1
+        return np.arange(-n, n + 1)
 
     def coefficients(self) -> np.ndarray:
-        return np.array([c for _, c in self.terms], dtype=float)
+        """c_m for m = -n..n, the order of frequencies()."""
+        return np.concatenate((self.row[:0:-1], self.row))
 
     def coefficient(self, m: int) -> float:
-        for freq, c in self.terms:
-            if freq == m:
-                return c
-        return 0.0
+        return float(self.row[abs(m)]) if abs(m) < len(self.row) else 0.0
 
     def support(self, tol: float = 1e-12) -> set[int]:
         c = self.coefficients()
-        cutoff = tol * float(np.max(np.abs(c))) if len(c) else 0.0
-        return {int(m) for (m, v) in self.terms if abs(v) > cutoff}
+        cutoff = tol * float(np.max(np.abs(c)))
+        return {int(m) for m in self.frequencies()[np.abs(c) > cutoff]}
 
     def synthesize(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
-        m = self.frequencies()
-        c = self.coefficients()
-        return np.real(np.exp(1j * np.outer(th, m)) @ c.astype(complex))
+        weights = np.append(self.row[0], 2.0 * self.row[1:])
+        return np.cos(np.outer(th, np.arange(len(self.row)))) @ weights
 
 
 def fourier_expansion(space: CrossSpace, n: int, grid_size: int | None = None) -> FourierExpansion:
@@ -273,8 +272,7 @@ def fourier_expansions(space: CrossSpace, degrees):
         if n in wanted:
             # Divide by the row's own value at theta = 0, so that Phi_n(0) = 1
             # as in spherical_eval.
-            c = c / (c[0] + 2.0 * np.sum(c[1:]))
-            yield n, FourierExpansion(tuple((m, float(c[abs(m)])) for m in range(-n, n + 1)))
+            yield n, FourierExpansion(c / (c[0] + 2.0 * np.sum(c[1:])))
 
 
 # ---------------------------------------------------------------------------

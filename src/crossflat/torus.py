@@ -258,8 +258,8 @@ def opnorm_bracket(
     of dyadic widths down to 1/(4n), the kernel itself, one seeded random
     start), each refined by at most iteration_budget power-iteration steps.
     """
-    if p < 2:
-        raise ValueError("bracket requires p >= 2")
+    if not 2 <= p < math.inf:
+        raise ValueError(f"bracket requires a finite p >= 2, got p = {p}")
     if grid is None:
         grid = PeriodicGrid.for_degree(n)
     _check_resolves(n, grid)

@@ -8,11 +8,13 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import crossflat
 from crossflat.cli import COMMANDS, OUTPUT_ENV_VAR, main, run, validate
+from crossflat.special import JacobiParams, chebyshev_half_case, jacobi_binomial, jacobi_eval
 
 
 S2 = {"kind": "sphere", "dimension": 2}
@@ -51,7 +53,7 @@ CONTRACT_KEYS = {
 }
 # No huge sizes: nothing bounds the cost of a run yet.
 MALFORMED = [
-    "abc", "", True, False, None, -1, -3, -0.5, 0, 0.3,
+    "abc", "", True, False, None, -1, -3, -0.5, 0, 0.3, math.inf, -math.inf, math.nan,
     [], [-2, 3], [True], [[1], [1, 2]], {"a": {"b": [1]}},
 ]
 
@@ -157,6 +159,7 @@ class TestValidate:
             {"command": "shell", "parameters": {"factors": S3_FIFTH, "level": 10**30}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [10**30]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "degrees": [1, 2, 10**15]}},
+            {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "p": math.inf}},
         ],
         ids=[
             "boolean-seed",
@@ -207,6 +210,7 @@ class TestValidate:
             "shell-level-beyond-int64",
             "sharpness-level-beyond-int64",
             "sharpness-degree-beyond-int64",
+            "opnorm-infinite-p",
         ],
     )
     def test_check_agrees_with_run(self, tmp_path, cfg):
@@ -404,6 +408,36 @@ class TestRun:
         summary = json.loads((tmp_path / "jacobi_summary.json").read_text())
         assert summary["passed"] is True
         assert summary["summary"]["closed_form_checked"] is True
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (3.0, 1.0)])
+    def test_jacobi_columns_match_per_degree_evaluation(self, tmp_path, alpha, beta):
+        # The handler reads all three columns off two shared sweeps; each is
+        # computed here on its own, degree by degree.
+        n_max, grid_size = 16, 64
+        cfg = {
+            "command": "jacobi",
+            "parameters": {"alpha": alpha, "beta": beta, "n_max": n_max, "grid_size": grid_size},
+        }
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        header, rows = read_csv(tmp_path / "jacobi.csv")
+        params = JacobiParams.of(alpha, beta)
+        theta = 2.0 * math.pi * np.arange(grid_size) / grid_size
+        x_half = np.linspace(1.0 / grid_size, 1.0 - 1.0 / grid_size, max(grid_size // 4, 8))
+        expected = []
+        for n in range(n_max + 1):
+            norm_dev = abs(jacobi_eval(params, n, 1.0) / jacobi_binomial(alpha, n) - 1.0)
+            reference = (-1.0) ** n * jacobi_eval(params.swapped(), n, x_half)
+            mirrored = jacobi_eval(params, n, -x_half)
+            refl_dev = float(np.max(np.abs(mirrored - reference) / np.maximum(1.0, np.abs(reference))))
+            closed_dev = 0.0
+            if (alpha, beta) == (0.5, 0.5):
+                cf = chebyshev_half_case(n, theta)
+                closed = jacobi_eval(params, n, np.cos(theta))
+                closed_dev = float(np.max(np.abs(closed - cf) / np.maximum(1.0, np.abs(cf))))
+            expected.append([n, norm_dev, refl_dev, closed_dev])
+        assert header == ["n", "normalization_dev", "reflection_dev", "closed_form_dev"]
+        assert [[int(r[0])] + [float(v) for v in r[1:]] for r in rows] == expected
+        assert any(row[3] > 0 for row in expected) == ((alpha, beta) == (0.5, 0.5))
 
     def test_kernel_norms_slope(self, tmp_path):
         cfg = {

@@ -28,7 +28,7 @@ from crossflat.spaces import (
     spherical_theta_derivative,
 )
 from crossflat.special import JacobiParams, chebyshev_half_case, jacobi_binomial
-from crossflat.torus import fit_exponent
+from crossflat.torus import PeriodicGrid, fit_exponent, fourier_multiplier, kernel_samples
 
 SPACES = catalog()
 
@@ -165,6 +165,19 @@ class TestFourierExpansion:
     def test_aliasing_rejection(self):
         with pytest.raises(AliasingError):
             fourier_expansion(sphere(3), 40, grid_size=64)
+
+    @pytest.mark.parametrize("space", [sphere(3), complex_projective(6), octonionic_plane()], ids=lambda s: s.label())
+    def test_holds_the_torus_row_normalized_at_zero(self, space):
+        # The circle layer's multiplier of the same kernel, divided by its
+        # own value at theta = 0, is the expansion.
+        for n in (0, 1, 7, 60):
+            ms, khat = fourier_multiplier(space.params, n)
+            at_zero = kernel_samples(space.params, n, PeriodicGrid(256))[0]
+            exp = fourier_expansion(space, n)
+            np.testing.assert_array_equal(exp.frequencies(), ms)
+            np.testing.assert_allclose(exp.coefficients(), khat / (2 * math.pi * at_zero), rtol=1e-12, atol=0)
+            for m in (n + 1, -(n + 1), n + 40):
+                assert exp.coefficient(m) == 0.0
 
     @given(st.sampled_from(SPACES), st.integers(0, 150))
     @settings(max_examples=30, deadline=None)

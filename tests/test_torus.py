@@ -202,6 +202,11 @@ class TestBracket:
         with pytest.raises(ValueError):
             opnorm_bracket(HALF, 4, 1.5)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_non_finite_p(self, p):
+        with pytest.raises(ValueError, match="finite p >= 2"):
+            opnorm_bracket(HALF, 4, p)
+
     @given(
         st.sampled_from([JacobiParams.of(0.5, 0.5), JacobiParams.of(1, 0), JacobiParams.of(2, 2)]),
         st.integers(0, 24),

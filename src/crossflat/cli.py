@@ -186,7 +186,7 @@ def _manifold(spec) -> products.ProductManifold:
         copies = spec.get("copies")
         if not (_is_int(copies) and copies >= 2):
             raise ValueError("copies must be an integer >= 2")
-        spec = [spec.get("space")] * copies
+        return products.ProductManifold.of(*[spaces.space_from_dict(spec.get("space"))] * copies)
     if not isinstance(spec, list):
         raise ValueError("must be a list of spaces or {space, copies}")
     return products.ProductManifold.of(*[spaces.space_from_dict(s) for s in spec])
@@ -360,8 +360,7 @@ def _parse_dimension(r: _Parameters):
         header = ["n", "dimension", "nearest_integer", "integer_rel_dev"]
         rows = []
         int_ok = True
-        for n in n_values:
-            k = spaces.rep_dimension(space, n)
+        for n, k in zip(n_values, spaces.rep_dimensions(space, n_values)):
             nearest = round(k)
             dev = abs(k - nearest) / max(k, 1.0)
             rows.append((n, k, nearest, dev))

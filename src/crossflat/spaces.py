@@ -21,6 +21,7 @@ from .special import (
     jacobi_degree_table,
     jacobi_eval,
     jacobi_fourier_rows,
+    jacobi_recurrence_rows,
     jacobi_theta_derivative,
 )
 
@@ -43,6 +44,7 @@ __all__ = [
     "fourier_expansion",
     "fourier_expansions",
     "rep_dimension",
+    "rep_dimensions",
     "spherical_gram",
     "laplace_eigenvalue",
     "spherical_theta_derivative",
@@ -310,12 +312,36 @@ def _require_order(order: int | None, needed: int, n: int) -> int:
     return order
 
 
+# Most nodes one dimension sweep carries.  A sweep runs every node to the
+# largest degree of its batch, so batches of nearby degrees waste less work
+# than one sweep over the whole table, and memory stays bounded.
+_DIMENSION_SWEEP_POINTS = 1 << 14
+
+
+def _dimension_sweep(space: CrossSpace, orders: dict[int, int]) -> dict[int, float]:
+    """k(n) for each degree n by the Gauss-Jacobi rule of order orders[n].
+
+    The nodes of all the rules, and x = 1 for the normalization, go through
+    one recurrence sweep; row n is read only on degree n's own nodes.  The
+    recurrence treats each point on its own, so every k(n) is the value a
+    sweep over its own nodes alone would give, to the bit.
+    """
+    rules = [(n, *measure_nodes(space, order)) for n, order in orders.items()]
+    ends = np.cumsum([len(x) for _, x, _ in rules])
+    nodes = {n: (slice(end - len(x), end), w) for (n, x, w), end in zip(rules, ends)}
+    points = np.concatenate([x for _, x, _ in rules] + [[1.0]])
+    out = {}
+    for n, row in jacobi_recurrence_rows(space.params.alpha, space.params.beta, max(orders), points):
+        if n in nodes:
+            part, w = nodes[n]
+            phi = row[part] / row[-1]
+            out[n] = float(1.0 / np.sum(w * phi * phi))
+    return out
+
+
 @lru_cache(maxsize=65536)
 def _rep_dimension_cached(space: CrossSpace, n: int, order: int) -> float:
-    x, w = measure_nodes(space, order)
-    values = jacobi_eval(space.params, n, np.append(x, 1.0))
-    phi = values[:-1] / values[-1]
-    return float(1.0 / np.sum(w * phi * phi))
+    return _dimension_sweep(space, {n: order})[n]
 
 
 def rep_dimension(space: CrossSpace, n: int, order: int | None = None) -> float:
@@ -328,6 +354,27 @@ def rep_dimension(space: CrossSpace, n: int, order: int | None = None) -> float:
         raise ValueError("degree must be nonnegative")
     order = _require_order(order, n + 8, n)
     return _rep_dimension_cached(space, n, order)
+
+
+def rep_dimensions(space: CrossSpace, degrees) -> list[float]:
+    """rep_dimension(space, n) for each n in degrees, in their order.
+
+    Each degree keeps its own rule of order n + 8: one rule for the whole
+    table loses digits at high degree.  Consecutive degrees share a
+    recurrence sweep, up to _DIMENSION_SWEEP_POINTS nodes per sweep.
+    """
+    degrees = [int(n) for n in degrees]
+    if any(n < 0 for n in degrees):
+        raise ValueError("degree must be nonnegative")
+    wanted = sorted(set(degrees))
+    table: dict[int, float] = {}
+    batch: dict[int, int] = {}
+    for n in wanted:
+        batch[n] = n + 8
+        if sum(batch.values()) >= _DIMENSION_SWEEP_POINTS or n == wanted[-1]:
+            table.update(_dimension_sweep(space, batch))
+            batch = {}
+    return [table[n] for n in degrees]
 
 
 def spherical_gram(space: CrossSpace, n_max: int, order: int | None = None) -> np.ndarray:

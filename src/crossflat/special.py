@@ -2,11 +2,13 @@
 
 Everything is evaluated by the forward three-term recurrence in the degree,
 which is stable on [-1, 1] and needs no coefficient tables: on point values
-for spatial evaluation, and on Fourier coefficient vectors for the kernels
-P_n(cos theta) on the circle.  Gamma ratios in the main terms go through
-log-Gamma so that degrees in the thousands do not overflow.  The
-normalization is P_n(1) = binomial(n + alpha, n) throughout.  The Bessel
-helpers import scipy when called, so that importing this module does not.
+for spatial evaluation, in Reinsch's difference form, and on Fourier
+coefficient vectors for the kernels P_n(cos theta) on the circle.  Both run
+in float64, so results do not depend on the platform.  Gamma ratios in the
+main terms go through log-Gamma so that degrees in the thousands do not
+overflow.  The normalization is P_n(1) = binomial(n + alpha, n) throughout.
+The Bessel helpers import scipy when called, so that importing this module
+does not.
 """
 
 from __future__ import annotations
@@ -101,6 +103,11 @@ class AsymptoticFrame:
 
 
 def _check_x(x):
+    """Validate the points; return the mask x < 0 and s = (1 - |x|)/2 in float64.
+
+    1 - |x| is formed in the input's own precision before the cast, so an
+    extended-precision x keeps the digits that place it near a pole.
+    """
     x = np.asarray(x)
     if x.dtype != np.longdouble:
         x = np.asarray(x, dtype=float)
@@ -108,7 +115,7 @@ def _check_x(x):
         raise ValueError("argument must be finite")
     if np.any(np.abs(x) > 1.0):
         raise ValueError("argument outside [-1, 1]")
-    return x
+    return x < 0, np.asarray(1.0 - np.abs(x), dtype=float) / 2.0
 
 
 def _check_recurrence(alpha: float, beta: float, n_max: int) -> None:
@@ -128,30 +135,68 @@ def _recurrence_coefficients(a: float, b: float, n: int) -> tuple[float, float, 
     return den, c0, c1, c2
 
 
+def _binomial_row(alpha: float, n_max: int) -> np.ndarray:
+    """binomial(n + alpha, n) = P_n(1) for n = 0..n_max, as the running
+    product of 1 + alpha/k."""
+    return np.cumprod(np.append(1.0, 1.0 + alpha / np.arange(1.0, n_max + 1.0)))
+
+
+def _normalized_coefficients(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    # With q_n = P_n / P_n(1), r_n = binomial(n + a, n) and x = 1 - 2s, the
+    # three-term recurrence becomes d_n = beta_n d_{n-1} - gamma_n s q_{n-1},
+    # q_n = q_{n-1} + d_n, where beta_n = c2/den r_{n-2}/r_n and
+    # gamma_n = 2 c1/den r_{n-1}/r_n (coefficients of _recurrence_coefficients)
+    # reduce to the ratios below.  d_1 = -(a+b+2)/(a+1) s starts it from
+    # d_0 = 0; the n = 1 ratio would be 0/0 when a + b = -1.
+    n = np.arange(2.0, n_max + 1.0)
+    t = 2.0 * n + a + b
+    beta = (n - 1.0) * (n + b - 1.0) * t / ((n + a) * (n + a + b) * (t - 2.0))
+    gamma = (t - 1.0) * t / ((n + a) * (n + a + b))
+    return np.append([0.0, 0.0], beta), np.append([0.0, (a + b + 2.0) / (a + 1.0)], gamma)
+
+
 def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x):
     """Yield (n, values) for P_n^{(alpha,beta)} at the points x, n = 0..n_max.
 
-    This is the raw engine: it takes plain floats and runs the forward
-    three-term recurrence, emitting one degree per step so callers can scan
-    large degree ranges in O(1) memory.  The recurrence is carried in
-    extended precision (where the platform provides it) so that degrees in
-    the thousands keep roughly ten spare digits; for half-integer parameters
-    every recurrence coefficient is exactly representable.
+    This is the raw engine: it takes plain floats and emits one degree per
+    step so callers can scan large degree ranges in O(1) memory.  It runs
+    Reinsch's difference form of the three-term recurrence in float64 on
+    q_n = P_n / P_n(1) in s = (1 - x)/2, which keeps the digits that the
+    plain recurrence loses near x = 1; points with x < 0 go through
+    P^{(alpha,beta)}(-x) = (-1)^n P^{(beta,alpha)}(x), so s <= 1/2 always.
+    Each point is carried on its own, and the values are q_n * P_n(1).
     """
     _check_recurrence(alpha, beta, n_max)
-    x = _check_x(x)
-    a, b = float(alpha), float(beta)
-    wide = np.asarray(x, dtype=np.longdouble)
-    p_prev = np.ones_like(wide)
-    yield 0, np.asarray(p_prev, dtype=float)
-    if n_max == 0:
-        return
-    p = ((a + b + 2.0) * wide + np.longdouble(a - b)) / 2.0
-    yield 1, np.asarray(p, dtype=float)
-    for n in range(2, n_max + 1):
-        den, c0, c1, c2 = map(np.longdouble, _recurrence_coefficients(a, b, n))
-        p, p_prev = ((c0 + c1 * wide) * p - c2 * p_prev) / den, p
-        yield n, np.asarray(p, dtype=float)
+    negative, s = _check_x(x)
+    shape, negative, s = s.shape, negative.ravel(), s.ravel()
+    # Nonnegative points first, then the reflected ones; `back` undoes the
+    # sort when the input mixes them.
+    order = np.argsort(negative, kind="stable")
+    k = len(s) - np.count_nonzero(negative)
+    back = None
+    if np.any(negative[:k]):
+        back = np.empty_like(order)
+        back[order] = np.arange(len(order))
+    s = s[order]
+    parts = []
+    for part, a, b, sign in ((slice(0, k), alpha, beta, 1.0), (slice(k, len(s)), beta, alpha, -1.0)):
+        if part.stop > part.start:
+            betas, gammas = _normalized_coefficients(float(a), float(b), n_max)
+            scale = _binomial_row(float(a), n_max) * sign ** np.arange(n_max + 1)
+            parts.append((part, betas.tolist(), gammas.tolist(), scale.tolist()))
+    q, d, sq = np.ones_like(s), np.zeros_like(s), np.empty_like(s)
+    for n in range(n_max + 1):
+        if n:
+            np.multiply(s, q, out=sq)
+            for part, betas, gammas, _ in parts:
+                d[part] *= betas[n]
+                sq[part] *= gammas[n]
+            d -= sq
+            q += d
+        row = np.empty_like(q)
+        for part, _, _, scale in parts:
+            np.multiply(q[part], scale[n], out=row[part])
+        yield n, (row if back is None else row[back]).reshape(shape)
 
 
 def jacobi_fourier_rows(alpha: float, beta: float, n_max: int):
@@ -188,9 +233,8 @@ def jacobi_eval(params: JacobiParams, n: int, x):
     if n < 0:
         raise ValueError("degree must be nonnegative")
     scalar = np.isscalar(x)
-    xa = _check_x(x)
     value = None
-    for _, row in jacobi_recurrence_rows(params.alpha, params.beta, n, xa):
+    for _, row in jacobi_recurrence_rows(params.alpha, params.beta, n, x):
         value = row
     return float(value) if scalar else value
 
@@ -219,7 +263,7 @@ def jacobi_binomial(alpha: float, n: int) -> float:
         raise ValueError("degree must be nonnegative")
     if alpha <= -1:
         raise ValueError("alpha must exceed -1")
-    return float(np.prod(1.0 + alpha / np.arange(1.0, n + 1.0)))
+    return float(_binomial_row(alpha, n)[-1])
 
 
 def binomial_main_term(alpha: float, n: int) -> float:

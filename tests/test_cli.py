@@ -108,6 +108,14 @@ class TestValidate:
     def test_unknown_command(self):
         assert validate({"command": "frobnicate"}) != []
 
+    def test_copies_build_their_space_once(self, monkeypatch):
+        calls = []
+        build = crossflat.spaces.space_from_dict
+        monkeypatch.setattr(crossflat.spaces, "space_from_dict", lambda data: calls.append(data) or build(data))
+        cfg = {"command": "shell", "parameters": {"factors": {"space": S3, "copies": 1000}, "level": 40}}
+        assert validate(cfg) == []
+        assert calls == [S3]
+
     @pytest.mark.parametrize(
         "cfg",
         [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossflat import spaces
 from crossflat.spaces import (
     AliasingError,
     CrossSpace,
@@ -18,6 +19,7 @@ from crossflat.spaces import (
     quaternionic_projective,
     real_projective,
     rep_dimension,
+    rep_dimensions,
     small_angle_closeness,
     space_from_dict,
     space_to_dict,
@@ -237,6 +239,34 @@ class TestRepDimension:
         for s in SPACES:
             pts = [(n + s.eigenvalue_shift / 2.0, rep_dimension(s, n)) for n in (32, 64, 128, 256, 512)]
             assert abs(fit_exponent(pts).slope - (s.dimension - 1)) <= 0.02
+
+
+class TestRepDimensions:
+    """The table form shares recurrence sweeps between the per-degree rules."""
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label())
+    def test_equals_single_degrees_bit_for_bit(self, space):
+        degrees = [60, 0, 17, 3, 17, 42, 1, 60, 2, 59, 0]
+        assert rep_dimensions(space, degrees) == [rep_dimension(space, n) for n in degrees]
+        assert rep_dimensions(space, range(61)) == [rep_dimension(space, n) for n in range(61)]
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label())
+    def test_matches_the_weyl_dimension(self, space):
+        from crossflat.products import _weyl_dimension
+
+        table = rep_dimensions(space, range(301))
+        exact = [float(_weyl_dimension(space, n)) for n in range(301)]
+        assert max(abs(k / e - 1.0) for k, e in zip(table, exact)) <= 2e-13
+
+    def test_batches_bound_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(spaces, "_DIMENSION_SWEEP_POINTS", 64)
+        degrees = list(range(40, -1, -3))
+        assert rep_dimensions(sphere(3), degrees) == [rep_dimension(sphere(3), n) for n in degrees]
+
+    def test_empty_and_negative(self):
+        assert rep_dimensions(sphere(2), []) == []
+        with pytest.raises(ValueError):
+            rep_dimensions(sphere(2), [3, -1])
 
 
 GROWTH_SLOPE_CASES = [

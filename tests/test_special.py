@@ -123,6 +123,41 @@ class TestJacobiEval:
         assert abs(fit_exponent(points).slope) <= 0.02
 
 
+def exact_mpf(value) -> mpmath.mpf:
+    # An 80-bit value is the sum of two doubles; float() alone would round it.
+    head = float(value)
+    return mpmath.mpf(head) + mpmath.mpf(float(value - type(value)(head)))
+
+
+class TestRecurrenceAccuracy:
+    """Normalized values P_n / binomial(n + alpha, n) against mpmath at 40
+    digits, near both poles, where a plain float64 three-term loop loses
+    digits (1e-10 at n = 4096).  mpmath evaluates x < 0 directly, so this is
+    also the oracle for the engine's built-in reflection."""
+
+    DEGREES = (1, 2, 17, 256, 4096)
+    GAPS = (1e-3, 1e-5, 1e-7, 2e-9)
+    BOUND = 2e-13
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["float64", "80-bit"])
+    @pytest.mark.parametrize("params", CATALOG_PARAMS, ids=str)
+    def test_matches_mpmath_near_the_poles(self, params, wide):
+        dtype = np.longdouble if wide else np.float64
+        near_one = dtype(1) - np.array(self.GAPS, dtype=dtype)
+        x = np.concatenate((near_one, -near_one))
+        a, b = params.alpha, params.beta
+        worst = 0.0
+        with mpmath.workdps(40):
+            for n, row in jacobi_recurrence_rows(a, b, max(self.DEGREES), x):
+                if n not in self.DEGREES:
+                    continue
+                scale = mpmath.binomial(n + a, n)
+                for value, point in zip(row, x):
+                    reference = mpmath.jacobi(n, a, b, exact_mpf(point)) / scale
+                    worst = max(worst, abs(float(value / float(scale) - reference)))
+        assert worst <= self.BOUND
+
+
 def gegenbauer_coefficients(alpha: float, n: int) -> np.ndarray:
     # P_n^(a,a) = (a+1)_n / (2a+1)_n C_n^l with l = a + 1/2, and
     # C_n^l(cos t) = sum_k (l)_k (l)_{n-k} / (k! (n-k)!) e^{i(n-2k)t}  (Szego 4.9).

@@ -361,7 +361,7 @@ def _parse_dimension(r: _Parameters):
         rows = []
         int_ok = True
         for n, k in zip(n_values, spaces.rep_dimensions(space, n_values)):
-            nearest = round(k)
+            nearest = int(products._weyl_dimension(space, n))
             dev = abs(k - nearest) / max(k, 1.0)
             rows.append((n, k, nearest, dev))
             int_ok = int_ok and dev <= integer_tol
@@ -423,6 +423,8 @@ def _parse_sharpness(r: _Parameters):
         r.fail("level_min, level_max", "must satisfy level_min < level_max")
     level_count = r.integer("level_count", 12, minimum=3)  # the slope fit needs three levels
     p_values = r.numbers("p_values", [2.0], _EXPONENT)
+    if p_values is not None and len({f"{p:g}" for p in p_values}) < len(p_values):
+        r.fail("p_values", "must differ in their first 6 significant digits (the summary key of each p)")
     ppw = r.number("points_per_wavelength", 8.0, _FINITE_POSITIVE)
     slope_tol = r.number("slope_tolerance", 0.25)
     epsilon = r.number("epsilon", 0.05, _OPEN_UNIT)
@@ -438,17 +440,9 @@ def _parse_sharpness(r: _Parameters):
         rows = []
         summary: dict = {"p": {}}
         passed = True
-
-        def sweep(p: float):
-            return products.sharpness_report(manifold, sub, p, levels, ppw)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                reports = list(pool.map(sweep, p_values))
-        else:
-            reports = [sweep(p) for p in p_values]
+        sweeps, pw_min = products.sharpness_report(manifold, sub, p_values, levels, ppw, epsilon, threads)
         d, k = manifold.dimension, sub.k
-        for p, (report_rows, fit) in zip(p_values, reports):
+        for p, (report_rows, fit) in zip(p_values, sweeps):
             for row in report_rows:
                 fitted = math.exp(fit.intercept) * row.spectral_parameter ** fit.slope
                 rows.append(
@@ -468,14 +462,8 @@ def _parse_sharpness(r: _Parameters):
             passed = passed and ok
             summary["p"][f"{p:g}"] = {"ratio_slope": fit.slope, "target": target, "within_tolerance": ok}
         # pointwise concentration check on every swept shell
-        pw_min = math.inf
-        for level in levels:
-            shell = products.enumerate_shell(manifold, level)
-            if len(shell):
-                pw_min = min(pw_min, products.pointwise_lower_check(manifold, shell, epsilon))
-        summary["pointwise_minimum"] = pw_min if pw_min is not math.inf else None
-        if pw_min is not math.inf:
-            passed = passed and pw_min >= 0.5
+        summary["pointwise_minimum"] = pw_min
+        passed = passed and pw_min >= 0.5
         # unconstrained count growth
         counts = products.count_unconstrained(manifold, max(levels))
         pts = [

@@ -15,6 +15,7 @@ baseline rho) is done in exact rational arithmetic.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -274,12 +275,15 @@ def _extremizer_grid(manifold: ProductManifold, shell: LatticeShell, amps, point
         spherical_table(space, {m[i] for m in shell.members}, points[i])
         for i, space in enumerate(manifold.factors)
     ]
-    f = np.zeros(np.broadcast_shapes(*(np.shape(ix) for ix in index)))
+    shape = np.broadcast_shapes(*(np.shape(ix) for ix in index))
+    f = np.zeros(shape)
+    prod = np.empty(shape)  # one buffer for every member's product
     for member, amp in zip(shell.members, amps):
-        prod = tables[0][member[0]][index[0]]
-        for i in range(1, len(member)):
-            prod = prod * tables[i][member[i]][index[i]]
-        f += amp * prod
+        np.multiply(tables[0][member[0]][index[0]], tables[1][member[1]][index[1]], out=prod)
+        for i in range(2, len(member)):
+            prod *= tables[i][member[i]][index[i]]
+        prod *= amp
+        f += prod
     return f
 
 
@@ -386,10 +390,10 @@ def _lp_norm(f: np.ndarray, p, cell: float, density: float) -> float:
     return float((np.sum(np.abs(f) ** p) * cell * density) ** (1.0 / p))
 
 
-def _restriction_general(manifold, shell, sub, p, axes_nodes, cell, amps) -> float:
-    # Factor i's angle depends only on the axes its matrix row uses: on a
-    # sparse grid a one-axis row needs a one-dimensional table and an
-    # all-zero row a single point.
+def _restriction_general(manifold, shell, sub, axes_nodes, amps) -> np.ndarray:
+    # f on the tensor grid of axes_nodes.  Factor i's angle depends only on
+    # the axes its matrix row uses: on a sparse grid a one-axis row needs a
+    # one-dimensional table and an all-zero row a single point.
     a = sub.matrix_array
     grids = np.meshgrid(*axes_nodes, indexing="ij", sparse=True)
     points, index = [], []
@@ -397,14 +401,14 @@ def _restriction_general(manifold, shell, sub, p, axes_nodes, cell, amps) -> flo
         theta = np.asarray(b + sum(row[j] * grids[j] for j in np.flatnonzero(row)))
         points.append(theta.ravel())
         index.append(np.arange(theta.size).reshape(theta.shape))
-    f = _extremizer_grid(manifold, shell, amps, points, index)
-    return _lp_norm(f, p, cell, sub.density)
+    return _extremizer_grid(manifold, shell, amps, points, index)
 
 
-def _restriction_lattice(manifold, shell, sub, p, points_per_wavelength, amps) -> float:
-    # Integer matrix fast path: with one common grid step h on every axis the
-    # factor arguments live on a one-dimensional lattice, so spherical values
-    # come from small lookup tables instead of full tensor grids.
+def _restriction_lattice(manifold, shell, sub, points_per_wavelength, amps) -> tuple[np.ndarray, float]:
+    # f and the cell volume h^k of the integer matrix fast path: with one
+    # common grid step h on every axis the factor arguments live on a
+    # one-dimensional lattice, so spherical values come from small lookup
+    # tables instead of full tensor grids.
     a = sub.matrix_array.astype(int)
     r, k = a.shape
     freqs = _column_frequencies(shell, a)
@@ -434,8 +438,7 @@ def _restriction_lattice(manifold, shell, sub, p, points_per_wavelength, amps) -
         )
         points.append(base + h * np.arange(t_lo, t_hi + 1))
         index.append(t - t_lo)
-    f = _extremizer_grid(manifold, shell, amps, points, index)
-    return _lp_norm(f, p, h ** k, sub.density)
+    return _extremizer_grid(manifold, shell, amps, points, index), h ** k
 
 
 _LATTICE_THRESHOLD = 200_000
@@ -447,22 +450,27 @@ def restriction_lp_norm(
     sub: FlatSubmanifold,
     p,
     points_per_wavelength: float = 8.0,
-) -> float:
+) -> float | list[float]:
     """L^p norm of the shell extremizer along the submanifold.
 
     Tensor midpoint quadrature with at least points_per_wavelength samples
     per wavelength of the highest kernel frequency on each parameter axis;
     k = 0 degenerates to a point evaluation.  Large integer-matrix jobs go
     through the lattice lookup path, whose box snaps up to whole grid cells.
+    The grid does not depend on p: given a sequence of exponents, f is
+    evaluated once and the list of their norms is returned.
     """
+    scalar = np.ndim(p) == 0
+    p_values = [p] if scalar else list(p)
     if len(shell) == 0:
         raise ValueError("shell is empty")
-    if p != math.inf and p < 2:
+    if any(q != math.inf and q < 2 for q in p_values):
         raise ValueError("p must be >= 2 or inf")
     if len(sub.offset) != manifold.rank:
         raise ValueError("submanifold lives in a flat of the wrong rank")
     if sub.k == 0:
-        return abs(extremizer_eval(manifold, shell, sub.offset))
+        norms = [abs(extremizer_eval(manifold, shell, sub.offset))] * len(p_values)
+        return norms[0] if scalar else norms
     if points_per_wavelength < 2:
         raise ResolutionError(
             f"{points_per_wavelength} points per wavelength cannot resolve the integrand; need >= 2"
@@ -479,17 +487,21 @@ def restriction_lp_norm(
     amps = _member_amplitudes(manifold, shell)
     integer_matrix = bool(np.all(a == np.round(a)))
     if integer_matrix and total > _LATTICE_THRESHOLD:
-        return _restriction_lattice(manifold, shell, sub, p, points_per_wavelength, amps)
-    if total > 10 * _LATTICE_THRESHOLD:
+        f, cell = _restriction_lattice(manifold, shell, sub, points_per_wavelength, amps)
+    elif total > 10 * _LATTICE_THRESHOLD:
         raise ResolutionError(
             f"direct grid of {total} points is too large and the matrix is not integer"
         )
-    axes_nodes = [
-        lo + (np.arange(m) + 0.5) * (length / m)
-        for lo, length, m in zip(los, lengths, sizes)
-    ]
-    cell = float(np.prod([length / m for length, m in zip(lengths, sizes)]))
-    return _restriction_general(manifold, shell, sub, p, axes_nodes, cell, amps)
+    else:
+        axes_nodes = [
+            lo + (np.arange(m) + 0.5) * (length / m)
+            for lo, length, m in zip(los, lengths, sizes)
+        ]
+        cell = float(np.prod([length / m for length, m in zip(lengths, sizes)]))
+        f = _restriction_general(manifold, shell, sub, axes_nodes, amps)
+    density = sub.density
+    norms = [_lp_norm(f, q, cell, density) for q in p_values]
+    return norms[0] if scalar else norms
 
 
 def pointwise_lower_check(
@@ -638,25 +650,48 @@ def diagonal_levels(manifold: ProductManifold, degrees) -> list[int]:
 def sharpness_report(
     manifold: ProductManifold,
     sub: FlatSubmanifold,
-    p,
+    p_values,
     levels,
     points_per_wavelength: float = 8.0,
-) -> tuple[list[SharpnessRow], ExponentFit]:
+    epsilon: float = 0.05,
+    threads: int = 1,
+) -> tuple[list[tuple[list[SharpnessRow], ExponentFit]], float]:
     """Measured restriction/L^2 ratios across a level sweep, with the target
-    envelope N^((d-2)/2 - k/p) and the fitted slope of the ratio."""
-    p = float(p)
-    rows: list[SharpnessRow] = []
-    exponent = (manifold.dimension - 2) / 2.0 - (sub.k / p if p != math.inf else 0.0)
-    for level in levels:
+    envelope N^((d-2)/2 - k/p) and the fitted slope of the ratio, for each p;
+    and the pointwise_lower_check minimum over the swept shells.
+
+    Each level's shell is enumerated once and its extremizer evaluated on
+    the restriction grid once, for every p; threads > 1 spreads the levels
+    over worker threads.  Returns one (rows, fit) per p, and the minimum.
+    """
+    p_values = [float(p) for p in p_values]
+
+    def measure(level):
         shell = enumerate_shell(manifold, level, ordering_constraint=True)
         if len(shell) == 0:
-            continue
-        ratio = restriction_lp_norm(
-            manifold, shell, sub, p, points_per_wavelength
-        ) / extremizer_l2_norm(shell)
-        n_big = shell.spectral_parameter
-        rows.append(SharpnessRow(level, n_big, len(shell), ratio, n_big ** exponent))
-    if not rows:
+            return None
+        return shell, restriction_lp_norm(manifold, shell, sub, p_values, points_per_wavelength)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            measured = [m for m in pool.map(measure, levels) if m is not None]
+    else:
+        measured = [m for m in map(measure, levels) if m is not None]
+    if not measured:
         raise ValueError("no nonempty shells in the sweep")
-    fit = fit_exponent([(row.spectral_parameter, row.ratio) for row in rows])
-    return rows, fit
+    sweeps = []
+    for j, p in enumerate(p_values):
+        exponent = (manifold.dimension - 2) / 2.0 - (sub.k / p if p != math.inf else 0.0)
+        rows = [
+            SharpnessRow(
+                shell.level,
+                shell.spectral_parameter,
+                len(shell),
+                norms[j] / extremizer_l2_norm(shell),
+                shell.spectral_parameter ** exponent,
+            )
+            for shell, norms in measured
+        ]
+        sweeps.append((rows, fit_exponent([(row.spectral_parameter, row.ratio) for row in rows])))
+    pointwise = min(pointwise_lower_check(manifold, shell, epsilon) for shell, _ in measured)
+    return sweeps, pointwise

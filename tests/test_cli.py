@@ -168,6 +168,8 @@ class TestValidate:
             {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [10**30]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "degrees": [1, 2, 10**15]}},
             {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "p": math.inf}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "p_values": [2, 2]}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "p_values": [6, 6.0000001]}},
         ],
         ids=[
             "boolean-seed",
@@ -219,6 +221,8 @@ class TestValidate:
             "sharpness-level-beyond-int64",
             "sharpness-degree-beyond-int64",
             "opnorm-infinite-p",
+            "sharpness-repeated-p",
+            "sharpness-p-sharing-a-summary-key",
         ],
     )
     def test_check_agrees_with_run(self, tmp_path, cfg):
@@ -298,6 +302,34 @@ class TestRun:
         for row in rows:
             n = int(row[n_col])
             assert float(row[k_col]) == pytest.approx(2 * n + 1, rel=1e-8)
+
+    @pytest.mark.parametrize("kind, dimension", [("quaternionic_projective", 8), ("octonionic_plane", 16)])
+    def test_dimension_nearest_integer_is_the_weyl_dimension(self, tmp_path, kind, dimension):
+        space = {"kind": kind, "dimension": dimension}
+        cfg = {"command": "dimension", "parameters": {"space": space, "n_values": list(range(0, 301, 20))}}
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        header, rows = read_csv(tmp_path / "dimension.csv")
+        n_col, k_col = header.index("n"), header.index("dimension")
+        int_col, dev_col = header.index("nearest_integer"), header.index("integer_rel_dev")
+        for row in rows:
+            exact = crossflat.products._weyl_dimension(crossflat.spaces.space_from_dict(space), int(row[n_col]))
+            assert exact.denominator == 1
+            assert int(row[int_col]) == exact
+            k = float(row[k_col])
+            assert float(row[dev_col]) == abs(k - exact.numerator) / max(k, 1.0)
+
+    def test_sharpness_enumerates_each_level_once(self, tmp_path, monkeypatch):
+        calls = []
+        enumerate_shell = crossflat.products.enumerate_shell
+        monkeypatch.setattr(
+            crossflat.products,
+            "enumerate_shell",
+            lambda *args, **kwargs: calls.append(args[1]) or enumerate_shell(*args, **kwargs),
+        )
+        cfg = copy.deepcopy(CONTRACT_BASES["sharpness"])
+        cfg["parameters"]["p_values"] = [2, 4, 6]
+        assert run({"command": "sharpness", **cfg}, out_dir=str(tmp_path)) in (0, 1)
+        assert calls == [12, 24, 40]
 
     def test_shell_members_column(self, tmp_path):
         cfg = {
@@ -550,3 +582,23 @@ class TestMain:
         main(["--config", path, "--out", str(serial)])
         main(["--config", path, "--out", str(fanout), "--threads", "3"])
         assert (serial / "opnorm.csv").read_bytes() == (fanout / "opnorm.csv").read_bytes()
+
+    def test_threads_fanout_matches_serial_on_sharpness(self, tmp_path):
+        cfg = {
+            "command": "sharpness",
+            "parameters": {
+                "factors": [S2, S3, {"kind": "complex_projective", "dimension": 4}],
+                "matrix": [[1, 0], [1, 1], [0, 1]],
+                "box": [[-0.5, 0.5], [0, 1]],
+                "levels": [40, 60, 80, 100, 120],
+                "p_values": [2, 5, 8],
+                "slope_tolerance": 10,
+            },
+        }
+        path = write_config(tmp_path, cfg)
+        serial = tmp_path / "serial"
+        fanout = tmp_path / "fanout"
+        code = main(["--config", path, "--out", str(serial)])
+        assert main(["--config", path, "--out", str(fanout), "--threads", "2"]) == code
+        for name in ("sharpness.csv", "sharpness_summary.json"):
+            assert (serial / name).read_bytes() == (fanout / name).read_bytes()

@@ -252,6 +252,35 @@ class TestRestrictionNorm:
         exact = math.sqrt(2 * math.pi * float(np.sum(poly**2)) * math.sqrt(5.0))
         assert restriction_lp_norm(S3_FIFTH, shell, sub, 2.0) == pytest.approx(exact, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "matrix, offset, box, lattice",
+        [
+            (
+                [[1.0, 0.5], [0.0, 1.0], [0.0, 0.0], [-1.0, 0.0]],
+                [0.1, -0.2, 0.3, 0.05],
+                [(-0.3, 0.4), (0.1, 0.9)],
+                False,
+            ),
+            ([[1, 0], [2, -1], [0, 1], [0, 0]], [0.1, 0.0, -0.3, 0.2], None, True),
+            ([[] for _ in range(4)], [0.1, 0.2, 0.3, 0.4], None, False),
+        ],
+        ids=["direct", "lattice", "point"],
+    )
+    def test_one_grid_serves_every_p(self, monkeypatch, matrix, offset, box, lattice):
+        # the norms of several p from one evaluation of f equal one call per p, to the bit
+        if lattice:
+            monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+        taken = []
+        grid = products._restriction_lattice
+        monkeypatch.setattr(products, "_restriction_lattice", lambda *args: taken.append(args) or grid(*args))
+        shell = enumerate_shell(MIXED_RANK4, 38, ordering_constraint=False)
+        sub = FlatSubmanifold.of(matrix, offset, box)
+        ps = [2.0, 3.5, 6.0, math.inf]
+        together = restriction_lp_norm(MIXED_RANK4, shell, sub, ps)
+        assert len(taken) == lattice
+        assert together == [restriction_lp_norm(MIXED_RANK4, shell, sub, p) for p in ps]
+        assert len(set(together)) == (1 if sub.k == 0 else len(ps))
+
     def test_lattice_path_matches_general_path(self):
         # same integral through the direct tensor grid and the integer-lattice
         # lookup fast path
@@ -263,21 +292,25 @@ class TestRestrictionNorm:
         )
         from crossflat import products
 
-        direct = products._restriction_general(
-            S3_FIFTH,
-            shell,
-            sub,
+        direct = products._lp_norm(
+            products._restriction_general(
+                S3_FIFTH,
+                shell,
+                sub,
+                [
+                    -0.25 + (np.arange(200) + 0.5) * (0.5 / 200),
+                    -0.25 + (np.arange(200) + 0.5) * (0.5 / 200),
+                ],
+                products._member_amplitudes(S3_FIFTH, shell),
+            ),
             2.0,
-            [
-                -0.25 + (np.arange(200) + 0.5) * (0.5 / 200),
-                -0.25 + (np.arange(200) + 0.5) * (0.5 / 200),
-            ],
             (0.5 / 200) ** 2,
-            products._member_amplitudes(S3_FIFTH, shell),
+            sub.density,
         )
-        lattice = products._restriction_lattice(
-            S3_FIFTH, shell, sub, 2.0, 8.0, products._member_amplitudes(S3_FIFTH, shell)
+        f, cell = products._restriction_lattice(
+            S3_FIFTH, shell, sub, 8.0, products._member_amplitudes(S3_FIFTH, shell)
         )
+        lattice = products._lp_norm(f, 2.0, cell, sub.density)
         assert lattice == pytest.approx(direct, rel=2e-3)
 
     def test_lattice_full_torus_matches_general(self):
@@ -290,13 +323,15 @@ class TestRestrictionNorm:
             [[1, 0], [1, 1], [0, 1], [0, 0], [1, 1]], [0.1, 0.0, 0.0, 0.0, 0.2]
         )
         amps = products._member_amplitudes(S3_FIFTH, shell)
-        lattice = products._restriction_lattice(S3_FIFTH, shell, sub, 2.0, 8.0, amps)
+        f, lattice_cell = products._restriction_lattice(S3_FIFTH, shell, sub, 8.0, amps)
+        lattice = products._lp_norm(f, 2.0, lattice_cell, sub.density)
         a = sub.matrix_array
         freqs = products._column_frequencies(shell, a)
         sizes = [int(math.ceil(8.0 * f)) for f in freqs]
         axes = [(np.arange(m) + 0.5) * (2 * math.pi / m) for m in sizes]
         cell = float(np.prod([2 * math.pi / m for m in sizes]))
-        direct = products._restriction_general(S3_FIFTH, shell, sub, 2.0, axes, cell, amps)
+        f = products._restriction_general(S3_FIFTH, shell, sub, axes, amps)
+        direct = products._lp_norm(f, 2.0, cell, sub.density)
         assert lattice == pytest.approx(direct, rel=1e-10)
 
     def test_under_resolution_rejected(self):
@@ -366,7 +401,8 @@ class TestExtremizerOracle:
         axes = [-0.3 + (np.arange(13) + 0.5) * (0.7 / 13), 0.1 + (np.arange(11) + 0.5) * (0.8 / 11)]
         cell = (0.7 / 13) * (0.8 / 11)
         amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
-        mine = products._restriction_general(MIXED_RANK4, self.SHELL, sub, p, axes, cell, amps)
+        f = products._restriction_general(MIXED_RANK4, self.SHELL, sub, axes, amps)
+        mine = products._lp_norm(f, p, cell, sub.density)
         assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, cell), rel=1e-12)
 
     @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
@@ -384,7 +420,8 @@ class TestExtremizerOracle:
             h = min(2 * math.pi / (ppw * max(f, 1.0)) for f in freqs)
             axes = [lo + (np.arange(max(8, math.ceil((hi - lo) / h))) + 0.5) * h for lo, hi in box]
         amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
-        mine = products._restriction_lattice(MIXED_RANK4, self.SHELL, sub, p, ppw, amps)
+        f, cell = products._restriction_lattice(MIXED_RANK4, self.SHELL, sub, ppw, amps)
+        mine = products._lp_norm(f, p, cell, sub.density)
         assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, h * h), rel=1e-12)
 
     def test_pointwise_lower_check(self):
@@ -465,7 +502,7 @@ class TestSweeps:
 
     def test_sharpness_report_shapes(self):
         sub = FlatSubmanifold.of([[1.0]] * 5, [0.0] * 5, box=[(-0.25, 0.25)])
-        rows, fit = sharpness_report(S3_FIFTH, sub, 2.0, [315, 495, 840, 1275])
+        [(rows, fit)], _ = sharpness_report(S3_FIFTH, sub, [2.0], [315, 495, 840, 1275])
         assert len(rows) == 4
         assert fit.sample_count == 4
         for row in rows:
@@ -475,4 +512,4 @@ class TestSweeps:
     def test_sharpness_report_rejects_empty(self):
         sub = FlatSubmanifold.of([[1.0]] * 5, [0.0] * 5)
         with pytest.raises(ValueError):
-            sharpness_report(S3_FIFTH, sub, 2.0, [1, 2])
+            sharpness_report(S3_FIFTH, sub, [2.0], [1, 2])

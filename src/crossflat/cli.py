@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import products, spaces, torus
-from .spaces import AliasingError, QuadratureOrderError
+from .spaces import AliasingError
 from .products import ResolutionError
 from .special import JacobiParams
 
@@ -274,8 +274,7 @@ def _parse_kernel_norms(r: _Parameters):
                 rows.append((jp.alpha, jp.beta, n, q, norm, env, norm / env))
                 points.append((n, norm))
             fit = torus.fit_exponent(points)
-            kink = abs(q - 1.0 / (jp.alpha + 0.5)) <= 1e-12
-            expected = -0.5 if q < 1.0 / (jp.alpha + 0.5) or kink else jp.alpha - 1.0 / q
+            expected = torus.envelope_exponent(jp.alpha, q)
             ok = abs(fit.slope - expected) <= slope_tol
             passed = passed and ok
             fits[f"q={q:g}"] = {
@@ -309,8 +308,7 @@ def _parse_opnorm(r: _Parameters):
             rows = [cell(n) for n in n_values]
         upper_fit = torus.fit_exponent([(row[2], row[5]) for row in rows])
         lower_fit = torus.fit_exponent([(row[2], row[4]) for row in rows])
-        kink = abs(p / 2.0 - 1.0 / (jp.alpha + 0.5)) <= 1e-12
-        expected = -0.5 if (p / 2.0 < 1.0 / (jp.alpha + 0.5) or kink) else jp.alpha - 2.0 / p
+        expected = torus.envelope_exponent(jp.alpha, p / 2.0)
         bracket_ok = all(row[4] <= row[5] * (1 + 1e-12) for row in rows)
         slope_ok = abs(upper_fit.slope - expected) <= slope_tol
         summary = {
@@ -361,7 +359,7 @@ def _parse_dimension(r: _Parameters):
         rows = []
         int_ok = True
         for n, k in zip(n_values, spaces.rep_dimensions(space, n_values)):
-            nearest = int(products._weyl_dimension(space, n))
+            nearest = int(spaces.weyl_dimension(space, n))
             dev = abs(k - nearest) / max(k, 1.0)
             rows.append((n, k, nearest, dev))
             int_ok = int_ok and dev <= integer_tol
@@ -410,8 +408,9 @@ def _parse_sharpness(r: _Parameters):
                   r.read("matrix"), r.read("offset", None), r.read("box", None))
     if manifold is not None and sub is not None and len(sub.offset) != manifold.rank:
         r.fail("matrix", f"has {len(sub.offset)} rows but the product has rank {manifold.rank}")
-    given_levels = r.integers("levels", None, below=products.LEVEL_BOUND)
-    degrees = r.integers("degrees", None)
+    # Level 0 has N = 0, which the log-log fit of the ratios cannot take.
+    given_levels = r.integers("levels", None, minimum=1, below=products.LEVEL_BOUND)
+    degrees = r.integers("degrees", None, minimum=1)
     diagonal = None
     if degrees is not None and manifold is not None:
         diagonal = products.diagonal_levels(manifold, degrees)
@@ -576,7 +575,7 @@ def run(config: dict, out_dir: str | None = None, seed_override: int | None = No
                 "summary": _jsonable(summary),
             },
         )
-    except (AliasingError, ResolutionError, QuadratureOrderError) as exc:
+    except (AliasingError, ResolutionError) as exc:
         print(f"numerical rejection: {exc}", file=sys.stderr)
         return 3
     except (KeyError, TypeError, ValueError) as exc:

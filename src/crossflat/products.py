@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spaces import CrossSpace, spherical_table
+from .spaces import CrossSpace, spherical_table, weyl_dimension
 from .torus import ExponentFit, fit_exponent
 
 __all__ = [
@@ -199,10 +199,9 @@ def trend_levels(
     level_min: int,
     level_max: int,
     count: int = 12,
-    window: float = 0.06,
 ) -> list[int]:
-    """Pick one level near each geometric target whose constrained shell size
-    sits closest to the population trend.
+    """Pick one level within 6% of each geometric target whose constrained
+    shell size sits closest to the population trend.
 
     This damps the arithmetic fluctuation of shell sizes so that level sweeps
     measure the growth rate rather than the scatter of individual shells.
@@ -225,7 +224,7 @@ def trend_levels(
     predicted = np.polyval(trend, log_n)
     picked: set[int] = set()
     for target in np.geomspace(level_min, level_max, count):
-        in_window = (levels >= target * (1 - window)) & (levels <= target * (1 + window))
+        in_window = (levels >= target * (1 - 0.06)) & (levels <= target * (1 + 0.06))
         if not np.any(in_window):
             continue
         idx = np.nonzero(in_window)[0]
@@ -238,22 +237,9 @@ def trend_levels(
 # the extremizer
 # ---------------------------------------------------------------------------
 
-def _weyl_dimension(space: CrossSpace, n: int) -> Fraction:
-    """k(n) = (2n+rho)/rho (rho)_n (alpha+1)_n / ((beta+1)_n n!), rho = alpha + beta + 1:
-    the dimension of the degree-n spherical representation, in exact
-    arithmetic.  spaces.rep_dimension reaches it through quadrature."""
-    twice_a, twice_b = space.params.twice_alpha, space.params.twice_beta
-    rho = space.eigenvalue_shift  # alpha + beta + 1, an integer
-    num, den = 2 * n + rho, rho
-    for j in range(n):
-        num *= (rho + j) * (twice_a + 2 + 2 * j)
-        den *= (twice_b + 2 + 2 * j) * (j + 1)
-    return Fraction(num, den)
-
-
 @lru_cache(maxsize=65536)
 def _sqrt_dim(space: CrossSpace, n: int) -> float:
-    return math.sqrt(_weyl_dimension(space, n))
+    return math.sqrt(weyl_dimension(space, n))
 
 
 def _member_amplitudes(manifold: ProductManifold, shell: LatticeShell) -> np.ndarray:
@@ -504,13 +490,12 @@ def restriction_lp_norm(
     return norms[0] if scalar else norms
 
 
-def pointwise_lower_check(
-    manifold: ProductManifold,
-    shell: LatticeShell,
-    epsilon: float = 0.05,
-    samples_per_axis: int = 5,
-) -> float:
-    """inf over the polydisc |theta_i| <= epsilon/N of |f| / f(0).
+_POLYDISC_SAMPLES = 5
+
+
+def pointwise_lower_check(manifold: ProductManifold, shell: LatticeShell, epsilon: float = 0.05) -> float:
+    """inf over the polydisc |theta_i| <= epsilon/N of |f| / f(0), sampled
+    at 5 points per axis.
 
     f(0) equals the sum of the amplitude products, so the returned ratio is 1
     at the origin and stays near 1 for small epsilon.
@@ -519,11 +504,11 @@ def pointwise_lower_check(
         raise ValueError("shell is empty")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    if samples_per_axis ** manifold.rank > 10**7:
-        raise ValueError("polydisc grid too large; lower samples_per_axis")
+    if _POLYDISC_SAMPLES ** manifold.rank > 10**7:
+        raise ValueError(f"polydisc grid of {_POLYDISC_SAMPLES}^{manifold.rank} points is too large")
     n_big = max(shell.spectral_parameter, 1.0)
-    axis = np.linspace(-epsilon / n_big, epsilon / n_big, samples_per_axis)
-    index = np.meshgrid(*[np.arange(samples_per_axis)] * manifold.rank, indexing="ij", sparse=True)
+    axis = np.linspace(-epsilon / n_big, epsilon / n_big, _POLYDISC_SAMPLES)
+    index = np.meshgrid(*[np.arange(_POLYDISC_SAMPLES)] * manifold.rank, indexing="ij", sparse=True)
     amps = _member_amplitudes(manifold, shell)
     f = _extremizer_grid(manifold, shell, amps, [axis] * manifold.rank, index)
     return float(np.min(np.abs(f)) / np.sum(amps))

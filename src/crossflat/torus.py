@@ -27,6 +27,7 @@ __all__ = [
     "lp_norm_periodic",
     "kernel_samples",
     "kernel_lp_norm",
+    "envelope_exponent",
     "envelope_A",
     "envelope_A_tilde",
     "fourier_multiplier",
@@ -106,13 +107,6 @@ def lp_norm_periodic(grid: PeriodicGrid, samples, p) -> float:
     return _grid_lp(f, p, grid.weight)
 
 
-def _check_resolves(n: int, grid: PeriodicGrid | None) -> None:
-    if grid is not None and grid.size <= 2 * n + 1:
-        raise AliasingError(
-            f"grid of size {grid.size} aliases kernel frequencies; need more than {2 * n + 1}"
-        )
-
-
 def _coefficients(params: JacobiParams, n: int) -> np.ndarray:
     for _, c in jacobi_fourier_rows(params.alpha, params.beta, n):
         pass
@@ -141,15 +135,19 @@ def kernel_lp_norm(params: JacobiParams, n: int, q, grid: PeriodicGrid | None = 
     return lp_norm_periodic(grid, kernel_samples(params, n, grid), q)
 
 
+def envelope_exponent(delta: float, p: float) -> float:
+    """Growth exponent of envelope_A: delta - 1/p above the kink
+    p = 1/(delta + 1/2), and -1/2 at or below it."""
+    if p > 1.0 / (delta + 0.5) + _KINK_TOL:
+        return delta - 1.0 / p
+    return -0.5
+
+
 def envelope_A(delta: float, p: float, n: int) -> float:
-    """Two-branch growth envelope: (n+1)^(delta - 1/p) above the kink
-    p = 1/(delta + 1/2), and (n+1)^(-1/2) at or below it."""
+    """Two-branch growth envelope (n+1)^envelope_exponent(delta, p)."""
     if delta < 0 or p <= 0 or n < 0:
         raise ValueError("need delta >= 0, p > 0, n >= 0")
-    kink = 1.0 / (delta + 0.5)
-    if p > kink + _KINK_TOL:
-        return float((n + 1.0) ** (delta - 1.0 / p))
-    return float((n + 1.0) ** -0.5)
+    return float((n + 1.0) ** envelope_exponent(delta, p))
 
 
 def envelope_A_tilde(delta: float, p: float, n: int) -> float:
@@ -162,22 +160,14 @@ def envelope_A_tilde(delta: float, p: float, n: int) -> float:
     return envelope_A(delta, p, n)
 
 
-def fourier_multiplier(params: JacobiParams, n: int, grid: PeriodicGrid | None = None):
-    """Frequencies m = -n..n and multiplier values khat(m) = int k e^{-im theta} dtheta.
-
-    A grid given here must resolve every kernel frequency.
-    """
-    _check_resolves(n, grid)
+def fourier_multiplier(params: JacobiParams, n: int):
+    """Frequencies m = -n..n and multiplier values khat(m) = int k e^{-im theta} dtheta."""
     ms = np.arange(-n, n + 1)
     return ms, 2.0 * math.pi * _coefficients(params, n)[np.abs(ms)]
 
 
-def opnorm_l2_exact(params: JacobiParams, n: int, grid: PeriodicGrid | None = None) -> float:
-    """Exact L^2 -> L^2 norm of convolution with the kernel: max_m |khat(m)|.
-
-    A grid given here must resolve every kernel frequency.
-    """
-    _check_resolves(n, grid)
+def opnorm_l2_exact(params: JacobiParams, n: int) -> float:
+    """Exact L^2 -> L^2 norm of convolution with the kernel: max_m |khat(m)|."""
     return 2.0 * math.pi * float(np.max(np.abs(_coefficients(params, n))))
 
 
@@ -257,12 +247,16 @@ def opnorm_bracket(
     best Rayleigh ratio over a candidate family (single exponentials, bumps
     of dyadic widths down to 1/(4n), the kernel itself, one seeded random
     start), each refined by at most iteration_budget power-iteration steps.
+    A grid given here must resolve every kernel frequency.
     """
     if not 2 <= p < math.inf:
         raise ValueError(f"bracket requires a finite p >= 2, got p = {p}")
     if grid is None:
         grid = PeriodicGrid.for_degree(n)
-    _check_resolves(n, grid)
+    elif grid.size <= 2 * n + 1:
+        raise AliasingError(
+            f"grid of size {grid.size} aliases kernel frequencies; need more than {2 * n + 1}"
+        )
     c = _coefficients(params, n)
     top_m = int(np.argmax(np.abs(c)))
     top = 2.0 * math.pi * abs(float(c[top_m]))

@@ -170,6 +170,8 @@ class TestValidate:
             {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "p": math.inf}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "p_values": [2, 2]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "p_values": [6, 6.0000001]}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [0, 40, 80, 120]}},
+            {"command": "sharpness", "parameters": {**SHARPNESS, "degrees": [0, 1, 2, 3]}},
         ],
         ids=[
             "boolean-seed",
@@ -223,6 +225,8 @@ class TestValidate:
             "opnorm-infinite-p",
             "sharpness-repeated-p",
             "sharpness-p-sharing-a-summary-key",
+            "sharpness-level-zero",
+            "sharpness-degree-zero",
         ],
     )
     def test_check_agrees_with_run(self, tmp_path, cfg):
@@ -312,7 +316,7 @@ class TestRun:
         n_col, k_col = header.index("n"), header.index("dimension")
         int_col, dev_col = header.index("nearest_integer"), header.index("integer_rel_dev")
         for row in rows:
-            exact = crossflat.products._weyl_dimension(crossflat.spaces.space_from_dict(space), int(row[n_col]))
+            exact = crossflat.spaces.weyl_dimension(crossflat.spaces.space_from_dict(space), int(row[n_col]))
             assert exact.denominator == 1
             assert int(row[int_col]) == exact
             k = float(row[k_col])

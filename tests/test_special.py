@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath
@@ -156,6 +157,29 @@ class TestRecurrenceAccuracy:
                     reference = mpmath.jacobi(n, a, b, exact_mpf(point)) / scale
                     worst = max(worst, abs(float(value / float(scale) - reference)))
         assert worst <= self.BOUND
+
+
+class TestRecurrenceEngine:
+    def test_is_a_generator_function(self):
+        # perfbench's recurrence metrics time each next() on this generator
+        # and count its calls; a function that returned some other iterator
+        # would leave them reading 0.
+        assert inspect.isgeneratorfunction(jacobi_recurrence_rows)
+
+    @pytest.mark.parametrize("params", [HALF, JacobiParams.of(1, 0), JacobiParams.of(7, 3)], ids=str)
+    def test_each_point_is_carried_on_its_own(self, params):
+        # Mixed signs, shuffled, 2-D, with 80-bit points near both poles: each
+        # value equals a call on its point alone, to the bit.
+        rng = np.random.default_rng(5)
+        near_one = np.longdouble(1) - np.array([1e-3, 1e-9, 3e-12], dtype=np.longdouble)
+        x = np.concatenate((near_one, -near_one, rng.uniform(-1, 1, 14), [1.0, -1.0, 0.0, -0.0]))
+        x = rng.permutation(x).reshape(4, 6)
+        a, b = params.alpha, params.beta
+        singles = [[value for _, value in jacobi_recurrence_rows(a, b, 40, point)] for point in x.ravel()]
+        for n, row in jacobi_recurrence_rows(a, b, 40, x):
+            expected = np.array([single[n] for single in singles]).reshape(x.shape)
+            assert row.shape == x.shape and row.dtype == np.float64
+            assert row.tobytes() == expected.tobytes(), n
 
 
 def gegenbauer_coefficients(alpha: float, n: int) -> np.ndarray:

@@ -154,7 +154,7 @@ class TestEnvelopes:
 
 class TestMultiplier:
     def test_constant_kernel(self):
-        assert opnorm_l2_exact(JacobiParams.of(1, 1), 0, PeriodicGrid(64)) == pytest.approx(
+        assert opnorm_l2_exact(JacobiParams.of(1, 1), 0) == pytest.approx(
             2 * math.pi, rel=1e-13
         )
 
@@ -174,7 +174,7 @@ class TestMultiplier:
 
     def test_aliasing_rejection(self):
         with pytest.raises(AliasingError):
-            opnorm_l2_exact(HALF, 40, PeriodicGrid(64))
+            opnorm_bracket(HALF, 40, 2.0, PeriodicGrid(64))
 
 
 class TestBracket:

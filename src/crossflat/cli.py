@@ -2,7 +2,7 @@
 CSV data plus JSON summary out.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 config/schema
-rejection, 3 numerical rejection (aliasing or under-resolution), 4 unexpected
+rejection, 3 numerical rejection (under-resolution), 4 unexpected
 error (one line `internal error: <Type>: <message>` on stderr).  Identical
 config and seed give byte-identical outputs; floats are serialized with 17
 significant digits and files are written atomically.
@@ -22,7 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import products, spaces, torus
-from .spaces import AliasingError
 from .products import ResolutionError
 from .special import JacobiParams
 
@@ -575,7 +574,7 @@ def run(config: dict, out_dir: str | None = None, seed_override: int | None = No
                 "summary": _jsonable(summary),
             },
         )
-    except (AliasingError, ResolutionError) as exc:
+    except ResolutionError as exc:
         print(f"numerical rejection: {exc}", file=sys.stderr)
         return 3
     except (KeyError, TypeError, ValueError) as exc:

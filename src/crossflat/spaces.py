@@ -27,7 +27,6 @@ from .special import (
 )
 
 __all__ = [
-    "AliasingError",
     "Kind",
     "CrossSpace",
     "sphere",
@@ -52,10 +51,6 @@ __all__ = [
     "derivative_bound_ratio",
     "small_angle_closeness",
 ]
-
-
-class AliasingError(ValueError):
-    """A sampling grid is too small to resolve every frequency present."""
 
 
 class Kind(str, enum.Enum):
@@ -271,63 +266,66 @@ def fourier_expansions(space: CrossSpace, degrees):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _measure_rule(twice_alpha: int, twice_beta: int, order: int):
-    # Probability measure on [0, pi] with density ~ sin(t/2)^(2a+1) cos(t/2)^(2b+1),
-    # pulled back to Gauss-Jacobi nodes in x = cos(theta).  scipy is imported
-    # here, not at module level: importing it costs a CLI process more
-    # start-up than most runs take.
-    from scipy.special import gammaln, roots_jacobi
+def measure_nodes(space: CrossSpace, size: int):
+    """Nodes x = cos(theta) and probability weights of a size-point rule for
+    the radial measure (1 - x)^alpha (1 + x)^beta dx, exact on polynomials of
+    degree up to 2 size - 2 - alpha - beta, built in O(size) memory.
 
-    a, b = twice_alpha / 2.0, twice_beta / 2.0
-    x, w = roots_jacobi(order, a, b)
-    log_total = (a + b + 1.0) * math.log(2.0) + float(
-        gammaln(a + 1.0) + gammaln(b + 1.0) - gammaln(a + b + 2.0)
-    )
-    return x, w / math.exp(log_total)
-
-
-def measure_nodes(space: CrossSpace, order: int):
-    """Nodes x = cos(theta) and probability weights for the radial measure."""
-    return _measure_rule(space.params.twice_alpha, space.params.twice_beta, order)
-
-
-# Most nodes one dimension sweep carries.  A sweep runs every node to the
-# largest degree of its batch, so batches of nearby degrees waste less work
-# than one sweep over the whole table, and memory stays bounded.
-_DIMENSION_SWEEP_POINTS = 1 << 14
-
-
-def _dimension_sweep(space: CrossSpace, orders: dict[int, int]) -> dict[int, float]:
-    """k(n) for each degree n by the Gauss-Jacobi rule of order orders[n].
-
-    The nodes of all the rules, and x = 1 for the normalization, go through
-    one recurrence sweep; row n is read only on degree n's own nodes.  The
-    recurrence treats each point on its own, so every k(n) is the value a
-    sweep over its own nodes alone would give, to the bit.
+    Half-integer alpha, beta take the Gauss-Chebyshev nodes, weighted by
+    (1 - x)^(alpha + 1/2) (1 + x)^(beta + 1/2).  Integer ones take the
+    Gauss-Legendre nodes, by three Newton steps from Tricomi's guesses, and
+    their Christoffel weights times (1 - x)^alpha (1 + x)^beta.
     """
-    rules = [(n, *measure_nodes(space, order)) for n, order in orders.items()]
-    ends = np.cumsum([len(x) for _, x, _ in rules])
-    nodes = {n: (slice(end - len(x), end), w) for (n, x, w), end in zip(rules, ends)}
-    points = np.concatenate([x for _, x, _ in rules] + [[1.0]])
+    twice_a, twice_b = space.params.twice_alpha, space.params.twice_beta
+    k = np.arange(1.0, size + 1.0)
+    if twice_a % 2:
+        x = np.cos(math.pi * (k - 0.5) / size)
+        w = (1.0 - x) ** ((twice_a + 1) // 2) * (1.0 + x) ** ((twice_b + 1) // 2)
+    else:
+        x = np.cos(math.pi * (k - 0.25) / (size + 0.5))
+        for _ in range(3):
+            # P_N' = N (P_{N-1} - x P_N) / (1 - x^2)
+            p = jacobi_degree_table(JacobiParams(0, 0), (size - 1, size), x)
+            x = x - p[size] * (1.0 - x) * (1.0 + x) / (size * (p[size - 1] - x * p[size]))
+        christoffel = sum((2 * n + 1) * row * row for n, row in jacobi_recurrence_rows(0.0, 0.0, size - 1, x))
+        w = (1.0 - x) ** (twice_a // 2) * (1.0 + x) ** (twice_b // 2) / christoffel
+    return x, w / np.sum(w)
+
+
+def _rule_size(space: CrossSpace, n: int) -> int:
+    """The smallest power of two at or above n + a // 2 + 8: enough nodes for
+    measure_nodes to integrate Phi_n^2 exactly, shared by nearby degrees."""
+    return 1 << (n + space.eigenvalue_shift // 2 + 7).bit_length()
+
+
+def _dimension_sweep(space: CrossSpace, size: int, degrees) -> dict[int, float]:
+    """k(n) = 1 / int Phi_n^2 dmu for each degree n, on the size-point rule.
+
+    The nodes, and x = 1 for the normalization, go through one recurrence
+    sweep.  The recurrence treats each point on its own and a row does not
+    depend on how far the sweep runs, so every k(n) is the value a sweep
+    for degree n alone would give, to the bit.
+    """
+    x, w = measure_nodes(space, size)
+    wanted = set(degrees)
     out = {}
-    for n, row in jacobi_recurrence_rows(space.params.alpha, space.params.beta, max(orders), points):
-        if n in nodes:
-            part, w = nodes[n]
-            phi = row[part] / row[-1]
+    for n, row in jacobi_recurrence_rows(space.params.alpha, space.params.beta, max(wanted), np.append(x, 1.0)):
+        if n in wanted:
+            phi = row[:-1] / row[-1]
             out[n] = float(1.0 / np.sum(w * phi * phi))
     return out
 
 
 @lru_cache(maxsize=65536)
 def _rep_dimension_cached(space: CrossSpace, n: int) -> float:
-    return _dimension_sweep(space, {n: n + 8})[n]
+    return _dimension_sweep(space, _rule_size(space, n), [n])[n]
 
 
 def rep_dimension(space: CrossSpace, n: int) -> float:
     """Dimension k(n) of the degree-n spherical representation.
 
-    Computed as 1 / int Phi_n^2 dmu by the Gauss-Jacobi rule of order n + 8,
-    which is exact once the rule integrates polynomials of degree 2n.
+    Computed as 1 / int Phi_n^2 dmu on the measure_nodes rule whose size is
+    the smallest power of two at or above n + a // 2 + 8, exact for Phi_n^2.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -337,21 +335,18 @@ def rep_dimension(space: CrossSpace, n: int) -> float:
 def rep_dimensions(space: CrossSpace, degrees) -> list[float]:
     """rep_dimension(space, n) for each n in degrees, in their order.
 
-    Each degree keeps its own rule of order n + 8: one rule for the whole
-    table loses digits at high degree.  Consecutive degrees share a
-    recurrence sweep, up to _DIMENSION_SWEEP_POINTS nodes per sweep.
+    Degrees that share a rule size share one recurrence sweep over its
+    nodes, and each value equals rep_dimension's to the bit.
     """
     degrees = [int(n) for n in degrees]
     if any(n < 0 for n in degrees):
         raise ValueError("degree must be nonnegative")
-    wanted = sorted(set(degrees))
+    groups: dict[int, set[int]] = {}
+    for n in degrees:
+        groups.setdefault(_rule_size(space, n), set()).add(n)
     table: dict[int, float] = {}
-    batch: dict[int, int] = {}
-    for n in wanted:
-        batch[n] = n + 8
-        if sum(batch.values()) >= _DIMENSION_SWEEP_POINTS or n == wanted[-1]:
-            table.update(_dimension_sweep(space, batch))
-            batch = {}
+    for size, group in groups.items():
+        table.update(_dimension_sweep(space, size, group))
     return [table[n] for n in degrees]
 
 
@@ -369,11 +364,12 @@ def weyl_dimension(space: CrossSpace, n: int) -> Fraction:
 
 
 def spherical_gram(space: CrossSpace, n_max: int) -> np.ndarray:
-    """Matrix of int Phi_i Phi_j dmu for 0 <= i, j <= n_max, by the
-    Gauss-Jacobi rule of order n_max + 8."""
-    x, w = measure_nodes(space, n_max + 8)
-    table = spherical_table(space, range(n_max + 1), np.arccos(np.clip(x, -1, 1)))
-    rows = np.vstack([table[n] for n in range(n_max + 1)])
+    """Matrix of int Phi_i Phi_j dmu for 0 <= i, j <= n_max, on the nodes of
+    rep_dimension's rule for degree n_max, which integrates each product
+    exactly."""
+    x, w = measure_nodes(space, _rule_size(space, n_max))
+    raw = jacobi_degree_table(space.params, range(n_max + 1), np.append(x, 1.0))
+    rows = np.vstack([raw[n][:-1] / raw[n][-1] for n in range(n_max + 1)])
     return (rows * w) @ rows.T
 
 

@@ -19,10 +19,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .spaces import AliasingError
 from .special import JacobiParams, jacobi_fourier_rows
 
 __all__ = [
+    "AliasingError",
     "PeriodicGrid",
     "lp_norm_periodic",
     "kernel_samples",
@@ -42,6 +42,10 @@ __all__ = [
 _KINK_TOL = 1e-12
 UPPER_YOUNG = "young"
 UPPER_EXACT_MULTIPLIER = "exact_multiplier"
+
+
+class AliasingError(ValueError):
+    """A sampling grid is too small to resolve every frequency present."""
 
 
 @lru_cache(maxsize=None)

@@ -268,18 +268,14 @@ print(json.dumps([after_check, codes, scipy_modules()]))
 
 
 class TestColdStart:
-    def test_no_scipy_outside_dimension(self, tmp_path):
+    def test_no_scipy_on_any_cli_path(self, tmp_path):
         bundled = {}
         for name in sorted(os.listdir(os.path.join(REPO, "configs"))):
             path = os.path.join(REPO, "configs", name)
             with open(path) as handle:
                 bundled.setdefault(json.load(handle)["command"], path)
         assert sorted(bundled) == sorted(COMMANDS)
-        # dimension runs Gauss-Jacobi quadrature, which is scipy's.
-        small = [
-            {"command": command, **copy.deepcopy(CONTRACT_BASES[command])}
-            for command in sorted(COMMANDS) if command != "dimension"
-        ]
+        small = [{"command": command, **copy.deepcopy(CONTRACT_BASES[command])} for command in sorted(COMMANDS)]
         opnorm = next(config for config in small if config["command"] == "opnorm")
         opnorm["parameters"]["p"] = 6  # p > 2 runs the FFT power iteration
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crossflat.__file__))}

@@ -157,7 +157,7 @@ class TestEnumerateShell:
 
 class TestExactAmplitudes:
     """The shell amplitudes sqrt(k(n)) come from the Weyl dimension formula;
-    the Gauss-Jacobi quadrature of spaces.rep_dimension is the oracle."""
+    the Gauss quadrature of spaces.rep_dimension is the oracle."""
 
     @pytest.mark.parametrize("space", catalog() + (real_projective(3),), ids=lambda s: s.label())
     def test_exact_dimension_is_an_integer_matching_quadrature(self, space):

@@ -231,8 +231,17 @@ class TestRepDimension:
             assert abs(fit_exponent(pts).slope - (s.dimension - 1)) <= 0.02
 
 
+class TestMeasureNodes:
+    @pytest.mark.parametrize("size", [16, 300, 1024])
+    def test_integer_spaces_take_the_gauss_legendre_nodes(self, size):
+        # independent oracle: numpy's companion-matrix Gauss-Legendre rule
+        x, _ = spaces.measure_nodes(complex_projective(4), size)
+        reference, _ = np.polynomial.legendre.leggauss(size)
+        assert np.max(np.abs(np.sort(x) - reference)) <= 1e-15
+
+
 class TestRepDimensions:
-    """The table form shares recurrence sweeps between the per-degree rules."""
+    """The table form shares one recurrence sweep among the degrees of each rule size."""
 
     @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label())
     def test_equals_single_degrees_bit_for_bit(self, space):
@@ -242,14 +251,12 @@ class TestRepDimensions:
 
     @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label())
     def test_matches_the_weyl_dimension(self, space):
-        table = rep_dimensions(space, range(301))
-        exact = [float(spaces.weyl_dimension(space, n)) for n in range(301)]
-        assert max(abs(k / e - 1.0) for k, e in zip(table, exact)) <= 2e-13
-
-    def test_batches_bound_the_sweep(self, monkeypatch):
-        monkeypatch.setattr(spaces, "_DIMENSION_SWEEP_POINTS", 64)
-        degrees = list(range(40, -1, -3))
-        assert rep_dimensions(sphere(3), degrees) == [rep_dimension(sphere(3), n) for n in degrees]
+        # every degree to 300, and every tenth to 1000, where the exact
+        # dimensions for every degree would cost seconds
+        for degrees in (range(301), range(0, 1001, 10)):
+            table = rep_dimensions(space, degrees)
+            exact = [float(spaces.weyl_dimension(space, n)) for n in degrees]
+            assert max(abs(k / e - 1.0) for k, e in zip(table, exact)) <= 2e-13, degrees
 
     def test_empty_and_negative(self):
         assert rep_dimensions(sphere(2), []) == []

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossflat.spaces import AliasingError
 from crossflat.special import JacobiParams, jacobi_binomial, jacobi_eval
 from crossflat.torus import (
+    AliasingError,
     ExponentFit,
     NormBracket,
     PeriodicGrid,

@@ -114,19 +114,22 @@ class _Parameters:
 
     Each getter returns its key's value, or the default when the key is
     absent.  A missing required key or a malformed value records a
-    `parameters.<key>: ...` diagnostic and reads as None.
+    `parameters.<key>: ...` diagnostic and reads as None.  Every key read is
+    recorded, so that the parse can report every other key as unknown.
     """
 
     def __init__(self, params: dict) -> None:
         self.params = params
         self.errors: list[str] = []
         self.bad: set[str] = set()
+        self.seen: set[str] = set()
 
     def fail(self, key: str, message: str) -> None:
         self.bad.add(key)
         self.errors.append(f"parameters.{key}: {message}")
 
     def read(self, key: str, default=_REQUIRED, ok=lambda v: True, expected: str = ""):
+        self.seen.add(key)
         if key not in self.params and default is not _REQUIRED:
             return default
         if key in self.params and ok(self.params[key]):
@@ -300,11 +303,8 @@ def _parse_opnorm(r: _Parameters):
             env = torus.envelope_A(jp.alpha, p / 2.0, n)
             return (jp.alpha, jp.beta, n, p, bracket.lower, bracket.upper, env, bracket.upper / env)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(cell, n_values))
-        else:
-            rows = [cell(n) for n in n_values]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(cell, n_values))
         upper_fit = torus.fit_exponent([(row[2], row[5]) for row in rows])
         lower_fit = torus.fit_exponent([(row[2], row[4]) for row in rows])
         expected = torus.envelope_exponent(jp.alpha, p / 2.0)
@@ -540,7 +540,8 @@ def _parse(config, seed_override: int | None = None) -> tuple[list[str], object]
         errors.append("seed: opnorm needs a nonnegative integer (it fixes the randomized lower-bound search)")
     reader = _Parameters(params)
     handler = COMMANDS[command](reader)
-    return errors + reader.errors, handler
+    unknown = [f"parameters.{key}: unknown key" for key in params if key not in reader.seen]
+    return errors + reader.errors + unknown, handler
 
 
 def validate(config: dict) -> list[str]:

@@ -352,23 +352,6 @@ class FlatSubmanifold:
         return float(math.sqrt(np.linalg.det(a.T @ a)))
 
 
-def _axis_lengths(sub: FlatSubmanifold) -> list[float]:
-    if sub.box is None:
-        return [2.0 * math.pi] * sub.k
-    return [hi - lo for lo, hi in sub.box]
-
-
-def _axis_los(sub: FlatSubmanifold) -> list[float]:
-    if sub.box is None:
-        return [0.0] * sub.k
-    return [lo for lo, _ in sub.box]
-
-
-def _column_frequencies(shell: LatticeShell, a: np.ndarray) -> np.ndarray:
-    n_max = np.max(np.array(shell.members), axis=0)
-    return np.abs(a).T @ n_max  # per parameter axis
-
-
 def _lp_norm(f: np.ndarray, p, cell: float, density: float) -> float:
     # Midpoint-rule L^p norm of grid values f, or their sup for p = inf.
     if p == math.inf:
@@ -376,58 +359,61 @@ def _lp_norm(f: np.ndarray, p, cell: float, density: float) -> float:
     return float((np.sum(np.abs(f) ** p) * cell * density) ** (1.0 / p))
 
 
-def _restriction_general(manifold, shell, sub, axes_nodes, amps) -> np.ndarray:
-    # f on the tensor grid of axes_nodes.  Factor i's angle depends only on
-    # the axes its matrix row uses: on a sparse grid a one-axis row needs a
-    # one-dimensional table and an all-zero row a single point.
+_LATTICE_THRESHOLD = 200_000
+
+
+def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wavelength: float):
+    """(points, index, cell): each factor's distinct angles and the integer
+    arrays that place them on the quadrature grid along sub, for
+    _extremizer_grid, and the grid's cell volume.
+
+    The direct rule takes the midpoints of a tensor grid with at least
+    points_per_wavelength samples per wavelength of the highest frequency
+    on each parameter axis.  Factor i's angle depends only on the axes its
+    matrix row uses: on the sparse grid a one-axis row needs a
+    one-dimensional table and an all-zero row a single point.  When that
+    grid would pass _LATTICE_THRESHOLD points and the matrix is integer, the
+    lattice rule takes one common step h on every axis instead, which puts
+    each factor's angles on a one-dimensional lattice; its box snaps up to
+    whole grid cells.
+    """
     a = sub.matrix_array
-    grids = np.meshgrid(*axes_nodes, indexing="ij", sparse=True)
+    freqs = np.abs(a).T @ np.max(np.array(shell.members), axis=0)  # per parameter axis
+    box = sub.box or ((0.0, 2.0 * math.pi),) * sub.k
+    lengths = [hi - lo for lo, hi in box]
+    sizes = [
+        max(8, int(math.ceil(points_per_wavelength * f * length / (2.0 * math.pi))))
+        for f, length in zip(freqs, lengths)
+    ]
+    total = int(np.prod(sizes))
+    if total <= _LATTICE_THRESHOLD or not np.all(a == np.round(a)):
+        if total > 10 * _LATTICE_THRESHOLD:
+            raise ResolutionError(f"direct grid of {total} points is too large and the matrix is not integer")
+        axes = [lo + (np.arange(m) + 0.5) * (length / m) for (lo, _), length, m in zip(box, lengths, sizes)]
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+        thetas = [
+            np.asarray(b + sum(row[j] * grids[j] for j in np.flatnonzero(row))) for row, b in zip(a, sub.offset)
+        ]
+        cell = float(np.prod([length / m for length, m in zip(lengths, sizes)]))
+        return [th.ravel() for th in thetas], [np.arange(th.size).reshape(th.shape) for th in thetas], cell
+    a = a.astype(int)
+    if sub.box is None:
+        sizes = [max(8, int(np.ceil(points_per_wavelength * float(np.max(freqs)))))] * sub.k
+        h = 2.0 * math.pi / sizes[0]
+    else:
+        h = min(2.0 * math.pi / (points_per_wavelength * max(float(f), 1.0)) for f in freqs)
+        sizes = [max(8, int(math.ceil(length / h))) for length in lengths]
+    grids = np.meshgrid(*[np.arange(m, dtype=np.int64) for m in sizes], indexing="ij", sparse=True)
     points, index = [], []
     for row, b in zip(a, sub.offset):
-        theta = np.asarray(b + sum(row[j] * grids[j] for j in np.flatnonzero(row)))
-        points.append(theta.ravel())
-        index.append(np.arange(theta.size).reshape(theta.shape))
-    return _extremizer_grid(manifold, shell, amps, points, index)
-
-
-def _restriction_lattice(manifold, shell, sub, points_per_wavelength, amps) -> tuple[np.ndarray, float]:
-    # f and the cell volume h^k of the integer matrix fast path: with one
-    # common grid step h on every axis the factor arguments live on a
-    # one-dimensional lattice, so spherical values come from small lookup
-    # tables instead of full tensor grids.
-    a = sub.matrix_array.astype(int)
-    r, k = a.shape
-    freqs = _column_frequencies(shell, a)
-    lengths = _axis_lengths(sub)
-    los = _axis_los(sub)
-    full_torus = sub.box is None
-    if full_torus:
-        m_common = max(8, int(np.ceil(points_per_wavelength * float(np.max(freqs)))))
-        sizes = [m_common] * k
-        h = 2.0 * math.pi / m_common
-    else:
-        h = min(
-            2.0 * math.pi / (points_per_wavelength * max(float(f), 1.0)) for f in freqs
-        )
-        sizes = [max(8, int(math.ceil(length / h))) for length in lengths]
-        # The integrated box snaps up to whole grid cells.
-
-    index_grids = np.meshgrid(*[np.arange(m, dtype=np.int64) for m in sizes], indexing="ij", sparse=True)
-    points, index = [], []
-    for i in range(r):
-        t = np.asarray(sum(int(a[i, j]) * index_grids[j] for j in np.flatnonzero(a[i])), dtype=np.int64)
-        if full_torus:
-            t %= sizes[0]
-        t_lo, t_hi = int(t.min()), int(t.max())
-        base = sub.offset[i] + (h / 2.0) * float(np.sum(a[i])) + (
-            0.0 if full_torus else float(np.dot(a[i], los))
-        )
-        points.append(base + h * np.arange(t_lo, t_hi + 1))
+        t = np.asarray(sum(int(row[j]) * grids[j] for j in np.flatnonzero(row)), dtype=np.int64)
+        if sub.box is None:
+            t %= sizes[0]  # the full torus wraps
+        t_lo = int(t.min())
+        base = b + (h / 2.0) * float(np.sum(row)) + float(np.dot(row, [lo for lo, _ in box]))
+        points.append(base + h * np.arange(t_lo, int(t.max()) + 1))
         index.append(t - t_lo)
-    return _extremizer_grid(manifold, shell, amps, points, index), h ** k
-
-
-_LATTICE_THRESHOLD = 200_000
+    return points, index, h ** sub.k
 
 
 def restriction_lp_norm(
@@ -442,7 +428,7 @@ def restriction_lp_norm(
     Tensor midpoint quadrature with at least points_per_wavelength samples
     per wavelength of the highest kernel frequency on each parameter axis;
     k = 0 degenerates to a point evaluation.  Large integer-matrix jobs go
-    through the lattice lookup path, whose box snaps up to whole grid cells.
+    through the lattice lookup rule, whose box snaps up to whole grid cells.
     The grid does not depend on p: given a sequence of exponents, f is
     evaluated once and the list of their norms is returned.
     """
@@ -461,30 +447,8 @@ def restriction_lp_norm(
         raise ResolutionError(
             f"{points_per_wavelength} points per wavelength cannot resolve the integrand; need >= 2"
         )
-    a = sub.matrix_array
-    freqs = _column_frequencies(shell, a)
-    lengths = _axis_lengths(sub)
-    los = _axis_los(sub)
-    sizes = [
-        max(8, int(math.ceil(points_per_wavelength * f * length / (2.0 * math.pi))))
-        for f, length in zip(freqs, lengths)
-    ]
-    total = int(np.prod(sizes))
-    amps = _member_amplitudes(manifold, shell)
-    integer_matrix = bool(np.all(a == np.round(a)))
-    if integer_matrix and total > _LATTICE_THRESHOLD:
-        f, cell = _restriction_lattice(manifold, shell, sub, points_per_wavelength, amps)
-    elif total > 10 * _LATTICE_THRESHOLD:
-        raise ResolutionError(
-            f"direct grid of {total} points is too large and the matrix is not integer"
-        )
-    else:
-        axes_nodes = [
-            lo + (np.arange(m) + 0.5) * (length / m)
-            for lo, length, m in zip(los, lengths, sizes)
-        ]
-        cell = float(np.prod([length / m for length, m in zip(lengths, sizes)]))
-        f = _restriction_general(manifold, shell, sub, axes_nodes, amps)
+    points, index, cell = _restriction_grid(shell, sub, points_per_wavelength)
+    f = _extremizer_grid(manifold, shell, _member_amplitudes(manifold, shell), points, index)
     density = sub.density
     norms = [_lp_norm(f, q, cell, density) for q in p_values]
     return norms[0] if scalar else norms
@@ -646,8 +610,8 @@ def sharpness_report(
     and the pointwise_lower_check minimum over the swept shells.
 
     Each level's shell is enumerated once and its extremizer evaluated on
-    the restriction grid once, for every p; threads > 1 spreads the levels
-    over worker threads.  Returns one (rows, fit) per p, and the minimum.
+    the restriction grid once, for every p; the levels run on `threads`
+    worker threads.  Returns one (rows, fit) per p, and the minimum.
     """
     p_values = [float(p) for p in p_values]
 
@@ -657,11 +621,8 @@ def sharpness_report(
             return None
         return shell, restriction_lp_norm(manifold, shell, sub, p_values, points_per_wavelength)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            measured = [m for m in pool.map(measure, levels) if m is not None]
-    else:
-        measured = [m for m in map(measure, levels) if m is not None]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        measured = [m for m in pool.map(measure, levels) if m is not None]
     if not measured:
         raise ValueError("no nonempty shells in the sweep")
     sweeps = []

@@ -19,8 +19,8 @@ import numpy as np
 
 from .special import (
     JacobiParams,
+    jacobi_binomial,
     jacobi_degree_table,
-    jacobi_eval,
     jacobi_fourier_rows,
     jacobi_recurrence_rows,
     jacobi_theta_derivative,
@@ -206,11 +206,10 @@ def spherical_eval(space: CrossSpace, n: int, theta):
 
 
 def spherical_table(space: CrossSpace, degrees, theta) -> dict[int, np.ndarray]:
-    """Normalized values for several degrees from one recurrence sweep; the
-    point x = 1 rides along in the sweep and supplies each normalization."""
-    th = np.asarray(theta, dtype=float)
-    raw = jacobi_degree_table(space.params, degrees, np.append(np.cos(th), 1.0))
-    return {n: (row[:-1] / row[-1]).reshape(th.shape) for n, row in raw.items()}
+    """Normalized values for several degrees from one recurrence sweep, each
+    divided by its value binomial(n + alpha, n) at x = 1."""
+    raw = jacobi_degree_table(space.params, degrees, np.cos(np.asarray(theta, dtype=float)))
+    return {n: row / jacobi_binomial(space.params.alpha, n) for n, row in raw.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,17 +300,16 @@ def _rule_size(space: CrossSpace, n: int) -> int:
 def _dimension_sweep(space: CrossSpace, size: int, degrees) -> dict[int, float]:
     """k(n) = 1 / int Phi_n^2 dmu for each degree n, on the size-point rule.
 
-    The nodes, and x = 1 for the normalization, go through one recurrence
-    sweep.  The recurrence treats each point on its own and a row does not
-    depend on how far the sweep runs, so every k(n) is the value a sweep
-    for degree n alone would give, to the bit.
+    The nodes go through one recurrence sweep, which treats each point on
+    its own; a row does not depend on how far the sweep runs, so every k(n)
+    is the value a sweep for degree n alone would give, to the bit.
     """
     x, w = measure_nodes(space, size)
     wanted = set(degrees)
     out = {}
-    for n, row in jacobi_recurrence_rows(space.params.alpha, space.params.beta, max(wanted), np.append(x, 1.0)):
+    for n, row in jacobi_recurrence_rows(space.params.alpha, space.params.beta, max(wanted), x):
         if n in wanted:
-            phi = row[:-1] / row[-1]
+            phi = row / jacobi_binomial(space.params.alpha, n)
             out[n] = float(1.0 / np.sum(w * phi * phi))
     return out
 
@@ -368,8 +366,8 @@ def spherical_gram(space: CrossSpace, n_max: int) -> np.ndarray:
     rep_dimension's rule for degree n_max, which integrates each product
     exactly."""
     x, w = measure_nodes(space, _rule_size(space, n_max))
-    raw = jacobi_degree_table(space.params, range(n_max + 1), np.append(x, 1.0))
-    rows = np.vstack([raw[n][:-1] / raw[n][-1] for n in range(n_max + 1)])
+    raw = jacobi_degree_table(space.params, range(n_max + 1), x)
+    rows = np.vstack([raw[n] / jacobi_binomial(space.params.alpha, n) for n in range(n_max + 1)])
     return (rows * w) @ rows.T
 
 
@@ -386,8 +384,7 @@ def laplace_eigenvalue(space: CrossSpace, n: int) -> int:
 
 def spherical_theta_derivative(space: CrossSpace, n: int, theta):
     """Phi_n'(theta), through the parameter-shifted polynomial identity."""
-    d = jacobi_theta_derivative(space.params, n, theta)
-    return d / jacobi_eval(space.params, n, 1.0)
+    return jacobi_theta_derivative(space.params, n, theta) / jacobi_binomial(space.params.alpha, n)
 
 
 def derivative_bound_ratio(space: CrossSpace, n: int, grid=None) -> float:

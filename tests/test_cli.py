@@ -172,6 +172,7 @@ class TestValidate:
             {"command": "sharpness", "parameters": {**SHARPNESS, "p_values": [6, 6.0000001]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [0, 40, 80, 120]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "degrees": [0, 1, 2, 3]}},
+            {"command": "fourier", "parameters": {"space": S3, "n_maxx": 10}},
         ],
         ids=[
             "boolean-seed",
@@ -227,6 +228,7 @@ class TestValidate:
             "sharpness-p-sharing-a-summary-key",
             "sharpness-level-zero",
             "sharpness-degree-zero",
+            "fourier-unknown-key",
         ],
     )
     def test_check_agrees_with_run(self, tmp_path, cfg):
@@ -399,12 +401,28 @@ class TestRun:
         }
         assert run(cfg, out_dir=str(tmp_path)) == 3
 
+    def test_oversized_non_integer_grid_exits_three(self, tmp_path, capsys):
+        # a 1200 x 1800 direct grid, and the matrix cannot take the lattice rule
+        cfg = {
+            "command": "sharpness",
+            "parameters": {
+                "factors": S3_FIFTH,
+                "matrix": [[1.0, 0.5], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                "levels": [40],
+                "points_per_wavelength": 600,
+            },
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--check"]) == 0
+        assert main(["--config", path, "--out", str(tmp_path)]) == 3
+        assert "is too large and the matrix is not integer" in capsys.readouterr().err
+
     def test_unexpected_error_exits_four(self, tmp_path, monkeypatch, capsys):
         def handler(seed, threads):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(COMMANDS, "exponents", lambda reader: handler)
-        cfg = {"command": "exponents", "parameters": EXPONENTS}
+        cfg = {"command": "exponents", "parameters": {}}  # the stub reads no key
         assert run(cfg, out_dir=str(tmp_path)) == 4
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
@@ -517,6 +535,12 @@ class TestMain:
     def test_check_flag_bad_config(self, tmp_path):
         path = write_config(tmp_path, {"command": "opnorm", "parameters": {}})
         assert main(["--config", path, "--check"]) == 2
+
+    def test_check_flag_names_each_unknown_key(self, tmp_path, capsys):
+        params = {"space": S3, "n_maxx": 10, "sum_tolerance": 1e-8, "x": 1}
+        path = write_config(tmp_path, {"command": "fourier", "parameters": params})
+        assert main(["--config", path, "--check"]) == 2
+        assert capsys.readouterr().err == "parameters.n_maxx: unknown key\nparameters.x: unknown key\n"
 
     def test_missing_config_file(self):
         assert main(["--config", "/nonexistent/config.json"]) == 2

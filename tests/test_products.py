@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -271,68 +272,46 @@ class TestRestrictionNorm:
         # the norms of several p from one evaluation of f equal one call per p, to the bit
         if lattice:
             monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
-        taken = []
-        grid = products._restriction_lattice
-        monkeypatch.setattr(products, "_restriction_lattice", lambda *args: taken.append(args) or grid(*args))
+        grids = []
+        build = products._restriction_grid
+        monkeypatch.setattr(products, "_restriction_grid", lambda *args: grids.append(build(*args)) or grids[-1])
         shell = enumerate_shell(MIXED_RANK4, 38, ordering_constraint=False)
         sub = FlatSubmanifold.of(matrix, offset, box)
         ps = [2.0, 3.5, 6.0, math.inf]
         together = restriction_lp_norm(MIXED_RANK4, shell, sub, ps)
-        assert len(taken) == lattice
+        assert len(grids) == (sub.k > 0)
+        # only the lattice rule looks one table entry up at several grid points
+        assert any(len(angles) < np.size(ix) for grid in grids for angles, ix in zip(*grid[:2])) == lattice
         assert together == [restriction_lp_norm(MIXED_RANK4, shell, sub, p) for p in ps]
         assert len(set(together)) == (1 if sub.k == 0 else len(ps))
 
-    def test_lattice_path_matches_general_path(self):
-        # same integral through the direct tensor grid and the integer-lattice
-        # lookup fast path
+    def test_lattice_path_matches_general_path(self, monkeypatch):
+        # same integral through a fine direct tensor grid (at least 200 nodes
+        # per axis) and the integer-lattice lookup rule at 8 points per wavelength
         shell = enumerate_shell(S3_FIFTH, 495)
         sub = FlatSubmanifold.of(
             [[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]],
             [0.0] * 5,
             box=[(-0.25, 0.25)] * 2,
         )
-        from crossflat import products
-
-        direct = products._lp_norm(
-            products._restriction_general(
-                S3_FIFTH,
-                shell,
-                sub,
-                [
-                    -0.25 + (np.arange(200) + 0.5) * (0.5 / 200),
-                    -0.25 + (np.arange(200) + 0.5) * (0.5 / 200),
-                ],
-                products._member_amplitudes(S3_FIFTH, shell),
-            ),
-            2.0,
-            (0.5 / 200) ** 2,
-            sub.density,
-        )
-        f, cell = products._restriction_lattice(
-            S3_FIFTH, shell, sub, 8.0, products._member_amplitudes(S3_FIFTH, shell)
-        )
-        lattice = products._lp_norm(f, 2.0, cell, sub.density)
+        freqs = np.abs(sub.matrix_array).T @ np.max(np.array(shell.members), axis=0)
+        ppw = 200 * 2 * math.pi / (0.5 * float(np.min(freqs)))
+        direct = restriction_lp_norm(S3_FIFTH, shell, sub, 2.0, ppw)
+        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+        lattice = restriction_lp_norm(S3_FIFTH, shell, sub, 2.0, 8.0)
         assert lattice == pytest.approx(direct, rel=2e-3)
 
-    def test_lattice_full_torus_matches_general(self):
+    def test_lattice_full_torus_matches_general(self, monkeypatch):
         # both quadratures are exact for p = 2 on the full torus, so the two
-        # paths must agree to roundoff
-        from crossflat import products
-
+        # rules must agree to roundoff
         shell = enumerate_shell(S3_FIFTH, 495)
         sub = FlatSubmanifold.of(
             [[1, 0], [1, 1], [0, 1], [0, 0], [1, 1]], [0.1, 0.0, 0.0, 0.0, 0.2]
         )
-        amps = products._member_amplitudes(S3_FIFTH, shell)
-        f, lattice_cell = products._restriction_lattice(S3_FIFTH, shell, sub, 8.0, amps)
-        lattice = products._lp_norm(f, 2.0, lattice_cell, sub.density)
-        a = sub.matrix_array
-        freqs = products._column_frequencies(shell, a)
-        sizes = [int(math.ceil(8.0 * f)) for f in freqs]
-        axes = [(np.arange(m) + 0.5) * (2 * math.pi / m) for m in sizes]
-        cell = float(np.prod([2 * math.pi / m for m in sizes]))
-        f = products._restriction_general(S3_FIFTH, shell, sub, axes, amps)
-        direct = products._lp_norm(f, 2.0, cell, sub.density)
+        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 10**9)
+        direct = restriction_lp_norm(S3_FIFTH, shell, sub, 2.0)
+        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+        lattice = restriction_lp_norm(S3_FIFTH, shell, sub, 2.0)
         assert lattice == pytest.approx(direct, rel=1e-10)
 
     def test_under_resolution_rejected(self):
@@ -340,6 +319,21 @@ class TestRestrictionNorm:
         sub = FlatSubmanifold.of([[1.0]] * 5, [0.0] * 5)
         with pytest.raises(ResolutionError):
             restriction_lp_norm(S3_FIFTH, shell, sub, 2.0, points_per_wavelength=1.0)
+
+    def test_oversized_non_integer_grid_rejected_before_allocation(self):
+        # the direct grid would hold 1200 x 1800 points, over ten times the
+        # lattice threshold, and the non-integer matrix rules the lattice out:
+        # the rejection comes before any of the grid is built
+        shell = enumerate_shell(S3_FIFTH, 40)
+        sub = FlatSubmanifold.of([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResolutionError, match="too large and the matrix is not integer"):
+                restriction_lp_norm(S3_FIFTH, shell, sub, 2.0, points_per_wavelength=600.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rejects_small_p(self):
         shell = enumerate_shell(S3_FIFTH, 40)
@@ -399,16 +393,18 @@ class TestExtremizerOracle:
             [0.1, -0.2, 0.3, 0.05],
             box=[(-0.3, 0.4), (0.1, 0.9)],
         )
-        axes = [-0.3 + (np.arange(13) + 0.5) * (0.7 / 13), 0.1 + (np.arange(11) + 0.5) * (0.8 / 11)]
-        cell = (0.7 / 13) * (0.8 / 11)
-        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
-        f = products._restriction_general(MIXED_RANK4, self.SHELL, sub, axes, amps)
-        mine = products._lp_norm(f, p, cell, sub.density)
+        ppw = 8.0
+        freqs = np.abs(sub.matrix_array).T @ np.max(np.array(self.SHELL.members), axis=0)
+        sizes = [max(8, math.ceil(ppw * f * (hi - lo) / (2 * math.pi))) for f, (lo, hi) in zip(freqs, sub.box)]
+        axes = [lo + (np.arange(m) + 0.5) * ((hi - lo) / m) for m, (lo, hi) in zip(sizes, sub.box)]
+        cell = float(np.prod([(hi - lo) / m for m, (lo, hi) in zip(sizes, sub.box)]))
+        mine = restriction_lp_norm(MIXED_RANK4, self.SHELL, sub, p, ppw)
         assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, cell), rel=1e-12)
 
     @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
     @pytest.mark.parametrize("box", [None, [(-0.25, 0.25), (0.0, 0.6)]])
-    def test_lattice_path(self, p, box):
+    def test_lattice_path(self, monkeypatch, p, box):
+        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
         sub = FlatSubmanifold.of([[1, 0], [2, -1], [0, 1], [0, 0]], [0.1, 0.0, -0.3, 0.2], box=box)
         ppw = 8.0
         n_max = np.max(np.array(self.SHELL.members), axis=0)
@@ -420,9 +416,7 @@ class TestExtremizerOracle:
         else:
             h = min(2 * math.pi / (ppw * max(f, 1.0)) for f in freqs)
             axes = [lo + (np.arange(max(8, math.ceil((hi - lo) / h))) + 0.5) * h for lo, hi in box]
-        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
-        f, cell = products._restriction_lattice(MIXED_RANK4, self.SHELL, sub, ppw, amps)
-        mine = products._lp_norm(f, p, cell, sub.density)
+        mine = restriction_lp_norm(MIXED_RANK4, self.SHELL, sub, p, ppw)
         assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, h * h), rel=1e-12)
 
     def test_pointwise_lower_check(self):

@@ -268,10 +268,13 @@ def _parse_kernel_norms(r: _Parameters):
         rows = []
         fits = {}
         passed = True
+        # One coefficient sweep and synthesis per degree serves every q.
+        grids = [torus.PeriodicGrid.for_degree(n) for n in n_values]
+        kernels = [torus.kernel_samples(jp, n, grid) for n, grid in zip(n_values, grids)]
         for q in q_values:
             points = []
-            for n in n_values:
-                norm = torus.kernel_lp_norm(jp, n, q)
+            for n, grid, k in zip(n_values, grids, kernels):
+                norm = torus.lp_norm_periodic(grid, k, q)
                 env = torus.envelope_A_tilde(jp.alpha, q, n)
                 rows.append((jp.alpha, jp.beta, n, q, norm, env, norm / env))
                 points.append((n, norm))

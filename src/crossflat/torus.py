@@ -4,8 +4,9 @@ The kernel of interest is k(theta) = P_n^{(alpha,beta)}(cos(theta)) acting by
 (T f)(theta) = int k(theta - theta') f(theta') dtheta' on the 2*pi circle with
 plain Lebesgue measure.  Upper bounds come from Young's inequality (the
 L^{p/2} norm of the kernel) or, at p = 2, from the exact Fourier multiplier;
-lower bounds come from a candidate family refined by a fixed-budget power
-iteration and are best-effort diagnostics.  A kernel is held as its Fourier
+lower bounds come from a candidate family refined by a power iteration that
+stops after _PLATEAU_SWEEPS sweeps without gain, or when its budget runs out,
+and are best-effort diagnostics.  A kernel is held as its Fourier
 coefficients; samples on a grid are synthesized from them.
 """
 
@@ -196,6 +197,11 @@ def _grid_lp(f: np.ndarray, p: float, weight: float) -> float:
     return float(np.sum(np.abs(f) ** p * weight) ** (1.0 / p))
 
 
+# Sweeps in a row without a relative gain above 1e-13 after which a power
+# iteration stops; at 1 a bundled bracket's witness changes.
+_PLATEAU_SWEEPS = 2
+
+
 def _boyd_refine(apply_op, f0: np.ndarray, p: float, weight: float, budget: int):
     # Alternating maximization of <Tf, u> over unit balls; each full sweep is
     # nondecreasing in the Rayleigh ratio, so we track the best value and stop
@@ -211,7 +217,7 @@ def _boyd_refine(apply_op, f0: np.ndarray, p: float, weight: float, budget: int)
             return best, True
         if lam <= best * (1.0 + 1e-13):
             stall += 1
-            if stall >= 10:
+            if stall >= _PLATEAU_SWEEPS:
                 break
         else:
             stall = 0
@@ -250,7 +256,8 @@ def opnorm_bracket(
     kernel's L^{p/2} norm via Young's inequality, and the lower bound is the
     best Rayleigh ratio over a candidate family (single exponentials, bumps
     of dyadic widths down to 1/(4n), the kernel itself, one seeded random
-    start), each refined by at most iteration_budget power-iteration steps.
+    start), each refined by power iteration until _PLATEAU_SWEEPS sweeps in a
+    row gain no more than 1e-13 relative, or iteration_budget sweeps have run.
     A grid given here must resolve every kernel frequency.
     """
     if not 2 <= p < math.inf:

@@ -513,6 +513,24 @@ class TestRun:
         assert fit["expected"] == 0.5
         assert abs(fit["slope"] - 0.5) <= 0.05
 
+    def test_kernel_norms_sweeps_each_degree_once(self, tmp_path, monkeypatch):
+        calls = []
+        kernel_samples = crossflat.torus.kernel_samples
+        monkeypatch.setattr(
+            crossflat.torus,
+            "kernel_samples",
+            lambda params, n, grid: calls.append(n) or kernel_samples(params, n, grid),
+        )
+        cfg = {"command": "kernel-norms", "parameters": {**KERNEL_NORMS, "q_values": [2, 4]}}
+        assert run(cfg, out_dir=str(tmp_path)) in (0, 1)
+        assert calls == [16, 32, 64]
+        monkeypatch.undo()
+        header, rows = read_csv(tmp_path / "kernel_norms.csv")
+        jp = JacobiParams.of(1.0, 1.0)
+        expected = [(n, q, crossflat.torus.kernel_lp_norm(jp, n, q)) for q in (2, 4) for n in (16, 32, 64)]
+        got = [(int(r[header.index("n")]), float(r[header.index("q")]), float(r[header.index("norm")])) for r in rows]
+        assert got == expected
+
     def test_fourier_positivity(self, tmp_path):
         cfg = {
             "command": "fourier",

@@ -21,6 +21,8 @@ from crossflat.torus import (
     opnorm_bracket,
     opnorm_l2_exact,
     tensor_opnorm_upper,
+    _PLATEAU_SWEEPS,
+    _boyd_refine,
     _next_fast_len,
 )
 
@@ -216,6 +218,34 @@ class TestBracket:
     def test_young_dominates_lower(self, params, n, p):
         br = opnorm_bracket(params, n, p, PeriodicGrid(512), seed=11, iteration_budget=30)
         assert br.lower <= br.upper * (1 + 1e-12)
+
+    def test_power_iteration_stops_at_the_plateau(self):
+        # cos(m theta) at the top multiplier is a fixed point: the first sweep
+        # sets the best value, then _PLATEAU_SWEEPS sweeps gain nothing, the
+        # last of which stops after its first operator application.
+        n, p = 32, 6.0
+        grid = PeriodicGrid.for_degree(n)
+        ms, multiplier = fourier_multiplier(JacobiParams.of(1, 1), n)
+        khat = np.zeros(grid.size // 2 + 1)
+        khat[: n + 1] = multiplier[ms >= 0]
+        m = int(np.argmax(np.abs(khat)))
+        calls = []
+
+        def apply_op(f):
+            calls.append(1)
+            return np.fft.irfft(np.fft.rfft(f) * khat, grid.size)
+
+        start = np.cos(m * grid.thetas)
+        value, diverged = _boyd_refine(apply_op, start, p, grid.weight, 200)
+        assert len(calls) == 2 * _PLATEAU_SWEEPS + 1 == 5
+        assert not diverged
+        p_dual = p / (p - 1.0)
+        ratio = abs(khat[m]) * lp_norm_periodic(grid, start, p) / lp_norm_periodic(grid, start, p_dual)
+        assert value == pytest.approx(ratio, rel=1e-13)
+        # The budget caps the sweeps whatever the plateau rule says.
+        calls.clear()
+        assert _boyd_refine(apply_op, start, p, grid.weight, 1) == (value, False)
+        assert len(calls) == 2
 
     def test_bracket_validation(self):
         with pytest.raises(ValueError):

@@ -214,7 +214,7 @@ def _parse_jacobi(r: _Parameters):
     tol_closed = r.number("closed_form_tolerance", 1e-9)
 
     def handler(seed, threads):
-        from .special import chebyshev_half_case, jacobi_binomial, jacobi_recurrence_rows
+        from .special import _binomial_row, chebyshev_half_case, jacobi_recurrence_rows
 
         half = jp.twice_alpha == 1 and jp.twice_beta == 1
         theta = 2.0 * math.pi * np.arange(grid_size) / grid_size
@@ -230,8 +230,10 @@ def _parse_jacobi(r: _Parameters):
         header = ["n", "normalization_dev", "reflection_dev", "closed_form_dev"]
         rows = []
         worst = {"normalization": 0.0, "reflection": 0.0, "closed_form": 0.0}
+        # Entry n is jacobi_binomial(alpha, n), bit for bit.
+        binomials = _binomial_row(jp.alpha, n_max).tolist()
         for (n, row), (_, swapped) in sweeps:
-            norm_dev = abs(row[k] / jacobi_binomial(jp.alpha, n) - 1.0)
+            norm_dev = abs(row[k] / binomials[n] - 1.0)
             reference = (-1.0) ** n * swapped
             refl_dev = float(np.max(np.abs(row[:k] - reference) / np.maximum(1.0, np.abs(reference))))
             closed_dev = 0.0
@@ -268,9 +270,13 @@ def _parse_kernel_norms(r: _Parameters):
         rows = []
         fits = {}
         passed = True
-        # One coefficient sweep and synthesis per degree serves every q.
+        # One coefficient sweep serves the ladder, and one synthesis per
+        # degree serves every q.
+        rows_of = torus.kernel_coefficients(jp, n_values)
         grids = [torus.PeriodicGrid.for_degree(n) for n in n_values]
-        kernels = [torus.kernel_samples(jp, n, grid) for n, grid in zip(n_values, grids)]
+        kernels = [
+            torus.kernel_samples(jp, n, grid, coefficients=rows_of[n]) for n, grid in zip(n_values, grids)
+        ]
         for q in q_values:
             points = []
             for n, grid, k in zip(n_values, grids, kernels):
@@ -300,9 +306,12 @@ def _parse_opnorm(r: _Parameters):
 
     def handler(seed, threads):
         header = ["alpha", "beta", "n", "p", "lower", "upper", "envelope", "ratio"]
+        rows_of = torus.kernel_coefficients(jp, n_values)
 
         def cell(n: int):
-            bracket = torus.opnorm_bracket(jp, n, p, seed=seed or 0, iteration_budget=budget)
+            bracket = torus.opnorm_bracket(
+                jp, n, p, seed=seed or 0, iteration_budget=budget, coefficients=rows_of[n]
+            )
             env = torus.envelope_A(jp.alpha, p / 2.0, n)
             return (jp.alpha, jp.beta, n, p, bracket.lower, bracket.upper, env, bracket.upper / env)
 

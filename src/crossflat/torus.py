@@ -6,8 +6,12 @@ plain Lebesgue measure.  Upper bounds come from Young's inequality (the
 L^{p/2} norm of the kernel) or, at p = 2, from the exact Fourier multiplier;
 lower bounds come from a candidate family refined by a power iteration that
 stops after _PLATEAU_SWEEPS sweeps without gain, or when its budget runs out,
-and are best-effort diagnostics.  A kernel is held as its Fourier
-coefficients; samples on a grid are synthesized from them.
+and are best-effort diagnostics.  The candidates of a bracket refine in
+lockstep, as the rows of one (K, N) array transformed by batched FFTs, so a
+bracket holds a few K x N arrays of doubles (K candidates on an N-point
+grid) where one candidate at a time held vectors of length N.  A kernel is
+held as its Fourier coefficients; samples on a grid are synthesized from
+them, and kernel_coefficients takes a whole degree ladder from one sweep.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "AliasingError",
     "PeriodicGrid",
     "lp_norm_periodic",
+    "kernel_coefficients",
     "kernel_samples",
     "kernel_lp_norm",
     "envelope_exponent",
@@ -112,10 +117,23 @@ def lp_norm_periodic(grid: PeriodicGrid, samples, p) -> float:
     return _grid_lp(f, p, grid.weight)
 
 
-def _coefficients(params: JacobiParams, n: int) -> np.ndarray:
+def _coefficients(params: JacobiParams, n: int, given: np.ndarray | None = None) -> np.ndarray:
+    # The degree-n row: given by the caller, or the last row of its own sweep.
+    if given is not None:
+        if len(given) != n + 1:
+            raise ValueError(f"a degree-{n} kernel has {n + 1} coefficients, got {len(given)}")
+        return given
     for _, c in jacobi_fourier_rows(params.alpha, params.beta, n):
         pass
     return c
+
+
+def kernel_coefficients(params: JacobiParams, degrees) -> dict[int, np.ndarray]:
+    """Fourier coefficient rows of the kernels of several degrees, collected
+    from one recurrence sweep to the largest; each equals the row a sweep to
+    its own degree ends on."""
+    wanted = set(int(n) for n in degrees)
+    return {n: c for n, c in jacobi_fourier_rows(params.alpha, params.beta, max(wanted)) if n in wanted}
 
 
 def _synthesize(c: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -127,10 +145,11 @@ def _synthesize(c: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return irfft(folded[: grid.size // 2 + 1], grid.size, norm="forward")
 
 
-def kernel_samples(params: JacobiParams, n: int, grid: PeriodicGrid) -> np.ndarray:
+def kernel_samples(params: JacobiParams, n: int, grid: PeriodicGrid, *, coefficients=None) -> np.ndarray:
     """P_n^{(alpha,beta)}(cos(theta)) on the grid, synthesized from its
-    Fourier coefficients."""
-    return _synthesize(_coefficients(params, n), grid)
+    Fourier coefficients (the given row, such as one of kernel_coefficients,
+    or else one sweep to degree n)."""
+    return _synthesize(_coefficients(params, n, coefficients), grid)
 
 
 def kernel_lp_norm(params: JacobiParams, n: int, q, grid: PeriodicGrid | None = None) -> float:
@@ -197,41 +216,72 @@ def _grid_lp(f: np.ndarray, p: float, weight: float) -> float:
     return float(np.sum(np.abs(f) ** p * weight) ** (1.0 / p))
 
 
+def _row_lp(f: np.ndarray, p: float, weight: float, scratch: np.ndarray) -> np.ndarray:
+    # _grid_lp of each row of f, element for element in the same order and
+    # with the root taken per row on the scalar sum; scratch is overwritten.
+    t = np.abs(f, out=scratch)
+    t **= p
+    t *= weight
+    return np.array([s ** (1.0 / p) for s in np.sum(t, axis=1)])
+
+
+def _dual_map(g: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    # Each row of g divided by its largest magnitude, then mapped to
+    # sign(g) |g|^(p-1) in out; g is overwritten.
+    np.abs(g, out=out)
+    g /= np.maximum(np.max(out, axis=1), 1e-300)[:, None]
+    np.abs(g, out=out)
+    out **= p - 1.0
+    out *= np.sign(g, out=g)
+    return out
+
+
 # Sweeps in a row without a relative gain above 1e-13 after which a power
 # iteration stops; at 1 a bundled bracket's witness changes.
 _PLATEAU_SWEEPS = 2
 
 
-def _boyd_refine(apply_op, f0: np.ndarray, p: float, weight: float, budget: int):
-    # Alternating maximization of <Tf, u> over unit balls; each full sweep is
-    # nondecreasing in the Rayleigh ratio, so we track the best value and stop
-    # once it plateaus.
+def _boyd_refine(apply_op, f: np.ndarray, p: float, weight: float, budget: int):
+    # Alternating maximization of <Tf, u> over unit balls, run in lockstep on
+    # the rows of f, which hold the starts and are overwritten; apply_op maps
+    # a (rows, N) array row by row.  Each full sweep is nondecreasing in a
+    # row's Rayleigh ratio, so each row tracks its best value and leaves the
+    # batch once it plateaus or diverges; the rows that stay move to the
+    # front of f and of one scratch buffer.  Returns every row's best value
+    # and whether it diverged.
     p_dual = p / (p - 1.0)
-    f = f0 / _grid_lp(f0, p_dual, weight)
-    best = 0.0
-    stall = 0
+    best = np.zeros(len(f))
+    diverged = np.zeros(len(f), dtype=bool)
+    stall = np.zeros(len(f), dtype=int)
+    live = np.arange(len(f))
+    buffer = np.empty_like(f)
+    f /= _row_lp(f, p_dual, weight, buffer)[:, None]
     for _ in range(budget):
         g = apply_op(f)
-        lam = _grid_lp(g, p, weight)
-        if not math.isfinite(lam):
-            return best, True
-        if lam <= best * (1.0 + 1e-13):
-            stall += 1
-            if stall >= _PLATEAU_SWEEPS:
+        lam = _row_lp(g, p, weight, buffer[: len(live)])
+        finite = np.isfinite(lam)
+        gain = finite & (lam > best[live] * (1.0 + 1e-13))
+        best[live[gain]] = lam[gain]
+        stall[live] = np.where(gain, 0, stall[live] + 1)
+        diverged[live[~finite]] = True
+        stay = finite & (stall[live] < _PLATEAU_SWEEPS)
+        if not stay.all():
+            live, g = live[stay], g[stay]
+            if not len(live):
                 break
-        else:
-            stall = 0
-            best = lam
-        g = g / max(np.max(np.abs(g)), 1e-300)
-        u = np.sign(g) * np.abs(g) ** (p - 1.0)
-        h = apply_op(u)
-        h = h / max(np.max(np.abs(h)), 1e-300)
-        f_next = np.sign(h) * np.abs(h) ** (p - 1.0)
-        norm = _grid_lp(f_next, p_dual, weight)
-        if not (math.isfinite(norm) and norm > 0):
-            return best, True
-        f = f_next / norm
-    return best, False
+        h = apply_op(_dual_map(g, p, buffer[: len(live)]))
+        f = _dual_map(h, p, f[: len(live)])
+        norm = _row_lp(f, p_dual, weight, buffer[: len(live)])
+        stay = np.isfinite(norm) & (norm > 0)
+        if not stay.all():
+            diverged[live[~stay]] = True
+            live, norm = live[stay], norm[stay]
+            f[: len(live)] = f[stay]
+            f = f[: len(live)]
+            if not len(live):
+                break
+        f /= norm[:, None]
+    return best, diverged
 
 
 def _bump(thetas: np.ndarray, width: float) -> np.ndarray:
@@ -242,6 +292,29 @@ def _bump(thetas: np.ndarray, width: float) -> np.ndarray:
     return out
 
 
+def _bracket_grid(n: int, p: float, grid: PeriodicGrid | None) -> PeriodicGrid:
+    # The grid a bracket works on, after the checks opnorm_bracket documents.
+    if not 2 <= p < math.inf:
+        raise ValueError(f"bracket requires a finite p >= 2, got p = {p}")
+    if grid is None:
+        return PeriodicGrid.for_degree(n)
+    if grid.size <= 2 * n + 1:
+        raise AliasingError(
+            f"grid of size {grid.size} aliases kernel frequencies; need more than {2 * n + 1}"
+        )
+    return grid
+
+
+def _upper_bound(c: np.ndarray, p: float, grid: PeriodicGrid):
+    """A bracket's upper bound and its method: the exact multiplier at
+    p = 2, else Young's bound from the kernel samples, which come along
+    (None at p = 2)."""
+    if p == 2:
+        return 2.0 * math.pi * float(np.max(np.abs(c))), UPPER_EXACT_MULTIPLIER, None
+    k = _synthesize(c, grid)
+    return lp_norm_periodic(grid, k, p / 2.0), UPPER_YOUNG, k
+
+
 def opnorm_bracket(
     params: JacobiParams,
     n: int,
@@ -249,6 +322,8 @@ def opnorm_bracket(
     grid: PeriodicGrid | None = None,
     seed: int = 0,
     iteration_budget: int = 200,
+    *,
+    coefficients=None,
 ) -> NormBracket:
     """Bracket the L^{p'} -> L^p norm of convolution with the degree-n kernel.
 
@@ -256,68 +331,64 @@ def opnorm_bracket(
     kernel's L^{p/2} norm via Young's inequality, and the lower bound is the
     best Rayleigh ratio over a candidate family (single exponentials, bumps
     of dyadic widths down to 1/(4n), the kernel itself, one seeded random
-    start), each refined by power iteration until _PLATEAU_SWEEPS sweeps in a
-    row gain no more than 1e-13 relative, or iteration_budget sweeps have run.
-    A grid given here must resolve every kernel frequency.
+    start), all refined together by power iteration, each until
+    _PLATEAU_SWEEPS sweeps in a row gain no more than 1e-13 relative, or
+    iteration_budget sweeps have run.  A grid given here must resolve every
+    kernel frequency.  coefficients, if given, is the kernel's coefficient
+    row (as from kernel_coefficients) in place of a sweep to degree n.
     """
-    if not 2 <= p < math.inf:
-        raise ValueError(f"bracket requires a finite p >= 2, got p = {p}")
-    if grid is None:
-        grid = PeriodicGrid.for_degree(n)
-    elif grid.size <= 2 * n + 1:
-        raise AliasingError(
-            f"grid of size {grid.size} aliases kernel frequencies; need more than {2 * n + 1}"
-        )
-    c = _coefficients(params, n)
+    grid = _bracket_grid(n, p, grid)
+    c = _coefficients(params, n, coefficients)
+    upper, method, k = _upper_bound(c, p, grid)
     top_m = int(np.argmax(np.abs(c)))
-    top = 2.0 * math.pi * abs(float(c[top_m]))
     if p == 2:
-        return NormBracket(top, top, f"exponential m={top_m}", UPPER_EXACT_MULTIPLIER)
+        return NormBracket(upper, upper, f"exponential m={top_m}", method)
 
-    k = _synthesize(c, grid)
-    upper = lp_norm_periodic(grid, k, p / 2.0)
-    weight = grid.weight
-    # The kernel is real and even, so its multiplier is real.
-    khat = np.zeros(grid.size // 2 + 1)
-    khat[: n + 1] = 2.0 * math.pi * c
-
-    def apply_op(f: np.ndarray) -> np.ndarray:
-        return irfft(rfft(f) * khat, grid.size)
-
+    top = 2.0 * math.pi * abs(float(c[top_m]))
     p_dual = p / (p - 1.0)
     # Single exponentials admit a closed-form ratio |khat(m)| (2 pi)^(1/p - 1/p').
-    exp_ratio = top * (2.0 * math.pi) ** (1.0 / p - 1.0 / p_dual)
-    lower = exp_ratio
+    lower = top * (2.0 * math.pi) ** (1.0 / p - 1.0 / p_dual)
     witness = f"exponential m={top_m}"
 
     thetas = grid.thetas
-    candidates: list[tuple[str, np.ndarray]] = [
-        (f"cos({top_m} theta)", np.cos(top_m * thetas)),
-        ("kernel", k.copy()),
-    ]
+    widths = []
     width = 1.0
     floor = 1.0 / (4.0 * max(n, 1))
-    j = 0
     while width >= floor:
-        candidates.append((f"bump width 2^-{j}", _bump(thetas, width)))
-        j += 1
+        widths.append(width)
         width *= 0.5
-    rng = np.random.default_rng(seed)
-    candidates.append(("random start", rng.standard_normal(grid.size)))
+    names = [f"cos({top_m} theta)", "kernel"]
+    names += [f"bump width 2^-{j}" for j in range(len(widths))] + ["random start"]
+    starts = np.empty((len(names), grid.size))
+    starts[0] = np.cos(top_m * thetas)
+    starts[1] = k
+    for j, width in enumerate(widths):
+        starts[2 + j] = _bump(thetas, width)
+    starts[-1] = np.random.default_rng(seed).standard_normal(grid.size)
+    nonzero = np.max(np.abs(starts), axis=1) != 0.0
+    if not nonzero.all():
+        names = [name for name, keep in zip(names, nonzero) if keep]
+        starts = starts[nonzero]
 
-    refined = True
-    for name, start in candidates:
-        if np.max(np.abs(start)) == 0.0:
-            continue
-        value, diverged = _boyd_refine(apply_op, start, p, weight, iteration_budget)
-        if diverged:
-            refined = False
-            continue
-        if value > lower:
+    # The kernel is real and even, so its multiplier is real.
+    khat = np.zeros(grid.size // 2 + 1)
+    khat[: n + 1] = 2.0 * math.pi * c
+    spectra = np.empty((len(starts), len(khat)), dtype=complex)
+    samples = np.empty_like(starts)
+
+    def apply_op(f: np.ndarray) -> np.ndarray:
+        # The result lives in a buffer that the next call overwrites.
+        x = rfft(f, axis=1, out=spectra[: len(f)])
+        x *= khat
+        return irfft(x, grid.size, axis=1, out=samples[: len(f)])
+
+    values, diverged = _boyd_refine(apply_op, starts, p, grid.weight, iteration_budget)
+    for name, value, bad in zip(names, values.tolist(), diverged.tolist()):
+        if not bad and value > lower:
             lower = value
             witness = f"{name} (power iteration)"
     lower = min(lower, upper)  # guard roundoff at rank-one equality cases
-    return NormBracket(lower, upper, witness, UPPER_YOUNG, refined)
+    return NormBracket(lower, upper, witness, method, not diverged.any())
 
 
 def tensor_opnorm_upper(factors, p: float, grids=None) -> float:
@@ -328,7 +399,7 @@ def tensor_opnorm_upper(factors, p: float, grids=None) -> float:
         grids = [None] * len(factors)
     out = 1.0
     for (params, n), grid in zip(factors, grids):
-        out *= opnorm_bracket(params, n, p, grid=grid).upper
+        out *= _upper_bound(_coefficients(params, n), p, _bracket_grid(n, p, grid))[0]
     return out
 
 

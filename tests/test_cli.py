@@ -514,22 +514,48 @@ class TestRun:
         assert abs(fit["slope"] - 0.5) <= 0.05
 
     def test_kernel_norms_sweeps_each_degree_once(self, tmp_path, monkeypatch):
-        calls = []
+        calls, sweeps = [], []
         kernel_samples = crossflat.torus.kernel_samples
+        fourier_rows = crossflat.torus.jacobi_fourier_rows
         monkeypatch.setattr(
             crossflat.torus,
             "kernel_samples",
-            lambda params, n, grid: calls.append(n) or kernel_samples(params, n, grid),
+            lambda params, n, grid, **kw: calls.append(n) or kernel_samples(params, n, grid, **kw),
+        )
+        monkeypatch.setattr(
+            crossflat.torus,
+            "jacobi_fourier_rows",
+            lambda alpha, beta, n_max: sweeps.append(n_max) or fourier_rows(alpha, beta, n_max),
         )
         cfg = {"command": "kernel-norms", "parameters": {**KERNEL_NORMS, "q_values": [2, 4]}}
         assert run(cfg, out_dir=str(tmp_path)) in (0, 1)
         assert calls == [16, 32, 64]
+        assert sweeps == [64]
         monkeypatch.undo()
         header, rows = read_csv(tmp_path / "kernel_norms.csv")
         jp = JacobiParams.of(1.0, 1.0)
         expected = [(n, q, crossflat.torus.kernel_lp_norm(jp, n, q)) for q in (2, 4) for n in (16, 32, 64)]
         got = [(int(r[header.index("n")]), float(r[header.index("q")]), float(r[header.index("norm")])) for r in rows]
         assert got == expected
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_opnorm_takes_one_coefficient_sweep(self, tmp_path, monkeypatch, p):
+        sweeps = []
+        fourier_rows = crossflat.torus.jacobi_fourier_rows
+        monkeypatch.setattr(
+            crossflat.torus,
+            "jacobi_fourier_rows",
+            lambda alpha, beta, n_max: sweeps.append(n_max) or fourier_rows(alpha, beta, n_max),
+        )
+        cfg = {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "p": p, "iteration_budget": 5}}
+        assert run(cfg, out_dir=str(tmp_path), threads=2) in (0, 1)
+        assert sweeps == [max(OPNORM["n_values"])]
+        monkeypatch.undo()
+        header, rows = read_csv(tmp_path / "opnorm.csv")
+        jp = JacobiParams.of(OPNORM["alpha"], OPNORM["beta"])
+        brackets = [crossflat.torus.opnorm_bracket(jp, n, p, seed=1, iteration_budget=5) for n in OPNORM["n_values"]]
+        got = [(float(r[header.index("lower")]), float(r[header.index("upper")])) for r in rows]
+        assert got == [(b.lower, b.upper) for b in brackets]
 
     def test_fourier_positivity(self, tmp_path):
         cfg = {

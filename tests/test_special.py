@@ -21,6 +21,7 @@ from crossflat.special import (
     jacobi_fourier_rows,
     jacobi_recurrence_rows,
     jacobi_theta_derivative,
+    _binomial_row,
 )
 
 HALF = JacobiParams.of(0.5, 0.5)
@@ -421,6 +422,12 @@ class TestBinomial:
         for n in [0, 1, 2, 7, 40, 408, 1000, 2048, 4096, 9999, 10_000]:
             exact = mpmath.binomial(n + mpmath.mpf(alpha), n)
             assert abs(jacobi_binomial(alpha, n) / exact - 1) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 7.0])
+    def test_row_equals_single_degrees_bit_for_bit(self, alpha):
+        # The jacobi command divides by the row's entries.
+        row = _binomial_row(alpha, 4096).tolist()
+        assert row == [jacobi_binomial(alpha, n) for n in range(4097)]
 
     def test_asymptotic_companion(self):
         n = 10_000

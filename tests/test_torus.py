@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossflat.special import JacobiParams, jacobi_binomial, jacobi_eval
+from crossflat import torus
+from crossflat.special import JacobiParams, jacobi_binomial, jacobi_eval, jacobi_fourier_rows
 from crossflat.torus import (
     AliasingError,
     ExponentFit,
@@ -15,6 +16,7 @@ from crossflat.torus import (
     envelope_A_tilde,
     fit_exponent,
     fourier_multiplier,
+    kernel_coefficients,
     kernel_lp_norm,
     kernel_samples,
     lp_norm_periodic,
@@ -23,6 +25,7 @@ from crossflat.torus import (
     tensor_opnorm_upper,
     _PLATEAU_SWEEPS,
     _boyd_refine,
+    _grid_lp,
     _next_fast_len,
 )
 
@@ -236,20 +239,183 @@ class TestBracket:
             return np.fft.irfft(np.fft.rfft(f) * khat, grid.size)
 
         start = np.cos(m * grid.thetas)
-        value, diverged = _boyd_refine(apply_op, start, p, grid.weight, 200)
+        values, diverged = _boyd_refine(apply_op, start[None], p, grid.weight, 200)
+        value = values[0]
         assert len(calls) == 2 * _PLATEAU_SWEEPS + 1 == 5
-        assert not diverged
+        assert not diverged[0]
         p_dual = p / (p - 1.0)
         ratio = abs(khat[m]) * lp_norm_periodic(grid, start, p) / lp_norm_periodic(grid, start, p_dual)
         assert value == pytest.approx(ratio, rel=1e-13)
         # The budget caps the sweeps whatever the plateau rule says.
         calls.clear()
-        assert _boyd_refine(apply_op, start, p, grid.weight, 1) == (value, False)
+        values, diverged = _boyd_refine(apply_op, start[None], p, grid.weight, 1)
+        assert (values[0], diverged[0]) == (value, False)
         assert len(calls) == 2
 
     def test_bracket_validation(self):
         with pytest.raises(ValueError):
             NormBracket(2.0, 1.0, "x", "young")
+
+
+def serial_boyd_refine(apply_op, f0, p, weight, budget):
+    # The one-candidate power iteration that the lockstep one replaced, kept
+    # as written as the lockstep rows' oracle.
+    p_dual = p / (p - 1.0)
+    f = f0 / _grid_lp(f0, p_dual, weight)
+    best = 0.0
+    stall = 0
+    for _ in range(budget):
+        g = apply_op(f)
+        lam = _grid_lp(g, p, weight)
+        if not math.isfinite(lam):
+            return best, True
+        if lam <= best * (1.0 + 1e-13):
+            stall += 1
+            if stall >= _PLATEAU_SWEEPS:
+                break
+        else:
+            stall = 0
+            best = lam
+        g = g / max(np.max(np.abs(g)), 1e-300)
+        u = np.sign(g) * np.abs(g) ** (p - 1.0)
+        h = apply_op(u)
+        h = h / max(np.max(np.abs(h)), 1e-300)
+        f_next = np.sign(h) * np.abs(h) ** (p - 1.0)
+        norm = _grid_lp(f_next, p_dual, weight)
+        if not (math.isfinite(norm) and norm > 0):
+            return best, True
+        f = f_next / norm
+    return best, False
+
+
+def convolution(params, n, grid):
+    """Convolution with the degree-n kernel on the grid, along the last axis."""
+    ms, multiplier = fourier_multiplier(params, n)
+    khat = np.zeros(grid.size // 2 + 1)
+    khat[: n + 1] = multiplier[ms >= 0]
+    return lambda f: np.fft.irfft(np.fft.rfft(f, axis=-1) * khat, grid.size, axis=-1)
+
+
+def candidate_starts(params, n, grid, seed):
+    """Starts like a bracket's: an exponential, the kernel, bumps and noise."""
+    t = grid.thetas
+    d = np.minimum(t, 2 * math.pi - t)
+    rng = np.random.default_rng(seed)
+    rows = [np.cos(max(n // 2, 1) * t), kernel_samples(params, n, grid)]
+    rows += [np.where(d < w, np.cos(0.5 * math.pi * d / w) ** 2, 0.0) for w in (1.0, 0.25, 1 / 64)]
+    rows += [rng.standard_normal(grid.size), rng.uniform(-1.0, 1.0, grid.size)]
+    return np.array(rows)
+
+
+def bits(values, diverged):
+    return [(float(v).hex(), bool(d)) for v, d in zip(values, diverged)]
+
+
+class TestLockstepRefinement:
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("p", [3.0, 6.0, 8.0])
+    @pytest.mark.parametrize("n", [0, 5, 64])
+    @pytest.mark.parametrize("alpha, beta", [(0, 0), (0.5, 0.5), (1, 0)])
+    def test_rows_match_the_serial_iteration_bit_for_bit(self, alpha, beta, n, p, seed):
+        params = JacobiParams.of(alpha, beta)
+        grid = PeriodicGrid.for_degree(n)
+        op = convolution(params, n, grid)
+        starts = candidate_starts(params, n, grid, seed)
+        expected = [serial_boyd_refine(op, row, p, grid.weight, 200) for row in starts]
+        got = _boyd_refine(op, starts.copy(), p, grid.weight, 200)
+        assert bits(*got) == bits(*zip(*expected))
+
+    def test_a_diverging_row_leaves_the_others_unchanged(self):
+        params, n, p = JacobiParams.of(1, 0), 64, 6.0
+        grid = PeriodicGrid.for_degree(n)
+        op = convolution(params, n, grid)
+        starts = candidate_starts(params, n, grid, 3)
+        calls = []
+
+        def poisoned(f):
+            # Row 2 comes back infinite from its first application.
+            g = op(f)
+            if not calls:
+                g[2] = np.inf
+            calls.append(len(f))
+            return g
+
+        values, diverged = _boyd_refine(poisoned, starts.copy(), p, grid.weight, 200)
+        clean = _boyd_refine(op, np.delete(starts, 2, axis=0), p, grid.weight, 200)
+        assert diverged.tolist() == [False, False, True] + [False] * (len(starts) - 3)
+        assert values[2] == 0.0
+        assert bits(np.delete(values, 2), np.delete(diverged, 2)) == bits(*clean)
+        assert calls[1] == len(starts) - 1
+
+    def test_a_diverged_candidate_clears_refined(self, monkeypatch):
+        clean = opnorm_bracket(HALF, 16, 6.0)
+        refine = torus._boyd_refine
+
+        def poisoned_refine(apply_op, starts, *args):
+            calls = []
+
+            def op(f):
+                # The kernel candidate (row 1) diverges on its first sweep.
+                g = apply_op(f)
+                if not calls:
+                    g[1] = np.inf
+                calls.append(1)
+                return g
+
+            return refine(op, starts, *args)
+
+        monkeypatch.setattr(torus, "_boyd_refine", poisoned_refine)
+        bracket = opnorm_bracket(HALF, 16, 6.0)
+        assert clean.refined and not bracket.refined
+        assert bracket.upper == clean.upper
+        assert bracket.lower_witness != "kernel (power iteration)"
+        assert 0.0 < bracket.lower <= clean.lower
+
+    def test_an_all_zero_start_is_skipped(self, monkeypatch):
+        # At n = 16 the bumps have widths 2^0..2^-6; the 2^-1 one is zeroed.
+        clean = opnorm_bracket(HALF, 16, 6.0)
+        bump, refine = torus._bump, torus._boyd_refine
+        seen = []
+
+        def recording_refine(apply_op, starts, *args):
+            seen.append(starts.copy())
+            return refine(apply_op, starts, *args)
+
+        monkeypatch.setattr(torus, "_bump", lambda thetas, width: bump(thetas, width) * (width != 0.5))
+        monkeypatch.setattr(torus, "_boyd_refine", recording_refine)
+        bracket = opnorm_bracket(HALF, 16, 6.0)
+        (starts,) = seen
+        assert len(starts) == 2 + 7 + 1 - 1
+        assert np.all(np.max(np.abs(starts), axis=1) > 0)
+        assert not any(np.array_equal(row, bump(PeriodicGrid.for_degree(16).thetas, 0.5)) for row in starts)
+        assert bracket.refined and bracket.upper == clean.upper
+        assert bracket.lower_witness != "bump width 2^-1 (power iteration)"
+        assert 0.0 < bracket.lower <= clean.lower
+
+
+class TestKernelCoefficients:
+    @pytest.mark.parametrize("alpha, beta", [(0, 0), (0.5, 0.5), (1, 0), (3, 1)])
+    def test_ladder_rows_equal_single_degree_rows_bit_for_bit(self, alpha, beta):
+        params = JacobiParams.of(alpha, beta)
+        degrees = [0, 1, 2, 5, 64, 100, 257]
+        rows = kernel_coefficients(params, degrees)
+        assert sorted(rows) == degrees
+        for n in degrees:
+            *_, (_, single) = jacobi_fourier_rows(params.alpha, params.beta, n)
+            assert rows[n].tobytes() == single.tobytes()
+
+    def test_given_rows_give_the_same_bits(self):
+        rows = kernel_coefficients(HALF, [16, 40])
+        grid = PeriodicGrid.for_degree(40)
+        given = kernel_samples(HALF, 40, grid, coefficients=rows[40])
+        assert given.tobytes() == kernel_samples(HALF, 40, grid).tobytes()
+        for p in (2.0, 6.0):
+            assert opnorm_bracket(HALF, 16, p, coefficients=rows[16]) == opnorm_bracket(HALF, 16, p)
+
+    def test_a_row_of_the_wrong_degree_is_rejected(self):
+        rows = kernel_coefficients(HALF, [16, 40])
+        with pytest.raises(ValueError, match="41 coefficients"):
+            kernel_samples(HALF, 40, PeriodicGrid.for_degree(40), coefficients=rows[16])
 
 
 class TestTensor:
@@ -261,6 +427,17 @@ class TestTensor:
         grid = PeriodicGrid(256)
         expected = opnorm_bracket(*factor, 4.0, grid=grid).upper
         assert tensor_opnorm_upper([factor], 4.0, [grid]) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 7.5])
+    def test_factor_upper_is_the_bracket_upper_without_power_iteration(self, monkeypatch, p):
+        factors = [(JacobiParams(1, 1), 9), (HALF, 20)]
+        expected = opnorm_bracket(*factors[0], p).upper * opnorm_bracket(*factors[1], p).upper
+
+        def refuse(*args):
+            raise AssertionError("the upper bound needs no power iteration")
+
+        monkeypatch.setattr(torus, "_boyd_refine", refuse)
+        assert tensor_opnorm_upper(factors, p) == expected
 
     def test_accepts_an_iterator(self):
         factors = [(JacobiParams(1, 1), 8), (JacobiParams(2, 0), 6)]

@@ -8,13 +8,19 @@ commit.  Every bundled config in configs/, and every config of every
 benchmark workload (perfbench/workloads.py) for seeds 101-105, runs through
 `python -m crossflat` once with each tree's `src` on PYTHONPATH, at
 `--threads 1` and at `--threads 2`.  The two trees' CSV and summary bytes,
-exit codes and stderr must match.  Prints one line per difference and exits
-1 if there is any, 0 otherwise.
+exit codes and stderr must match.  Prints one line per run that differs,
+followed, when its CSV or summary differs, by the largest relative
+difference of each numeric CSV column and each numeric summary field that
+moved, and by whether any non-numeric cell differs.  Exits 1 if any run
+differs, 0 otherwise.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +55,61 @@ def run(src: Path, config_path: Path, out_dir: Path, threads: int, command: str)
     return (proc.returncode, proc.stderr, *(f.read_bytes() if f.exists() else None for f in files))
 
 
+def _numeric(value) -> float | None:
+    """A CSV cell or summary leaf as a finite float; None for anything else,
+    booleans included."""
+    if isinstance(value, bool):
+        return None
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _csv_cells(data: bytes) -> dict[tuple, str]:
+    """{(row index, column name): text} of a CSV's data rows."""
+    header, *rows = list(csv.reader(io.StringIO(data.decode())))
+    return {(i, name): cell for i, row in enumerate(rows) for name, cell in zip(header, row)}
+
+
+def _summary_cells(data: bytes) -> dict[tuple, object]:
+    """{(0, dotted key): leaf value} of a summary's JSON."""
+    def leaves(value, key):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                yield from leaves(v, f"{key}.{k}" if key else k)
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                yield from leaves(v, f"{key}[{i}]")
+        else:
+            yield (0, key), value
+
+    return dict(leaves(json.loads(data), ""))
+
+
+def describe(kind: str, ours: bytes | None, theirs: bytes | None) -> list[str]:
+    """Lines that say how two CSVs or two summaries differ: the largest
+    relative difference of each numeric column or field that moved, and
+    whether a non-numeric cell, a missing cell or a missing file differs."""
+    if ours is None or theirs is None:
+        return [f"  {kind}: only one tree wrote it"]
+    cells = _csv_cells if kind == "csv" else _summary_cells
+    a, b = cells(ours), cells(theirs)
+    largest: dict[str, float] = {}
+    other = set(a) ^ set(b)
+    for key in set(a) & set(b):
+        x, y = _numeric(a[key]), _numeric(b[key])
+        if x is not None and y is not None:
+            relative = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+            largest[key[1]] = max(largest.get(key[1], 0.0), relative)
+        elif a[key] != b[key]:
+            other.add(key)
+    lines = [f"  {kind} {name}: max relative difference {rel:.2g}" for name, rel in sorted(largest.items()) if rel]
+    lines.append(f"  {kind} non-numeric cells differ: {'yes' if other else 'no'}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (Path(argv[0]) / "crossflat").is_dir():
         print("usage: python scripts/compare_outputs.py <other-src>", file=sys.stderr)
@@ -71,6 +132,11 @@ def main(argv: list[str]) -> int:
                 if differ:
                     differences += 1
                     print(f"DIFF {name} --threads {threads}: {', '.join(differ)}")
+                    for kind in ("csv", "summary"):
+                        if kind in differ:
+                            index = fields.index(kind)
+                            for line in describe(kind, results["this"][index], results["other"][index]):
+                                print(line)
     print(f"{runs} config runs compared, {differences} differ")
     return 1 if differences else 0
 

@@ -359,7 +359,9 @@ def _parse_dimension(r: _Parameters):
     space = r.build("space", spaces.space_from_dict, r.read("space"))
     n_values = r.integers("n_values", None)
     n_max = r.integer("n_max", 50)
-    if n_values is None and n_max is not None:
+    if "n_values" in r.params and "n_max" in r.params:
+        r.fail("n_max", "cannot be given together with n_values")
+    elif n_values is None and n_max is not None:
         n_values = range(0, n_max + 1)
     integer_tol = r.number("integer_tolerance", 1e-6)
     slope_tol = r.number("slope_tolerance", 0.02)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .special import (
     JacobiParams,
+    _binomial_row,
     jacobi_binomial,
-    jacobi_degree_table,
     jacobi_fourier_rows,
     jacobi_recurrence_rows,
     jacobi_theta_derivative,
@@ -206,10 +206,21 @@ def spherical_eval(space: CrossSpace, n: int, theta):
 
 
 def spherical_table(space: CrossSpace, degrees, theta) -> dict[int, np.ndarray]:
-    """Normalized values for several degrees from one recurrence sweep, each
-    divided by its value binomial(n + alpha, n) at x = 1."""
-    raw = jacobi_degree_table(space.params, degrees, np.cos(np.asarray(theta, dtype=float)))
-    return {n: row / jacobi_binomial(space.params.alpha, n) for n, row in raw.items()}
+    """Normalized values for several degrees from one recurrence sweep."""
+    return dict(_spherical_rows(space, degrees, np.cos(np.asarray(theta, dtype=float))))
+
+
+def _spherical_rows(space: CrossSpace, degrees, x):
+    """Yield (n, Phi_n(x)) for the wanted degrees, in increasing order, from
+    one recurrence sweep and one running product of binomial(n + alpha, n)."""
+    wanted = set(int(n) for n in degrees)
+    if not wanted:
+        return
+    top = max(wanted)
+    binomials = _binomial_row(space.params.alpha, top).tolist()
+    for n, row in jacobi_recurrence_rows(space.params.alpha, space.params.beta, top, x):
+        if n in wanted:
+            yield n, row / binomials[n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,35 +277,38 @@ def fourier_expansions(space: CrossSpace, degrees):
 
 @lru_cache(maxsize=256)
 def measure_nodes(space: CrossSpace, size: int):
-    """Nodes x = cos(theta) and probability weights of a size-point rule for
-    the radial measure (1 - x)^alpha (1 + x)^beta dx, exact on polynomials of
-    degree up to 2 size - 2 - alpha - beta, built in O(size) memory.
+    """Nodes x = cos((k - 1/2) pi / size), k = 1..size, and probability
+    weights of a rule for the radial measure (1 - x)^alpha (1 + x)^beta dx,
+    in closed form and O(size) memory.
 
-    Half-integer alpha, beta take the Gauss-Chebyshev nodes, weighted by
-    (1 - x)^(alpha + 1/2) (1 + x)^(beta + 1/2).  Integer ones take the
-    Gauss-Legendre nodes, by three Newton steps from Tricomi's guesses, and
-    their Christoffel weights times (1 - x)^alpha (1 + x)^beta.
+    Half-integer alpha, beta take the Gauss-Chebyshev weights times
+    (1 - x)^(alpha + 1/2) (1 + x)^(beta + 1/2), exact on polynomials of
+    degree up to 2 size - 2 - alpha - beta.  Integer ones take Fejer's first
+    rule times (1 - x)^alpha (1 + x)^beta, exact up to degree
+    size - 1 - alpha - beta: its weights are the cosine transform of the
+    moments int T_j dx = 2 / (1 - j^2), j even, by one FFT (Waldvogel 2006).
     """
     twice_a, twice_b = space.params.twice_alpha, space.params.twice_beta
-    k = np.arange(1.0, size + 1.0)
+    x = np.cos(math.pi * (np.arange(1.0, size + 1.0) - 0.5) / size)
     if twice_a % 2:
-        x = np.cos(math.pi * (k - 0.5) / size)
         w = (1.0 - x) ** ((twice_a + 1) // 2) * (1.0 + x) ** ((twice_b + 1) // 2)
     else:
-        x = np.cos(math.pi * (k - 0.25) / (size + 0.5))
-        for _ in range(3):
-            # P_N' = N (P_{N-1} - x P_N) / (1 - x^2)
-            p = jacobi_degree_table(JacobiParams(0, 0), (size - 1, size), x)
-            x = x - p[size] * (1.0 - x) * (1.0 + x) / (size * (p[size - 1] - x * p[size]))
-        christoffel = sum((2 * n + 1) * row * row for n, row in jacobi_recurrence_rows(0.0, 0.0, size - 1, x))
-        w = (1.0 - x) ** (twice_a // 2) * (1.0 + x) ** (twice_b // 2) / christoffel
+        # cos(j theta_k) = Re exp(i pi j k / size) exp(-i pi j / (2 size))
+        j = np.arange(0, size, 2)
+        moments = np.zeros(size + 1, dtype=complex)
+        moments[:size:2] = 2.0 / (1.0 - j * j) * np.exp(-0.5j * math.pi * j / size)
+        fejer = np.fft.irfft(moments, 2 * size)[1 : size + 1]
+        w = fejer * (1.0 - x) ** (twice_a // 2) * (1.0 + x) ** (twice_b // 2)
     return x, w / np.sum(w)
 
 
 def _rule_size(space: CrossSpace, n: int) -> int:
-    """The smallest power of two at or above n + a // 2 + 8: enough nodes for
+    """The smallest power of two at or above n + a // 2 + 8 for half-integer
+    alpha, beta, or 2 n + a + 8 for integer ones: enough nodes for
     measure_nodes to integrate Phi_n^2 exactly, shared by nearby degrees."""
-    return 1 << (n + space.eigenvalue_shift // 2 + 7).bit_length()
+    a = space.eigenvalue_shift
+    least = n + a // 2 + 8 if space.params.twice_alpha % 2 else 2 * n + a + 8
+    return 1 << (least - 1).bit_length()
 
 
 def _dimension_sweep(space: CrossSpace, size: int, degrees) -> dict[int, float]:
@@ -305,13 +319,7 @@ def _dimension_sweep(space: CrossSpace, size: int, degrees) -> dict[int, float]:
     is the value a sweep for degree n alone would give, to the bit.
     """
     x, w = measure_nodes(space, size)
-    wanted = set(degrees)
-    out = {}
-    for n, row in jacobi_recurrence_rows(space.params.alpha, space.params.beta, max(wanted), x):
-        if n in wanted:
-            phi = row / jacobi_binomial(space.params.alpha, n)
-            out[n] = float(1.0 / np.sum(w * phi * phi))
-    return out
+    return {n: float(1.0 / np.sum(w * phi * phi)) for n, phi in _spherical_rows(space, degrees, x)}
 
 
 @lru_cache(maxsize=65536)
@@ -322,8 +330,9 @@ def _rep_dimension_cached(space: CrossSpace, n: int) -> float:
 def rep_dimension(space: CrossSpace, n: int) -> float:
     """Dimension k(n) of the degree-n spherical representation.
 
-    Computed as 1 / int Phi_n^2 dmu on the measure_nodes rule whose size is
-    the smallest power of two at or above n + a // 2 + 8, exact for Phi_n^2.
+    Computed as 1 / int Phi_n^2 dmu on the measure_nodes rule of
+    _rule_size(space, n) nodes, exact for Phi_n^2: Gauss-Chebyshev for
+    half-integer alpha, beta and Fejer's first rule for integer ones.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -366,8 +375,7 @@ def spherical_gram(space: CrossSpace, n_max: int) -> np.ndarray:
     rep_dimension's rule for degree n_max, which integrates each product
     exactly."""
     x, w = measure_nodes(space, _rule_size(space, n_max))
-    raw = jacobi_degree_table(space.params, range(n_max + 1), x)
-    rows = np.vstack([raw[n] / jacobi_binomial(space.params.alpha, n) for n in range(n_max + 1)])
+    rows = np.vstack([phi for _, phi in _spherical_rows(space, range(n_max + 1), x)])
     return (rows * w) @ rows.T
 
 

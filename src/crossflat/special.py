@@ -25,7 +25,6 @@ __all__ = [
     "jacobi_recurrence_rows",
     "jacobi_fourier_rows",
     "jacobi_eval",
-    "jacobi_degree_table",
     "jacobi_binomial",
     "binomial_main_term",
     "chebyshev_half_case",
@@ -238,20 +237,6 @@ def jacobi_eval(params: JacobiParams, n: int, x):
     for _, row in jacobi_recurrence_rows(params.alpha, params.beta, n, x):
         value = row
     return float(value) if scalar else value
-
-
-def jacobi_degree_table(params: JacobiParams, degrees, x) -> dict[int, np.ndarray]:
-    """Values at x for several degrees, collected from one recurrence sweep."""
-    wanted = sorted(set(int(n) for n in degrees))
-    if not wanted:
-        return {}
-    out: dict[int, np.ndarray] = {}
-    remaining = set(wanted)
-    for n, row in jacobi_recurrence_rows(params.alpha, params.beta, wanted[-1], x):
-        if n in remaining:
-            out[n] = row
-            remaining.discard(n)
-    return out
 
 
 def jacobi_binomial(alpha: float, n: int) -> float:

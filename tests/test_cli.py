@@ -148,6 +148,7 @@ class TestValidate:
             {"command": "dimension", "parameters": {"space": S3, "n_values": "abc"}},
             {"command": "dimension", "parameters": {"space": S3, "n_values": [-2, 3]}},
             {"command": "dimension", "parameters": {"space": S3, "n_max": "abc"}},
+            {"command": "dimension", "parameters": {"space": S3, "n_values": [1, 2, 3], "n_max": 500}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "matrix": "abc"}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "matrix": [[1.0]] * 4}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "offset": [0, 0]}},
@@ -204,6 +205,7 @@ class TestValidate:
             "dimension-string-degrees",
             "dimension-negative-degree",
             "dimension-string-n-max",
+            "dimension-n-values-with-n-max",
             "sharpness-string-matrix",
             "sharpness-matrix-rank-mismatch",
             "sharpness-short-offset",
@@ -670,3 +672,34 @@ class TestMain:
         assert main(["--config", path, "--out", str(fanout), "--threads", "2"]) == code
         for name in ("sharpness.csv", "sharpness_summary.json"):
             assert (serial / name).read_bytes() == (fanout / name).read_bytes()
+
+
+def _compare_outputs_module():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("compare_outputs", os.path.join(REPO, "scripts", "compare_outputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCompareOutputsReport:
+    def test_csv_reports_each_moved_column_and_text_cells(self):
+        describe = _compare_outputs_module().describe
+        ours = b"n,dimension,ok\n1,3.0000000000003,true\n2,5,true\n"
+        theirs = b"n,dimension,ok\n1,3,true\n2,5,true\n"
+        assert describe("csv", ours, theirs) == [
+            "  csv dimension: max relative difference 1e-13",
+            "  csv non-numeric cells differ: no",
+        ]
+        assert describe("csv", ours, theirs.replace(b"2,5,true", b"2,5,false"))[-1] == "  csv non-numeric cells differ: yes"
+
+    def test_summary_walks_nested_fields(self):
+        describe = _compare_outputs_module().describe
+        ours = json.dumps({"summary": {"growth_slope": 2.0, "slope_ok": True}, "seed": 1}).encode()
+        theirs = json.dumps({"summary": {"growth_slope": 2.5, "slope_ok": True}, "seed": 1}).encode()
+        assert describe("summary", ours, theirs) == [
+            "  summary summary.growth_slope: max relative difference 0.2",
+            "  summary non-numeric cells differ: no",
+        ]
+        assert describe("summary", None, theirs) == ["  summary: only one tree wrote it"]

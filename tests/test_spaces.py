@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossflat import spaces
+from crossflat import spaces, special
 from crossflat.spaces import (
     CrossSpace,
     Kind,
@@ -231,13 +232,60 @@ class TestRepDimension:
             assert abs(fit_exponent(pts).slope - (s.dimension - 1)) <= 0.02
 
 
+def exact_chebyshev_moments(space: CrossSpace, j_max: int) -> np.ndarray:
+    """Independent oracle: int T_j dmu / int dmu for j <= j_max, in exact
+    rational arithmetic, for the measure (1 - x)^alpha (1 + x)^beta dx with
+    integer alpha, beta.
+
+    The weight's Chebyshev coefficients come from multiplying by 1 -+ x
+    (x T_m = (T_{m+1} + T_{|m-1|}) / 2), and int T_j T_m dx is the mean of
+    int T_{j+m} dx and int T_{|j-m|} dx, where int T_k dx = 2 / (1 - k^2)
+    for even k and 0 for odd k.
+    """
+    weight = [Fraction(1)]
+    signs = [-1] * int(space.params.alpha) + [1] * int(space.params.beta)
+    for sign in signs:
+        product = [Fraction(0)] * (len(weight) + 1)
+        for m, c in enumerate(weight):
+            product[m] += c
+            product[m + 1] += sign * c / 2
+            product[abs(m - 1)] += sign * c / 2
+        weight = product
+
+    def integral(k):
+        return Fraction(0) if k % 2 else Fraction(2, 1 - k * k)
+
+    def moment(j):
+        return sum(c * (integral(j + m) + integral(abs(j - m))) / 2 for m, c in enumerate(weight))
+
+    total = moment(0)
+    return np.array([float(moment(j) / total) for j in range(j_max + 1)])
+
+
 class TestMeasureNodes:
+    @pytest.mark.parametrize("space", [complex_projective(4), octonionic_plane()], ids=lambda s: s.label())
     @pytest.mark.parametrize("size", [16, 300, 1024])
-    def test_integer_spaces_take_the_gauss_legendre_nodes(self, size):
-        # independent oracle: numpy's companion-matrix Gauss-Legendre rule
-        x, _ = spaces.measure_nodes(complex_projective(4), size)
-        reference, _ = np.polynomial.legendre.leggauss(size)
-        assert np.max(np.abs(np.sort(x) - reference)) <= 1e-15
+    def test_integer_spaces_integrate_chebyshev_polynomials_exactly(self, space, size):
+        # Fejer's first rule is exact on T_j dx for j <= size - 1, so times
+        # the weight of degree alpha + beta it is exact up to the degree below.
+        x, w = spaces.measure_nodes(space, size)
+        k = np.arange(1, size + 1)
+        assert np.array_equal(x, np.cos(math.pi * (k - 0.5) / size))
+        j_max = size - 1 - int(space.params.alpha + space.params.beta)
+        # T_j(x_k) = cos(j (2k - 1) pi / (2 size)), with the angle reduced in
+        # integers so that it carries no rounding
+        turns = np.outer(np.arange(j_max + 1), 2 * k - 1) % (4 * size)
+        moments = np.cos(math.pi * turns / (2 * size)) @ w
+        assert np.max(np.abs(moments - exact_chebyshev_moments(space, j_max))) <= 1e-14
+
+    def test_integer_spaces_run_no_recurrence(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("measure_nodes ran a recurrence")
+
+        monkeypatch.setattr(spaces, "jacobi_recurrence_rows", refuse)
+        monkeypatch.setattr(special, "jacobi_recurrence_rows", refuse)
+        x, w = spaces.measure_nodes.__wrapped__(complex_projective(4), 512)
+        assert len(x) == len(w) == 512 and abs(np.sum(w) - 1.0) <= 1e-15
 
 
 class TestRepDimensions:
@@ -257,6 +305,18 @@ class TestRepDimensions:
             table = rep_dimensions(space, degrees)
             exact = [float(spaces.weyl_dimension(space, n)) for n in degrees]
             assert max(abs(k / e - 1.0) for k, e in zip(table, exact)) <= 2e-13, degrees
+
+    def test_runs_without_per_degree_binomials(self, monkeypatch):
+        # each sweep reads its normalizations off one running product
+        def refuse(*args):
+            raise AssertionError("a binomial was recomputed for one degree")
+
+        monkeypatch.setattr(spaces, "jacobi_binomial", refuse)
+        theta = np.linspace(0.1, 3.0, 9)
+        for space in (sphere(3), complex_projective(4)):
+            assert set(spherical_table(space, [0, 5, 40], theta)) == {0, 5, 40}
+            assert len(rep_dimensions(space, range(0, 200, 7))) == 29
+            assert spherical_gram(space, 12).shape == (13, 13)
 
     def test_empty_and_negative(self):
         assert rep_dimensions(sphere(2), []) == []

@@ -16,7 +16,6 @@ from crossflat.special import (
     edge_main_term,
     interior_main_term,
     jacobi_binomial,
-    jacobi_degree_table,
     jacobi_eval,
     jacobi_fourier_rows,
     jacobi_recurrence_rows,
@@ -105,12 +104,6 @@ class TestJacobiEval:
             for n, row in jacobi_recurrence_rows(params.alpha, params.beta, 2048, np.array([1.0])):
                 if n in (1, 17, 256, 1024, 2048):
                     assert abs(row[0] / jacobi_binomial(params.alpha, n) - 1.0) < 1e-10
-
-    def test_degree_table_matches_single_calls(self):
-        x = np.linspace(-0.9, 0.9, 7)
-        table = jacobi_degree_table(JacobiParams.of(1, 0), [0, 3, 11], x)
-        assert set(table) == {0, 3, 11}
-        np.testing.assert_allclose(table[11], jacobi_eval(JacobiParams.of(1, 0), 11, x), rtol=1e-13)
 
     def test_sup_norm_growth_is_flat(self):
         # max |P_n(cos theta)| / (n+1)^alpha should carry no residual power of n

@@ -5,13 +5,16 @@ The kernel of interest is k(theta) = P_n^{(alpha,beta)}(cos(theta)) acting by
 plain Lebesgue measure.  Upper bounds come from Young's inequality (the
 L^{p/2} norm of the kernel) or, at p = 2, from the exact Fourier multiplier;
 lower bounds come from a candidate family refined by a power iteration that
-stops after _PLATEAU_SWEEPS sweeps without gain, or when its budget runs out,
-and are best-effort diagnostics.  The candidates of a bracket refine in
-lockstep, as the rows of one (K, N) array transformed by batched FFTs, so a
-bracket holds a few K x N arrays of doubles (K candidates on an N-point
-grid) where one candidate at a time held vectors of length N.  A kernel is
-held as its Fourier coefficients; samples on a grid are synthesized from
-them, and kernel_coefficients takes a whole degree ladder from one sweep.
+stops after _PLATEAU_SWEEPS sweeps without gain, or when its budget runs out.
+A ratio counts from the second sweep on; for even p every iterate is then a
+trigonometric polynomial whose norms the iteration grid sums exactly, so the
+lower bound is certified up to rounding, and that grid is the smallest exact
+one, _next_fast_len(p n + 1) points.  Other p iterate on the default grid
+and their lower bounds are best-effort.  The candidates of a bracket refine
+in lockstep, as the rows of one (K, N) array transformed by batched FFTs.  A
+kernel is held as its Fourier coefficients; samples on a grid are
+synthesized from them, and kernel_coefficients takes a whole degree ladder
+from one sweep.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from numpy.fft import irfft, rfft
 from .special import JacobiParams, jacobi_fourier_rows
 
 __all__ = [
-    "AliasingError",
     "PeriodicGrid",
     "lp_norm_periodic",
     "kernel_coefficients",
@@ -48,10 +50,6 @@ __all__ = [
 _KINK_TOL = 1e-12
 UPPER_YOUNG = "young"
 UPPER_EXACT_MULTIPLIER = "exact_multiplier"
-
-
-class AliasingError(ValueError):
-    """A sampling grid is too small to resolve every frequency present."""
 
 
 @lru_cache(maxsize=None)
@@ -247,8 +245,10 @@ def _boyd_refine(apply_op, f: np.ndarray, p: float, weight: float, budget: int):
     # a (rows, N) array row by row.  Each full sweep is nondecreasing in a
     # row's Rayleigh ratio, so each row tracks its best value and leaves the
     # batch once it plateaus or diverges; the rows that stay move to the
-    # front of f and of one scratch buffer.  Returns every row's best value
-    # and whether it diverged.
+    # front of f and of one scratch buffer.  The first sweep's ratio is of the
+    # start itself, whatever its samples are, so a row's ratio counts from
+    # the second sweep on.  Returns every row's best value and whether it
+    # diverged.
     p_dual = p / (p - 1.0)
     best = np.zeros(len(f))
     diverged = np.zeros(len(f), dtype=bool)
@@ -256,13 +256,14 @@ def _boyd_refine(apply_op, f: np.ndarray, p: float, weight: float, budget: int):
     live = np.arange(len(f))
     buffer = np.empty_like(f)
     f /= _row_lp(f, p_dual, weight, buffer)[:, None]
-    for _ in range(budget):
+    for sweep in range(budget):
         g = apply_op(f)
         lam = _row_lp(g, p, weight, buffer[: len(live)])
         finite = np.isfinite(lam)
-        gain = finite & (lam > best[live] * (1.0 + 1e-13))
-        best[live[gain]] = lam[gain]
-        stall[live] = np.where(gain, 0, stall[live] + 1)
+        if sweep:
+            gain = finite & (lam > best[live] * (1.0 + 1e-13))
+            best[live[gain]] = lam[gain]
+            stall[live] = np.where(gain, 0, stall[live] + 1)
         diverged[live[~finite]] = True
         stay = finite & (stall[live] < _PLATEAU_SWEEPS)
         if not stay.all():
@@ -292,25 +293,18 @@ def _bump(thetas: np.ndarray, width: float) -> np.ndarray:
     return out
 
 
-def _bracket_grid(n: int, p: float, grid: PeriodicGrid | None) -> PeriodicGrid:
-    # The grid a bracket works on, after the checks opnorm_bracket documents.
+def _check_exponent(p: float) -> None:
     if not 2 <= p < math.inf:
         raise ValueError(f"bracket requires a finite p >= 2, got p = {p}")
-    if grid is None:
-        return PeriodicGrid.for_degree(n)
-    if grid.size <= 2 * n + 1:
-        raise AliasingError(
-            f"grid of size {grid.size} aliases kernel frequencies; need more than {2 * n + 1}"
-        )
-    return grid
 
 
-def _upper_bound(c: np.ndarray, p: float, grid: PeriodicGrid):
+def _upper_bound(c: np.ndarray, p: float):
     """A bracket's upper bound and its method: the exact multiplier at
-    p = 2, else Young's bound from the kernel samples, which come along
-    (None at p = 2)."""
+    p = 2, else Young's bound from the kernel samples on the default grid,
+    which come along (None at p = 2)."""
     if p == 2:
         return 2.0 * math.pi * float(np.max(np.abs(c))), UPPER_EXACT_MULTIPLIER, None
+    grid = PeriodicGrid.for_degree(len(c) - 1)
     k = _synthesize(c, grid)
     return lp_norm_periodic(grid, k, p / 2.0), UPPER_YOUNG, k
 
@@ -319,7 +313,6 @@ def opnorm_bracket(
     params: JacobiParams,
     n: int,
     p: float,
-    grid: PeriodicGrid | None = None,
     seed: int = 0,
     iteration_budget: int = 200,
     *,
@@ -333,13 +326,20 @@ def opnorm_bracket(
     of dyadic widths down to 1/(4n), the kernel itself, one seeded random
     start), all refined together by power iteration, each until
     _PLATEAU_SWEEPS sweeps in a row gain no more than 1e-13 relative, or
-    iteration_budget sweeps have run.  A grid given here must resolve every
-    kernel frequency.  coefficients, if given, is the kernel's coefficient
-    row (as from kernel_coefficients) in place of a sweep to degree n.
+    iteration_budget sweeps have run.  A candidate's ratio counts from its
+    second sweep on.  For even p the candidates iterate on the
+    _next_fast_len(p n + 1)-point grid: from the second sweep on each
+    iterate is h^(p-1) with h of degree <= n, the rectangle rule sums both
+    norms of its ratio exactly there, and the lower bound is a true one up
+    to rounding.  Other p iterate on PeriodicGrid.for_degree(n), where
+    Young's sum always runs.  The witness is the first candidate, the
+    closed-form exponential first, whose value is within 1e-12 relative of
+    the best.  coefficients, if given, is the kernel's coefficient row (as
+    from kernel_coefficients) in place of a sweep to degree n.
     """
-    grid = _bracket_grid(n, p, grid)
+    _check_exponent(p)
     c = _coefficients(params, n, coefficients)
-    upper, method, k = _upper_bound(c, p, grid)
+    upper, method, k = _upper_bound(c, p)
     top_m = int(np.argmax(np.abs(c)))
     if p == 2:
         return NormBracket(upper, upper, f"exponential m={top_m}", method)
@@ -347,9 +347,13 @@ def opnorm_bracket(
     top = 2.0 * math.pi * abs(float(c[top_m]))
     p_dual = p / (p - 1.0)
     # Single exponentials admit a closed-form ratio |khat(m)| (2 pi)^(1/p - 1/p').
-    lower = top * (2.0 * math.pi) ** (1.0 / p - 1.0 / p_dual)
-    witness = f"exponential m={top_m}"
+    found = [(top * (2.0 * math.pi) ** (1.0 / p - 1.0 / p_dual), f"exponential m={top_m}")]
 
+    if p % 2 == 0:
+        grid = PeriodicGrid(_next_fast_len(max(8, int(p) * n + 1)))
+        k = _synthesize(c, grid)
+    else:
+        grid = PeriodicGrid.for_degree(n)
     thetas = grid.thetas
     widths = []
     width = 1.0
@@ -384,22 +388,21 @@ def opnorm_bracket(
 
     values, diverged = _boyd_refine(apply_op, starts, p, grid.weight, iteration_budget)
     for name, value, bad in zip(names, values.tolist(), diverged.tolist()):
-        if not bad and value > lower:
-            lower = value
-            witness = f"{name} (power iteration)"
+        if not bad:
+            found.append((value, f"{name} (power iteration)"))
+    lower = max(value for value, _ in found)
+    witness = next(name for value, name in found if value >= lower * (1.0 - 1e-12))
     lower = min(lower, upper)  # guard roundoff at rank-one equality cases
     return NormBracket(lower, upper, witness, method, not diverged.any())
 
 
-def tensor_opnorm_upper(factors, p: float, grids=None) -> float:
+def tensor_opnorm_upper(factors, p: float) -> float:
     """Certified upper bound for the tensor-product kernel operator on T^k:
     the product of the per-factor bracket uppers."""
-    factors = list(factors)
-    if grids is None:
-        grids = [None] * len(factors)
+    _check_exponent(p)
     out = 1.0
-    for (params, n), grid in zip(factors, grids):
-        out *= _upper_bound(_coefficients(params, n), p, _bracket_grid(n, p, grid))[0]
+    for params, n in factors:
+        out *= _upper_bound(_coefficients(params, n), p)[0]
     return out
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from crossflat import torus
 from crossflat.special import JacobiParams, jacobi_binomial, jacobi_eval, jacobi_fourier_rows
+from crossflat.spaces import catalog
 from crossflat.torus import (
-    AliasingError,
     ExponentFit,
     NormBracket,
     PeriodicGrid,
@@ -177,16 +177,12 @@ class TestMultiplier:
         for m in (-3, -1, 1, 3):
             assert abs(by_m[m]) <= 1e-12 * c
 
-    def test_aliasing_rejection(self):
-        with pytest.raises(AliasingError):
-            opnorm_bracket(HALF, 40, 2.0, PeriodicGrid(64))
-
 
 class TestBracket:
     def test_rank_one_kernel_is_tight(self):
         # degree 0 kernel is the constant 1: norm (2 pi)^(2/p) exactly
         for p in (2.0, 4.0, 6.0):
-            br = opnorm_bracket(JacobiParams.of(1, 0), 0, p, PeriodicGrid(128), seed=3)
+            br = opnorm_bracket(JacobiParams.of(1, 0), 0, p, seed=3)
             exact = (2 * math.pi) ** (2.0 / p)
             assert br.lower == pytest.approx(exact, rel=1e-9)
             assert br.upper == pytest.approx(exact, rel=1e-9)
@@ -199,9 +195,9 @@ class TestBracket:
         assert br.upper_method == "exact_multiplier"
 
     def test_young_method_above_two(self):
-        br = opnorm_bracket(JacobiParams.of(1, 1), 12, 6.0, PeriodicGrid(256), seed=0, iteration_budget=40)
+        br = opnorm_bracket(JacobiParams.of(1, 1), 12, 6.0, seed=0, iteration_budget=40)
         assert br.upper_method == "young"
-        assert br.upper == pytest.approx(kernel_lp_norm(JacobiParams.of(1, 1), 12, 3.0, PeriodicGrid(256)), rel=1e-13)
+        assert br.upper == pytest.approx(kernel_lp_norm(JacobiParams.of(1, 1), 12, 3.0), rel=1e-13)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
@@ -219,13 +215,14 @@ class TestBracket:
     )
     @settings(max_examples=20, deadline=None)
     def test_young_dominates_lower(self, params, n, p):
-        br = opnorm_bracket(params, n, p, PeriodicGrid(512), seed=11, iteration_budget=30)
+        br = opnorm_bracket(params, n, p, seed=11, iteration_budget=30)
         assert br.lower <= br.upper * (1 + 1e-12)
 
     def test_power_iteration_stops_at_the_plateau(self):
         # cos(m theta) at the top multiplier is a fixed point: the first sweep
-        # sets the best value, then _PLATEAU_SWEEPS sweeps gain nothing, the
-        # last of which stops after its first operator application.
+        # counts nothing, the second sets the best value, then
+        # _PLATEAU_SWEEPS sweeps gain nothing, the last of which stops after
+        # its first operator application.
         n, p = 32, 6.0
         grid = PeriodicGrid.for_degree(n)
         ms, multiplier = fourier_multiplier(JacobiParams.of(1, 1), n)
@@ -241,16 +238,21 @@ class TestBracket:
         start = np.cos(m * grid.thetas)
         values, diverged = _boyd_refine(apply_op, start[None], p, grid.weight, 200)
         value = values[0]
-        assert len(calls) == 2 * _PLATEAU_SWEEPS + 1 == 5
+        assert len(calls) == 2 * _PLATEAU_SWEEPS + 3 == 7
         assert not diverged[0]
         p_dual = p / (p - 1.0)
         ratio = abs(khat[m]) * lp_norm_periodic(grid, start, p) / lp_norm_periodic(grid, start, p_dual)
         assert value == pytest.approx(ratio, rel=1e-13)
-        # The budget caps the sweeps whatever the plateau rule says.
+        # The budget caps the sweeps whatever the plateau rule says; one sweep
+        # counts no ratio.
         calls.clear()
         values, diverged = _boyd_refine(apply_op, start[None], p, grid.weight, 1)
-        assert (values[0], diverged[0]) == (value, False)
+        assert (values[0], diverged[0]) == (0.0, False)
         assert len(calls) == 2
+        calls.clear()
+        values, diverged = _boyd_refine(apply_op, start[None], p, grid.weight, 2)
+        assert (values[0], diverged[0]) == (value, False)
+        assert len(calls) == 4
 
     def test_bracket_validation(self):
         with pytest.raises(ValueError):
@@ -264,12 +266,14 @@ def serial_boyd_refine(apply_op, f0, p, weight, budget):
     f = f0 / _grid_lp(f0, p_dual, weight)
     best = 0.0
     stall = 0
-    for _ in range(budget):
+    for sweep in range(budget):
         g = apply_op(f)
         lam = _grid_lp(g, p, weight)
         if not math.isfinite(lam):
             return best, True
-        if lam <= best * (1.0 + 1e-13):
+        if not sweep:
+            pass  # the start's own ratio does not count
+        elif lam <= best * (1.0 + 1e-13):
             stall += 1
             if stall >= _PLATEAU_SWEEPS:
                 break
@@ -373,6 +377,7 @@ class TestLockstepRefinement:
 
     def test_an_all_zero_start_is_skipped(self, monkeypatch):
         # At n = 16 the bumps have widths 2^0..2^-6; the 2^-1 one is zeroed.
+        # At p = 6 the candidates live on the 98-point iteration grid.
         clean = opnorm_bracket(HALF, 16, 6.0)
         bump, refine = torus._bump, torus._boyd_refine
         seen = []
@@ -387,10 +392,102 @@ class TestLockstepRefinement:
         (starts,) = seen
         assert len(starts) == 2 + 7 + 1 - 1
         assert np.all(np.max(np.abs(starts), axis=1) > 0)
-        assert not any(np.array_equal(row, bump(PeriodicGrid.for_degree(16).thetas, 0.5)) for row in starts)
+        thetas = PeriodicGrid(_next_fast_len(6 * 16 + 1)).thetas
+        assert starts.shape[1] == len(thetas)
+        assert sum(np.array_equal(row, bump(thetas, 0.25)) for row in starts) == 1
+        assert not any(np.array_equal(row, bump(thetas, 0.5)) for row in starts)
         assert bracket.refined and bracket.upper == clean.upper
         assert bracket.lower_witness != "bump width 2^-1 (power iteration)"
         assert 0.0 < bracket.lower <= clean.lower
+
+
+CATALOG_PAIRS = sorted({(space.params.alpha, space.params.beta) for space in catalog()})
+
+
+def recorded_bracket(monkeypatch, *args, **kwargs):
+    """A bracket and the starts its power iteration was given."""
+    refine, seen = torus._boyd_refine, []
+
+    def recording_refine(apply_op, starts, *rest):
+        seen.append(starts.copy())
+        return refine(apply_op, starts, *rest)
+
+    monkeypatch.setattr(torus, "_boyd_refine", recording_refine)
+    bracket = opnorm_bracket(*args, **kwargs)
+    monkeypatch.undo()
+    (starts,) = seen
+    return bracket, starts
+
+
+class TestEvenPIterationGrid:
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("n", [0, 5, 64, 300])
+    def test_even_p_iterates_on_the_smallest_exact_grid(self, monkeypatch, n, p):
+        bracket, starts = recorded_bracket(monkeypatch, HALF, n, p, seed=7)
+        assert starts.shape[1] == _next_fast_len(max(8, int(p) * n + 1))
+        # Young's sum keeps the default grid.
+        assert bracket.upper == kernel_lp_norm(HALF, n, p / 2.0)
+
+    def test_grid_sizes_at_degree_64(self, monkeypatch):
+        sizes = [recorded_bracket(monkeypatch, HALF, 64, p)[1].shape[1] for p in (6.0, 8.0)]
+        assert sizes == [385, 525]
+
+    @pytest.mark.parametrize("p", [3.0, 6.5, 7.0])
+    def test_other_p_iterate_on_the_default_grid(self, monkeypatch, p):
+        _, starts = recorded_bracket(monkeypatch, HALF, 64, p)
+        assert starts.shape[1] == PeriodicGrid.for_degree(64).size
+
+    @pytest.mark.parametrize("p", [6.0, 8.0])
+    @pytest.mark.parametrize("n", [0, 5, 64, 300])
+    @pytest.mark.parametrize("alpha, beta", CATALOG_PAIRS)
+    def test_the_witness_keeps_its_ratio_on_a_finer_grid(self, monkeypatch, alpha, beta, n, p):
+        # From the second sweep on every iterate is a trigonometric
+        # polynomial, so rerunning the witness from the same start,
+        # interpolated onto four times as many points, gives the same ratio.
+        params = JacobiParams.of(alpha, beta)
+        bracket, starts = recorded_bracket(monkeypatch, params, n, p, seed=7)
+        fine = PeriodicGrid(4 * starts.shape[1])
+        name = bracket.lower_witness
+        if name.startswith("exponential m="):
+            # T e^{im theta} = khat(m) e^{im theta}, with |e^{im theta}| = 1.
+            m = int(name.removeprefix("exponential m="))
+            ms, multiplier = fourier_multiplier(params, n)
+            khat = np.zeros(fine.size)
+            khat[ms % fine.size] = multiplier
+            e = np.exp(1j * m * fine.thetas)
+            te = np.fft.ifft(np.fft.fft(e) * khat)
+            p_dual = p / (p - 1.0)
+            ratio = _grid_lp(te, p, fine.weight) / _grid_lp(e, p_dual, fine.weight)
+        else:
+            names = ["cos", "kernel"] + [f"bump width 2^-{j}" for j in range(len(starts) - 3)] + ["random start"]
+            name = name.removesuffix(" (power iteration)")
+            row = starts[0 if name.startswith("cos(") else names.index(name)]
+            values, diverged = _boyd_refine(
+                convolution(params, n, fine), np.fft.irfft(np.fft.rfft(row), fine.size)[None], p, fine.weight, 200
+            )
+            assert not diverged[0]
+            ratio = values[0]
+        assert ratio == pytest.approx(bracket.lower, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, n, p, lower, upper",
+        [
+            (0.5, 0.5, 5, 3.0, "0x1.34c8562feac33p+1", "0x1.9b833ab564062p+1"),
+            (0.5, 0.5, 5, 6.5, "0x1.23993bf616aa3p+1", "0x1.41a9cdaf87685p+1"),
+            (0.5, 0.5, 5, 7.0, "0x1.24245a13dc931p+1", "0x1.3fe62f4039e71p+1"),
+            (1, 0, 64, 3.0, "0x1.08d52599180a0p+3", "0x1.488f91b6170d6p+3"),
+            (1, 0, 64, 6.5, "0x1.62ce19e2ae98fp+4", "0x1.85aeabda7cd80p+4"),
+            (1, 0, 64, 7.0, "0x1.7b0c8c6c666bfp+4", "0x1.9ddd71b7a8526p+4"),
+            (3, 1, 300, 3.0, "0x1.0ab5a113fa322p+18", "0x1.35de298dcf06dp+18"),
+            (3, 1, 300, 6.5, "0x1.0a783b62694a2p+20", "0x1.2461c5fe8231fp+20"),
+            (3, 1, 300, 7.0, "0x1.23fe656bb7d06p+20", "0x1.3e9c431533c6cp+20"),
+        ],
+    )
+    def test_odd_and_non_integer_p_keep_their_bits(self, alpha, beta, n, p, lower, upper):
+        # The bits these brackets had when every ratio counted from the first
+        # sweep; the start's own ratio never was their best.
+        bracket = opnorm_bracket(JacobiParams.of(alpha, beta), n, p, seed=7)
+        assert (bracket.lower.hex(), bracket.upper.hex()) == (lower, upper)
 
 
 class TestKernelCoefficients:
@@ -424,9 +521,8 @@ class TestTensor:
 
     def test_single_factor(self):
         factor = (JacobiParams.of(1, 1), 9)
-        grid = PeriodicGrid(256)
-        expected = opnorm_bracket(*factor, 4.0, grid=grid).upper
-        assert tensor_opnorm_upper([factor], 4.0, [grid]) == pytest.approx(expected, rel=1e-13)
+        expected = opnorm_bracket(*factor, 4.0).upper
+        assert tensor_opnorm_upper([factor], 4.0) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 7.5])
     def test_factor_upper_is_the_bracket_upper_without_power_iteration(self, monkeypatch, p):
@@ -449,7 +545,7 @@ class TestTensor:
         # oracle: the 2-D multiplier of the tensor kernel on a small grid
         n = m = 6
         grid = PeriodicGrid(64)
-        mine = tensor_opnorm_upper([(HALF, n), (HALF, m)], 2.0, [grid, grid])
+        mine = tensor_opnorm_upper([(HALF, n), (HALF, m)], 2.0)
         k1 = kernel_samples(HALF, n, grid)
         k2 = kernel_samples(HALF, m, grid)
         k2d = np.outer(k1, k2)

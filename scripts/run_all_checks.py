@@ -2,11 +2,20 @@
 """Drive every CLI subcommand once with the bundled example configs."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _child_env() -> dict:
+    """The caller's environment with this tree's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
 
 
 def main() -> int:
@@ -25,7 +34,7 @@ def main() -> int:
                 "--out",
                 str(out_dir / name),
             ],
-            env={"PYTHONPATH": str(ROOT / "src")},
+            env=_child_env(),
             capture_output=True,
             text=True,
         )

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .spaces import CrossSpace, spherical_table, weyl_dimension
 from .torus import ExponentFit, fit_exponent
@@ -113,40 +114,88 @@ def _max_degree(shift: int, budget):
     return n
 
 
-def _sweep(
-    manifold: ProductManifold, level_lo: int, level_hi: int, ordering_constraint: bool
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Every admissible degree tuple with level_lo <= level <= level_hi.
+def _degree_range(factor: CrossSpace, i: int, columns, used, level_hi: int, ordering_constraint: bool):
+    """Each row's admissible degrees lo, lo + step, ..., hi for factor i,
+    given the columns before it and their level used, up to level_hi.
+
+    With the constraint on, the range is capped by the previous degree and
+    starts at ceil(n_1 / 2).
+    """
+    shift = factor.eigenvalue_shift
+    step = 2 if factor.even_degrees_only else 1
+    hi = _max_degree(shift, level_hi - used)
+    lo = np.zeros_like(used)
+    if ordering_constraint and i > 0:
+        hi = np.minimum(hi, columns[-1])
+        lo = (columns[0] + 1) // 2
+    if step == 2:
+        lo += lo % 2
+    return lo, hi, step
+
+
+def _repeat_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Each row index repeated counts[row] times, and each copy's rank
+    # 0..counts[row]-1 within its row.
+    rows = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return rows, np.arange(len(rows)) - starts[rows]
+
+
+def _sweep(factors, level_hi: int, ordering_constraint: bool) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every admissible degree tuple over the given leading factors with
+    level <= level_hi.
 
     The tuples grow one factor column at a time: each row is repeated over
-    its admissible range of the next degree.  With the constraint on, that
-    range is capped by the previous degree and starts at ceil(n_1 / 2); on
-    the last column it starts where the total reaches level_lo.  Returns one
-    degree column per factor, whose rows run in ascending lexicographic
-    order, and the level of each row.
+    its admissible range of the next degree.  Returns one degree column per
+    factor, whose rows run in ascending lexicographic order, and the level
+    of each row.
     """
     columns: list[np.ndarray] = []
     used = np.zeros(1, dtype=np.int64)
-    last = manifold.rank - 1
-    for i, factor in enumerate(manifold.factors):
-        shift = factor.eigenvalue_shift
-        step = 2 if factor.even_degrees_only else 1
-        hi = _max_degree(shift, level_hi - used)
-        lo = np.zeros_like(used)
-        if ordering_constraint and i > 0:
-            hi = np.minimum(hi, columns[-1])
-            lo = (columns[0] + 1) // 2
-        if i == last:
-            lo = np.maximum(lo, _max_degree(shift, level_lo - used - 1) + 1)
-        if step == 2:
-            lo += lo % 2
-        counts = np.maximum((hi - lo) // step + 1, 0)
-        rows = np.repeat(np.arange(len(used)), counts)
-        starts = np.cumsum(counts) - counts
-        n = lo[rows] + step * (np.arange(len(rows)) - starts[rows])
+    for i, factor in enumerate(factors):
+        lo, hi, step = _degree_range(factor, i, columns, used, level_hi, ordering_constraint)
+        rows, rank = _repeat_rows(np.maximum((hi - lo) // step + 1, 0))
+        n = lo[rows] + step * rank
         columns = [column[rows] for column in columns] + [n]
-        used = used[rows] + n * n + shift * n
+        used = used[rows] + n * n + factor.eigenvalue_shift * n
     return columns, used
+
+
+def _shells(manifold: ProductManifold, levels, ordering_constraint: bool) -> list[LatticeShell]:
+    """The shell of every given level, from one sweep.
+
+    The first r - 1 degree columns are swept once, up to the top level.  A
+    row then meets a wanted level only where that level, less the row's own,
+    is the eigenvalue of an admissible last degree: only the wanted levels
+    within reach of the row's lowest and highest last degree are tried, and
+    _max_degree solves each exactly.  Rows keep the sweep's ascending
+    lexicographic order within each shell.
+    """
+    if len(levels) == 0:
+        return []
+    # Not np.unique: its first call imports numpy.ma, about 15 ms a process.
+    wanted = np.array(sorted({int(level) for level in levels}), dtype=np.int64)
+    top = int(wanted[-1])
+    last = manifold.factors[-1]
+    shift = last.eigenvalue_shift
+    columns, used = _sweep(manifold.factors[:-1], top, ordering_constraint)
+    lo, hi, step = _degree_range(last, manifold.rank - 1, columns, used, top, ordering_constraint)
+    first = np.searchsorted(wanted, used + lo * lo + shift * lo)
+    stop = np.searchsorted(wanted, used + hi * hi + shift * hi, side="right")
+    rows, rank = _repeat_rows(np.maximum(stop - first, 0))
+    which = first[rows] + rank
+    budget = wanted[which] - used[rows]
+    n = _max_degree(shift, budget)
+    hit = np.flatnonzero((n * n + shift * n == budget) & (n % step == 0))
+    # A stable sort by level keeps each level's rows in sweep order.
+    hit = hit[np.argsort(which[hit], kind="stable")]
+    columns = [column[rows[hit]] for column in columns] + [n[hit]]
+    bounds = np.searchsorted(which[hit], np.arange(len(wanted) + 1)).tolist()
+    shells = {
+        level: LatticeShell(level, tuple(zip(*(column[begin:end].tolist() for column in columns))))
+        for level, begin, end in zip(wanted.tolist(), bounds, bounds[1:])
+    }
+    return [shells[int(level)] for level in levels]
 
 
 def enumerate_shell(
@@ -162,8 +211,7 @@ def enumerate_shell(
         raise ValueError(f"level must be a nonnegative integer, got {level!r}")
     if level >= LEVEL_BOUND:
         raise ValueError(f"level must be below 2**62, got {level}")
-    columns, _ = _sweep(manifold, level, level, ordering_constraint)
-    return LatticeShell(int(level), tuple(zip(*(column.tolist() for column in columns))))
+    return _shells(manifold, [level], ordering_constraint)[0]
 
 
 def count_unconstrained(manifold: ProductManifold, level_max: int) -> np.ndarray:
@@ -190,7 +238,7 @@ def count_constrained(manifold: ProductManifold, level_max: int) -> np.ndarray:
     One sweep over all admissible tuples with total eigenvalue at most
     level_max; matches len(enumerate_shell(..., True)) levelwise.
     """
-    _, levels = _sweep(manifold, 0, level_max, True)
+    _, levels = _sweep(manifold.factors, level_max, True)
     return np.bincount(levels, minlength=level_max + 1)
 
 
@@ -251,23 +299,51 @@ def _member_amplitudes(manifold: ProductManifold, shell: LatticeShell) -> np.nda
     )
 
 
-def _extremizer_grid(manifold: ProductManifold, shell: LatticeShell, amps, points, index) -> np.ndarray:
-    """sum over the shell of amp * prod_i Phi_{i,n_i}(points[i])[index[i]].
+@dataclass(frozen=True)
+class _Layout:
+    """Where a factor's 1-D table row lies on a grid: grid point u reads
+    element start + sum_j steps[j] u_j of the row repeated `tiles` times."""
 
-    Each factor's spherical table is built once, on its own distinct angles
-    points[i]; the integer arrays index[i] broadcast to the output grid.
+    shape: tuple[int, ...]
+    steps: tuple[int, ...]
+    start: int = 0
+    tiles: int = 1
+
+    @classmethod
+    def reshape(cls, shape: tuple[int, ...]) -> "_Layout":
+        """The row read in C order, as np.reshape would."""
+        return cls(shape, tuple(math.prod(shape[j + 1:]) for j in range(len(shape))))
+
+    def view(self, row: np.ndarray) -> np.ndarray:
+        if self.tiles > 1:
+            row = np.tile(row, self.tiles)
+        strides = tuple(step * row.itemsize for step in self.steps)
+        return as_strided(row[self.start:], self.shape, strides, writeable=False)
+
+
+def _extremizer_grid(manifold: ProductManifold, shell: LatticeShell, amps, points, layouts) -> np.ndarray:
+    """sum over the shell of amp * prod_i Phi_{i,n_i} on a grid.
+
+    Factor i's values are its spherical table on its distinct angles
+    points[i], read onto the grid through layouts[i] as strided views.
+    Factors with the same space and the same angles share one table, built
+    for all their degrees: a row depends on neither the other points nor
+    the top degree.
     """
-    tables = [
-        spherical_table(space, {m[i] for m in shell.members}, points[i])
-        for i, space in enumerate(manifold.factors)
-    ]
-    shape = np.broadcast_shapes(*(np.shape(ix) for ix in index))
+    degrees = [{member[i] for member in shell.members} for i in range(manifold.rank)]
+    keys = [(space, angles.tobytes()) for space, angles in zip(manifold.factors, points)]
+    wanted: dict = {}
+    for key, angles, ns in zip(keys, points, degrees):
+        wanted.setdefault(key, (angles, set()))[1].update(ns)
+    tables = {key: spherical_table(key[0], ns, angles) for key, (angles, ns) in wanted.items()}
+    views = [{n: layout.view(tables[key][n]) for n in ns} for key, layout, ns in zip(keys, layouts, degrees)]
+    shape = np.broadcast_shapes(*(layout.shape for layout in layouts))
     f = np.zeros(shape)
     prod = np.empty(shape)  # one buffer for every member's product
     for member, amp in zip(shell.members, amps):
-        np.multiply(tables[0][member[0]][index[0]], tables[1][member[1]][index[1]], out=prod)
+        np.multiply(views[0][member[0]], views[1][member[1]], out=prod)
         for i in range(2, len(member)):
-            prod *= tables[i][member[i]][index[i]]
+            prod *= views[i][member[i]]
         prod *= amp
         f += prod
     return f
@@ -281,7 +357,8 @@ def extremizer_eval(manifold: ProductManifold, shell: LatticeShell, theta) -> fl
     if len(theta) != manifold.rank:
         raise ValueError("theta must have one coordinate per factor")
     amps = _member_amplitudes(manifold, shell)
-    return float(_extremizer_grid(manifold, shell, amps, [[t] for t in theta], [0] * manifold.rank))
+    points = [np.array([t]) for t in theta]
+    return float(_extremizer_grid(manifold, shell, amps, points, [_Layout.reshape(())] * manifold.rank))
 
 
 def extremizer_l2_norm(shell: LatticeShell) -> float:
@@ -363,19 +440,22 @@ _LATTICE_THRESHOLD = 200_000
 
 
 def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wavelength: float):
-    """(points, index, cell): each factor's distinct angles and the integer
-    arrays that place them on the quadrature grid along sub, for
+    """(points, layouts, cell): each factor's distinct angles and the
+    _Layout that places them on the quadrature grid along sub, for
     _extremizer_grid, and the grid's cell volume.
 
     The direct rule takes the midpoints of a tensor grid with at least
     points_per_wavelength samples per wavelength of the highest frequency
     on each parameter axis.  Factor i's angle depends only on the axes its
     matrix row uses: on the sparse grid a one-axis row needs a
-    one-dimensional table and an all-zero row a single point.  When that
-    grid would pass _LATTICE_THRESHOLD points and the matrix is integer, the
-    lattice rule takes one common step h on every axis instead, which puts
-    each factor's angles on a one-dimensional lattice; its box snaps up to
-    whole grid cells.
+    one-dimensional table and an all-zero row a single point, each read
+    through a reshape.  When that grid would pass _LATTICE_THRESHOLD points
+    and the matrix is integer, the lattice rule takes one common step h on
+    every axis instead, which puts each factor's angles on a
+    one-dimensional lattice; its box snaps up to whole grid cells.  There
+    factor i's table index is affine in the grid point u, row . u - t_lo
+    on a box and (row . u) mod M on the full torus, so a strided view reads
+    it.
     """
     a = sub.matrix_array
     freqs = np.abs(a).T @ np.max(np.array(shell.members), axis=0)  # per parameter axis
@@ -395,25 +475,32 @@ def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wave
             np.asarray(b + sum(row[j] * grids[j] for j in np.flatnonzero(row))) for row, b in zip(a, sub.offset)
         ]
         cell = float(np.prod([length / m for length, m in zip(lengths, sizes)]))
-        return [th.ravel() for th in thetas], [np.arange(th.size).reshape(th.shape) for th in thetas], cell
-    a = a.astype(int)
+        return [th.ravel() for th in thetas], [_Layout.reshape(th.shape) for th in thetas], cell
     if sub.box is None:
         sizes = [max(8, int(np.ceil(points_per_wavelength * float(np.max(freqs)))))] * sub.k
         h = 2.0 * math.pi / sizes[0]
     else:
         h = min(2.0 * math.pi / (points_per_wavelength * max(float(f), 1.0)) for f in freqs)
         sizes = [max(8, int(math.ceil(length / h))) for length in lengths]
-    grids = np.meshgrid(*[np.arange(m, dtype=np.int64) for m in sizes], indexing="ij", sparse=True)
-    points, index = [], []
-    for row, b in zip(a, sub.offset):
-        t = np.asarray(sum(int(row[j]) * grids[j] for j in np.flatnonzero(row)), dtype=np.int64)
-        if sub.box is None:
-            t %= sizes[0]  # the full torus wraps
-        t_lo = int(t.min())
+    points, layouts = [], []
+    for row, b in zip(a.astype(int).tolist(), sub.offset):
+        shape = tuple(m if r else 1 for r, m in zip(row, sizes))
         base = b + (h / 2.0) * float(np.sum(row)) + float(np.dot(row, [lo for lo, _ in box]))
-        points.append(base + h * np.arange(t_lo, int(t.max()) + 1))
-        index.append(t - t_lo)
-    return points, index, h ** sub.k
+        if sub.box is None:
+            # The full torus wraps: the table holds one period of M angles,
+            # tiled sum|row_j| + 1 times.  row . u runs from -(M-1) times the
+            # negative entries' sum to (M-1) times the positive ones', so
+            # starting at M times the former keeps every index in the tiles.
+            period = sizes[0] if any(row) else 1
+            below = sum(-r for r in row if r < 0)
+            points.append(base + h * np.arange(period))
+            layouts.append(_Layout(shape, tuple(row), period * below, sum(map(abs, row)) + 1))
+        else:
+            t_lo = sum(r * (m - 1) for r, m in zip(row, sizes) if r < 0)
+            t_hi = sum(r * (m - 1) for r, m in zip(row, sizes) if r > 0)
+            points.append(base + h * np.arange(t_lo, t_hi + 1))
+            layouts.append(_Layout(shape, tuple(row), -t_lo))
+    return points, layouts, h ** sub.k
 
 
 def restriction_lp_norm(
@@ -447,8 +534,8 @@ def restriction_lp_norm(
         raise ResolutionError(
             f"{points_per_wavelength} points per wavelength cannot resolve the integrand; need >= 2"
         )
-    points, index, cell = _restriction_grid(shell, sub, points_per_wavelength)
-    f = _extremizer_grid(manifold, shell, _member_amplitudes(manifold, shell), points, index)
+    points, layouts, cell = _restriction_grid(shell, sub, points_per_wavelength)
+    f = _extremizer_grid(manifold, shell, _member_amplitudes(manifold, shell), points, layouts)
     density = sub.density
     norms = [_lp_norm(f, q, cell, density) for q in p_values]
     return norms[0] if scalar else norms
@@ -472,9 +559,13 @@ def pointwise_lower_check(manifold: ProductManifold, shell: LatticeShell, epsilo
         raise ValueError(f"polydisc grid of {_POLYDISC_SAMPLES}^{manifold.rank} points is too large")
     n_big = max(shell.spectral_parameter, 1.0)
     axis = np.linspace(-epsilon / n_big, epsilon / n_big, _POLYDISC_SAMPLES)
-    index = np.meshgrid(*[np.arange(_POLYDISC_SAMPLES)] * manifold.rank, indexing="ij", sparse=True)
+    # Factor i's samples run along axis i of the polydisc grid.
+    layouts = [
+        _Layout.reshape(tuple(_POLYDISC_SAMPLES if j == i else 1 for j in range(manifold.rank)))
+        for i in range(manifold.rank)
+    ]
     amps = _member_amplitudes(manifold, shell)
-    f = _extremizer_grid(manifold, shell, amps, [axis] * manifold.rank, index)
+    f = _extremizer_grid(manifold, shell, amps, [axis] * manifold.rank, layouts)
     return float(np.min(np.abs(f)) / np.sum(amps))
 
 
@@ -609,20 +700,19 @@ def sharpness_report(
     envelope N^((d-2)/2 - k/p) and the fitted slope of the ratio, for each p;
     and the pointwise_lower_check minimum over the swept shells.
 
-    Each level's shell is enumerated once and its extremizer evaluated on
-    the restriction grid once, for every p; the levels run on `threads`
-    worker threads.  Returns one (rows, fit) per p, and the minimum.
+    Every level's shell comes from one sweep, and each nonempty shell's
+    extremizer is evaluated on the restriction grid once, for every p; the
+    levels run on `threads` worker threads.  Returns one (rows, fit) per p,
+    and the minimum.
     """
     p_values = [float(p) for p in p_values]
+    shells = [shell for shell in _shells(manifold, levels, ordering_constraint=True) if len(shell)]
 
-    def measure(level):
-        shell = enumerate_shell(manifold, level, ordering_constraint=True)
-        if len(shell) == 0:
-            return None
+    def measure(shell):
         return shell, restriction_lp_norm(manifold, shell, sub, p_values, points_per_wavelength)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        measured = [m for m in pool.map(measure, levels) if m is not None]
+        measured = list(pool.map(measure, shells))
     if not measured:
         raise ValueError("no nonempty shells in the sweep")
     sweeps = []

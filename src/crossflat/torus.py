@@ -293,6 +293,24 @@ def _bump(thetas: np.ndarray, width: float) -> np.ndarray:
     return out
 
 
+def _distinct_starts(names: list[str], starts: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The nonzero rows of starts, each at its first copy only, with their
+    names.  Bumps narrower than the grid spacing all sample to the same
+    one-point row.  A copy would refine to the same value, and the witness
+    is the first start within 1e-12 of the best, so dropping it changes
+    nothing."""
+    # Keyed by bytes, not np.unique: its first call imports numpy.ma.
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(starts):
+        if np.max(np.abs(row)) != 0.0:
+            first.setdefault(row.tobytes(), i)
+    keep = list(first.values())
+    if len(keep) < len(starts):
+        names = [names[i] for i in keep]
+        starts = starts[keep]
+    return names, starts
+
+
 def _check_exponent(p: float) -> None:
     if not 2 <= p < math.inf:
         raise ValueError(f"bracket requires a finite p >= 2, got p = {p}")
@@ -369,10 +387,7 @@ def opnorm_bracket(
     for j, width in enumerate(widths):
         starts[2 + j] = _bump(thetas, width)
     starts[-1] = np.random.default_rng(seed).standard_normal(grid.size)
-    nonzero = np.max(np.abs(starts), axis=1) != 0.0
-    if not nonzero.all():
-        names = [name for name, keep in zip(names, nonzero) if keep]
-        starts = starts[nonzero]
+    names, starts = _distinct_starts(names, starts)
 
     # The kernel is real and even, so its multiplier is real.
     khat = np.zeros(grid.size // 2 + 1)

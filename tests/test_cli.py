@@ -323,17 +323,18 @@ class TestRun:
             assert float(row[dev_col]) == abs(k - exact.numerator) / max(k, 1.0)
 
     def test_sharpness_enumerates_each_level_once(self, tmp_path, monkeypatch):
+        # one sweep yields every level's shell, for all p and the pointwise check
         calls = []
-        enumerate_shell = crossflat.products.enumerate_shell
+        shells = crossflat.products._shells
         monkeypatch.setattr(
             crossflat.products,
-            "enumerate_shell",
-            lambda *args, **kwargs: calls.append(args[1]) or enumerate_shell(*args, **kwargs),
+            "_shells",
+            lambda *args, **kwargs: calls.append(list(args[1])) or shells(*args, **kwargs),
         )
         cfg = copy.deepcopy(CONTRACT_BASES["sharpness"])
         cfg["parameters"]["p_values"] = [2, 4, 6]
         assert run({"command": "sharpness", **cfg}, out_dir=str(tmp_path)) in (0, 1)
-        assert calls == [12, 24, 40]
+        assert calls == [[12, 24, 40]]
 
     def test_shell_members_column(self, tmp_path):
         cfg = {

@@ -35,6 +35,7 @@ from crossflat.spaces import (
     rep_dimension,
     sphere,
     spherical_eval,
+    spherical_table,
     weyl_dimension,
 )
 
@@ -116,6 +117,21 @@ class TestEnumerateShell:
                 for constrained in (True, False):
                     mine = enumerate_shell(m, level, constrained).members
                     assert mine == brute_force_shell(m, level, constrained)
+
+    def test_one_sweep_serves_many_levels(self):
+        # unsorted, repeated, empty and far-apart levels against the brute
+        # force scan of each level alone
+        projective = ProductManifold.of(real_projective(3), sphere(3), real_projective(4))
+        for m in (S3_FIFTH, MIXED_RANK4, projective):
+            levels = [55, 3, 40, 0, 1, 40, 97, 15]
+            for constrained in (True, False):
+                shells = products._shells(m, levels, constrained)
+                assert [shell.level for shell in shells] == levels
+                assert [shell.members for shell in shells] == [brute_force_shell(m, lv, constrained) for lv in levels]
+        levels = [40] + diagonal_levels(MIXED, [700])
+        far = products._shells(MIXED, levels, True)
+        assert [shell.members for shell in far] == [enumerate_shell(MIXED, lv).members for lv in levels]
+        assert (700, 700) in far[1].members
 
     def test_rejects_non_integral_level(self):
         with pytest.raises(ValueError, match="integer"):
@@ -280,8 +296,8 @@ class TestRestrictionNorm:
         ps = [2.0, 3.5, 6.0, math.inf]
         together = restriction_lp_norm(MIXED_RANK4, shell, sub, ps)
         assert len(grids) == (sub.k > 0)
-        # only the lattice rule looks one table entry up at several grid points
-        assert any(len(angles) < np.size(ix) for grid in grids for angles, ix in zip(*grid[:2])) == lattice
+        # only the lattice rule reads one table entry at several grid points
+        assert any(len(angles) < math.prod(lay.shape) for grid in grids for angles, lay in zip(*grid[:2])) == lattice
         assert together == [restriction_lp_norm(MIXED_RANK4, shell, sub, p) for p in ps]
         assert len(set(together)) == (1 if sub.k == 0 else len(ps))
 
@@ -433,6 +449,104 @@ class TestExtremizerOracle:
         theta = [0.3, -1.1, 2.0, 0.7]
         expected = float(dense_extremizer(MIXED_RANK4, self.SHELL, theta))
         assert extremizer_eval(MIXED_RANK4, self.SHELL, theta) == pytest.approx(expected, rel=1e-12)
+
+
+def gathered_extremizer(manifold, shell, points, index):
+    """f on a grid from each factor's table on points[i], gathered through
+    the integer arrays index[i]; products in the evaluator's order."""
+    amps = products._member_amplitudes(manifold, shell)
+    values = [
+        {n: row[ix] for n, row in spherical_table(space, {m[i] for m in shell.members}, angles).items()}
+        for i, (space, angles, ix) in enumerate(zip(manifold.factors, points, index))
+    ]
+    f = np.zeros(np.broadcast_shapes(*(np.shape(ix) for ix in index)))
+    for member, amp in zip(shell.members, amps):
+        prod = values[0][member[0]] * values[1][member[1]]
+        for i in range(2, len(member)):
+            prod = prod * values[i][member[i]]
+        f += prod * amp
+    return f
+
+
+def integer_arrays(value) -> int:
+    """The number of integer numpy arrays anywhere inside value."""
+    if isinstance(value, np.ndarray):
+        return int(value.dtype.kind in "iu")
+    if isinstance(value, (list, tuple)):
+        return sum(integer_arrays(v) for v in value)
+    if hasattr(value, "__dataclass_fields__"):
+        return sum(integer_arrays(getattr(value, name)) for name in value.__dataclass_fields__)
+    return 0
+
+
+class TestGridViews:
+    """The strided views of the evaluator against a plain gather, to the bit."""
+
+    SHELL = enumerate_shell(MIXED_RANK4, 38, ordering_constraint=False)
+
+    @pytest.mark.parametrize(
+        "matrix, box",
+        [
+            # sum |row_j| up to 3 with negative entries, and an all-zero row
+            ([[2, -1], [1, 0], [0, 1], [0, 0]], None),
+            # all-negative rows: the view starts in the last copy of the row
+            ([[-1, 0], [0, -2], [-1, -1], [1, 1]], None),
+            # even entries on an even period skip half the residues
+            ([[2, 0], [0, 2], [1, 1], [0, 0]], None),
+            ([[1, 0, 0], [1, -1, 0], [0, 2, -1], [0, 0, 1]], None),
+            ([[2, -1], [1, 0], [0, 1], [0, 0]], [(-0.25, 0.25), (0.0, 0.6)]),
+            ([[-2, 0], [1, -1], [0, 1], [0, -1]], [(-0.3, 0.1), (0.2, 0.6)]),
+        ],
+    )
+    def test_lattice_rule(self, monkeypatch, matrix, box):
+        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+        sub = FlatSubmanifold.of(matrix, [0.1, 0.0, -0.3, 0.2], box)
+        points, layouts, _ = products._restriction_grid(self.SHELL, sub, 4.0)
+        assert integer_arrays((points, layouts)) == 0
+        sizes = np.broadcast_shapes(*(layout.shape for layout in layouts))
+        u = np.meshgrid(*[np.arange(m) for m in sizes], indexing="ij")
+        index = []
+        for row in sub.matrix_array.astype(int):
+            t = sum(r * axis for r, axis in zip(row, u))
+            if box is None:
+                t = t % sizes[0]
+            index.append(t - t.min())
+        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
+        f = products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts)
+        assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, index))
+
+    def test_direct_rule(self):
+        sub = FlatSubmanifold.of(
+            [[1.0, 0.5], [0.0, 1.0], [0.0, 0.0], [-1.0, 0.0]], [0.1, -0.2, 0.3, 0.05], [(-0.3, 0.4), (0.1, 0.9)]
+        )
+        points, layouts, _ = products._restriction_grid(self.SHELL, sub, 8.0)
+        assert integer_arrays((points, layouts)) == 0
+        index = [np.arange(len(angles)).reshape(layout.shape) for angles, layout in zip(points, layouts)]
+        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
+        f = products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts)
+        assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, index))
+
+    def test_no_caller_passes_integer_arrays(self, monkeypatch):
+        seen = []
+        evaluate = products._extremizer_grid
+        monkeypatch.setattr(
+            products, "_extremizer_grid", lambda *args: seen.append(args[3:]) or evaluate(*args)
+        )
+        restriction_lp_norm(MIXED_RANK4, self.SHELL, FlatSubmanifold.of([[1], [1], [0], [2]]), 2.0)
+        pointwise_lower_check(MIXED_RANK4, self.SHELL, 0.1)
+        extremizer_eval(MIXED_RANK4, self.SHELL, [0.3, -1.1, 2.0, 0.7])
+        assert len(seen) == 3 and integer_arrays(seen) == 0
+
+    def test_factors_with_equal_angles_share_one_table(self, monkeypatch):
+        # the polydisc samples every factor on one axis: one table per space
+        calls = []
+        table = products.spherical_table
+        monkeypatch.setattr(products, "spherical_table", lambda *args: calls.append(args[0]) or table(*args))
+        shell = enumerate_shell(S3_FIFTH, 495)
+        pointwise_lower_check(S3_FIFTH, shell, 0.05)
+        assert calls == [sphere(3)]
+        pointwise_lower_check(MIXED_RANK4, self.SHELL, 0.05)
+        assert calls[1:] == [sphere(2), sphere(3), complex_projective(4)]
 
 
 class TestExponentAlgebra:

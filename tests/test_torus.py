@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -30,6 +32,7 @@ from crossflat.torus import (
 )
 
 HALF = JacobiParams.of(0.5, 0.5)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def dirichlet_l2_sq(n: int) -> float:
@@ -377,7 +380,8 @@ class TestLockstepRefinement:
 
     def test_an_all_zero_start_is_skipped(self, monkeypatch):
         # At n = 16 the bumps have widths 2^0..2^-6; the 2^-1 one is zeroed.
-        # At p = 6 the candidates live on the 98-point iteration grid.
+        # At p = 6 the candidates live on the 98-point iteration grid, whose
+        # spacing exceeds 2^-4: the last three bumps are one row, kept once.
         clean = opnorm_bracket(HALF, 16, 6.0)
         bump, refine = torus._bump, torus._boyd_refine
         seen = []
@@ -390,7 +394,7 @@ class TestLockstepRefinement:
         monkeypatch.setattr(torus, "_boyd_refine", recording_refine)
         bracket = opnorm_bracket(HALF, 16, 6.0)
         (starts,) = seen
-        assert len(starts) == 2 + 7 + 1 - 1
+        assert len(starts) == 2 + 7 + 1 - 1 - 2
         assert np.all(np.max(np.abs(starts), axis=1) > 0)
         thetas = PeriodicGrid(_next_fast_len(6 * 16 + 1)).thetas
         assert starts.shape[1] == len(thetas)
@@ -417,6 +421,38 @@ def recorded_bracket(monkeypatch, *args, **kwargs):
     monkeypatch.undo()
     (starts,) = seen
     return bracket, starts
+
+
+def nonzero_starts(names, starts):
+    """Every nonzero start, copies included."""
+    keep = np.max(np.abs(starts), axis=1) != 0.0
+    return [name for name, k in zip(names, keep) if k], starts[keep]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("opnorm_*.json")), ids=lambda path: path.stem)
+def test_dropping_copied_starts_keeps_every_bracket(monkeypatch, config):
+    # Refining each copy again cannot move the bounds, the witness or the
+    # refined flag of any bracket of the bundled opnorm configs.
+    spec = json.loads(config.read_text())
+    params = spec["parameters"]
+    jp, p = JacobiParams.of(params["alpha"], params["beta"]), float(params["p"])
+    distinct, dropped = torus._distinct_starts, []
+
+    def counting(names, starts):
+        kept = distinct(names, starts)
+        dropped.append(len(nonzero_starts(names, starts)[0]) - len(kept[0]))
+        return kept
+
+    for n in params["n_values"]:
+        monkeypatch.setattr(torus, "_distinct_starts", counting)
+        kept = opnorm_bracket(jp, n, p, seed=spec["seed"])
+        monkeypatch.setattr(torus, "_distinct_starts", nonzero_starts)
+        every = opnorm_bracket(jp, n, p, seed=spec["seed"])
+        assert (kept.lower, kept.upper, kept.lower_witness, kept.refined) == (
+            every.lower, every.upper, every.lower_witness, every.refined
+        )
+    # every p > 2 config has copies to drop
+    assert (sum(dropped) > 0) == (p > 2)
 
 
 class TestEvenPIterationGrid:
@@ -459,9 +495,15 @@ class TestEvenPIterationGrid:
             p_dual = p / (p - 1.0)
             ratio = _grid_lp(te, p, fine.weight) / _grid_lp(e, p_dual, fine.weight)
         else:
-            names = ["cos", "kernel"] + [f"bump width 2^-{j}" for j in range(len(starts) - 3)] + ["random start"]
+            # Exact copies among the starts are dropped, so a bump is rebuilt
+            # on the iteration grid.  A kernel witness is no copy of the cos
+            # row before it (that row would be the witness), so it is row 1.
             name = name.removesuffix(" (power iteration)")
-            row = starts[0 if name.startswith("cos(") else names.index(name)]
+            if name.startswith("bump width 2^-"):
+                width = 2.0 ** -int(name.removeprefix("bump width 2^-"))
+                row = torus._bump(PeriodicGrid(starts.shape[1]).thetas, width)
+            else:
+                row = starts[{"kernel": 1, "random start": -1}.get(name, 0)]
             values, diverged = _boyd_refine(
                 convolution(params, n, fine), np.fft.irfft(np.fft.rfft(row), fine.size)[None], p, fine.weight, 200
             )

@@ -74,12 +74,13 @@ def _csv_cells(data: bytes) -> dict[tuple, str]:
 
 
 def _summary_cells(data: bytes) -> dict[tuple, object]:
-    """{(0, dotted key): leaf value} of a summary's JSON."""
+    """{(0, dotted key): leaf value} of a summary's JSON; an empty list or
+    object is a leaf, so a key that holds one still counts."""
     def leaves(value, key):
-        if isinstance(value, dict):
+        if isinstance(value, dict) and value:
             for k, v in value.items():
                 yield from leaves(v, f"{key}.{k}" if key else k)
-        elif isinstance(value, list):
+        elif isinstance(value, list) and value:
             for i, v in enumerate(value):
                 yield from leaves(v, f"{key}[{i}]")
         else:

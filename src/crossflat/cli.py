@@ -313,10 +313,11 @@ def _parse_opnorm(r: _Parameters):
                 jp, n, p, seed=seed or 0, iteration_budget=budget, coefficients=rows_of[n]
             )
             env = torus.envelope_A(jp.alpha, p / 2.0, n)
-            return (jp.alpha, jp.beta, n, p, bracket.lower, bracket.upper, env, bracket.upper / env)
+            row = (jp.alpha, jp.beta, n, p, bracket.lower, bracket.upper, env, bracket.upper / env)
+            return row, bracket.refined
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(cell, n_values))
+            rows, refined = zip(*pool.map(cell, n_values))
         upper_fit = torus.fit_exponent([(row[2], row[5]) for row in rows])
         lower_fit = torus.fit_exponent([(row[2], row[4]) for row in rows])
         expected = torus.envelope_exponent(jp.alpha, p / 2.0)
@@ -328,8 +329,10 @@ def _parse_opnorm(r: _Parameters):
             "slope_tolerance": slope_tol,
             "lower_slope_diagnostic": lower_fit.slope,
             "bracket_order_ok": bracket_ok,
+            # Degrees where a power-iteration candidate diverged.
+            "unrefined_degrees": [n for n, ok in zip(n_values, refined) if not ok],
         }
-        return header, rows, summary, bool(bracket_ok and slope_ok)
+        return header, list(rows), summary, bool(bracket_ok and slope_ok)
 
     return handler
 

@@ -8,9 +8,10 @@ lower bounds come from a candidate family refined by a power iteration that
 stops after _PLATEAU_SWEEPS sweeps without gain, or when its budget runs out.
 A ratio counts from the second sweep on; for even p every iterate is then a
 trigonometric polynomial whose norms the iteration grid sums exactly, so the
-lower bound is certified up to rounding, and that grid is the smallest exact
-one, _next_fast_len(p n + 1) points.  Other p iterate on the default grid
-and their lower bounds are best-effort.  The candidates of a bracket refine
+lower bound is certified up to rounding.  That grid is the smallest
+5-smooth length above p n, and each sweep there forms its powers p - 1 and
+p by multiplication.  Other p iterate on the default grid through pow, and
+their lower bounds are best-effort.  The candidates of a bracket refine
 in lockstep, as the rows of one (K, N) array transformed by batched FFTs.  A
 kernel is held as its Fourier coefficients; samples on a grid are
 synthesized from them, and kernel_coefficients takes a whole degree ladder
@@ -52,11 +53,18 @@ UPPER_YOUNG = "young"
 UPPER_EXACT_MULTIPLIER = "exact_multiplier"
 
 
+# numpy's FFTs are slow on radix 7 and 11: a batched real transform pair
+# on 12,320 = 2^5 5 7 11 points takes about 1.5 times as long as on 12,500.
+# The power iteration, free to choose its grid, keeps to these radices.
+_FAST_PRIMES = (2, 3, 5)
+
+
 @lru_cache(maxsize=None)
-def _smooth_numbers(limit: int) -> list[int]:
-    # Every 11-smooth integer up to limit, in increasing order.
+def _smooth_numbers(limit: int, primes: tuple[int, ...]) -> list[int]:
+    # Every integer up to limit with no prime factor outside primes, in
+    # increasing order.
     numbers = {1}
-    for prime in (2, 3, 5, 7, 11):
+    for prime in primes:
         grown = set()
         for n in numbers:
             while n <= limit:
@@ -66,10 +74,11 @@ def _smooth_numbers(limit: int) -> list[int]:
     return sorted(numbers)
 
 
-def _next_fast_len(target: int) -> int:
-    """Smallest 11-smooth integer >= target, the rule of
-    scipy.fft.next_fast_len for complex transforms."""
-    table = _smooth_numbers(1 << (target - 1).bit_length())  # a power of two caps it
+def _next_fast_len(target: int, primes: tuple[int, ...] = (2, 3, 5, 7, 11)) -> int:
+    """Smallest integer >= target with no prime factor outside primes; by
+    default 11-smooth, the rule of scipy.fft.next_fast_len for complex
+    transforms."""
+    table = _smooth_numbers(1 << (target - 1).bit_length(), primes)  # a power of two caps it
     return table[bisect_left(table, target)]
 
 
@@ -211,7 +220,15 @@ class NormBracket:
 def _grid_lp(f: np.ndarray, p: float, weight: float) -> float:
     if p == math.inf:
         return float(np.max(np.abs(f)))
-    return float(np.sum(np.abs(f) ** p * weight) ** (1.0 / p))
+    a = np.abs(f)
+    with np.errstate(over="ignore"):
+        norm = float(np.sum(a ** p * weight) ** (1.0 / p))
+    if not math.isfinite(norm) and np.all(np.isfinite(a)):
+        # |f|^p overflowed: the max comes out.  A sum that did not overflow
+        # keeps its bits.
+        top = float(np.max(a))
+        norm = top * float(np.sum((a / top) ** p * weight) ** (1.0 / p))
+    return norm
 
 
 def _row_lp(f: np.ndarray, p: float, weight: float, scratch: np.ndarray) -> np.ndarray:
@@ -234,6 +251,60 @@ def _dual_map(g: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _odd_power(g: np.ndarray, e: int, out: np.ndarray):
+    # Each row of g divided by its largest magnitude M, so x = g / M, and
+    # x^e formed in out by left-to-right binary powering (e odd and at
+    # least 3, so the sign comes along).  Returns M and each row's sum of
+    # x^(e+1); g is overwritten.  A row holding inf turns to nan, and its
+    # sum with it.
+    top = np.maximum(np.maximum(np.max(g, axis=1), -np.min(g, axis=1)), 1e-300)
+    with np.errstate(invalid="ignore"):
+        g /= top[:, None]
+    np.multiply(g, g, out=out)
+    for i, bit in enumerate(bin(e)[3:]):
+        if i:
+            out *= out
+        if bit == "1":
+            out *= g
+    g *= out
+    return top, np.sum(g, axis=1)
+
+
+def _half_steps(p: float, p_dual: float, weight: float):
+    """The two halves of a power-iteration sweep for exponent p.
+
+    forward(g, out) returns the dual direction of each row of g, in out, and
+    the row's L^p norm; backward(h, out, scratch) returns the next iterate,
+    the dual direction of each row of h in out, and its L^{p'} norm.  Both
+    overwrite their first argument.  For even p each is one _odd_power: with
+    x = g / M the dual direction is x^(p-1), ||g||_p = M (w sum x^p)^(1/p)
+    and ||x^(p-1)||_{p'} = (w sum x^p)^(1/p'), with no pow, abs or sign
+    pass.  Other p map and sum through pow.
+    """
+    if p % 2:
+        def forward(g, out):
+            lam = _row_lp(g, p, weight, out)
+            return _dual_map(g, p, out), lam
+
+        def backward(h, out, scratch):
+            f = _dual_map(h, p, out)
+            return f, _row_lp(f, p_dual, weight, scratch)
+
+        return forward, backward
+
+    e = int(p) - 1
+
+    def forward(g, out):
+        top, sums = _odd_power(g, e, out)
+        return out, np.array([m * (weight * s) ** (1.0 / p) for m, s in zip(top.tolist(), sums.tolist())])
+
+    def backward(h, out, scratch):
+        _, sums = _odd_power(h, e, out)
+        return out, np.array([(weight * s) ** (1.0 / p_dual) for s in sums.tolist()])
+
+    return forward, backward
+
+
 # Sweeps in a row without a relative gain above 1e-13 after which a power
 # iteration stops; at 1 a bundled bracket's witness changes.
 _PLATEAU_SWEEPS = 2
@@ -247,18 +318,20 @@ def _boyd_refine(apply_op, f: np.ndarray, p: float, weight: float, budget: int):
     # batch once it plateaus or diverges; the rows that stay move to the
     # front of f and of one scratch buffer.  The first sweep's ratio is of the
     # start itself, whatever its samples are, so a row's ratio counts from
-    # the second sweep on.  Returns every row's best value and whether it
-    # diverged.
+    # the second sweep on; even-p starts skip the normalization, since each
+    # of their half-steps divides a row by its largest magnitude.  Returns
+    # every row's best value and whether it diverged.
     p_dual = p / (p - 1.0)
+    forward, backward = _half_steps(p, p_dual, weight)
     best = np.zeros(len(f))
     diverged = np.zeros(len(f), dtype=bool)
     stall = np.zeros(len(f), dtype=int)
     live = np.arange(len(f))
     buffer = np.empty_like(f)
-    f /= _row_lp(f, p_dual, weight, buffer)[:, None]
+    if p % 2:
+        f /= _row_lp(f, p_dual, weight, buffer)[:, None]
     for sweep in range(budget):
-        g = apply_op(f)
-        lam = _row_lp(g, p, weight, buffer[: len(live)])
+        u, lam = forward(apply_op(f), buffer[: len(live)])
         finite = np.isfinite(lam)
         if sweep:
             gain = finite & (lam > best[live] * (1.0 + 1e-13))
@@ -267,12 +340,10 @@ def _boyd_refine(apply_op, f: np.ndarray, p: float, weight: float, budget: int):
         diverged[live[~finite]] = True
         stay = finite & (stall[live] < _PLATEAU_SWEEPS)
         if not stay.all():
-            live, g = live[stay], g[stay]
+            live, u = live[stay], u[stay]
             if not len(live):
                 break
-        h = apply_op(_dual_map(g, p, buffer[: len(live)]))
-        f = _dual_map(h, p, f[: len(live)])
-        norm = _row_lp(f, p_dual, weight, buffer[: len(live)])
+        f, norm = backward(apply_op(u), f[: len(live)], buffer[: len(live)])
         stay = np.isfinite(norm) & (norm > 0)
         if not stay.all():
             diverged[live[~stay]] = True
@@ -345,15 +416,18 @@ def opnorm_bracket(
     start), all refined together by power iteration, each until
     _PLATEAU_SWEEPS sweeps in a row gain no more than 1e-13 relative, or
     iteration_budget sweeps have run.  A candidate's ratio counts from its
-    second sweep on.  For even p the candidates iterate on the
-    _next_fast_len(p n + 1)-point grid: from the second sweep on each
-    iterate is h^(p-1) with h of degree <= n, the rectangle rule sums both
-    norms of its ratio exactly there, and the lower bound is a true one up
-    to rounding.  Other p iterate on PeriodicGrid.for_degree(n), where
-    Young's sum always runs.  The witness is the first candidate, the
-    closed-form exponential first, whose value is within 1e-12 relative of
-    the best.  coefficients, if given, is the kernel's coefficient row (as
-    from kernel_coefficients) in place of a sweep to degree n.
+    second sweep on.  For even p the candidates iterate on the smallest
+    5-smooth grid with more than p n points (at least 8): from the second
+    sweep on each iterate is h^(p-1) with h of degree <= n, the rectangle
+    rule sums both norms of its ratio exactly there, and the lower bound is
+    a true one up to rounding.  Each half-step scales a row by its largest
+    magnitude and raises it to the odd power p - 1 by multiplication, so a
+    large p cannot overflow.  Other p iterate on PeriodicGrid.for_degree(n),
+    where Young's sum always runs, and keep their pow arithmetic.  The
+    witness is the first candidate, the closed-form exponential first, whose
+    value is within 1e-12 relative of the best.  coefficients, if given, is
+    the kernel's coefficient row (as from kernel_coefficients) in place of a
+    sweep to degree n.
     """
     _check_exponent(p)
     c = _coefficients(params, n, coefficients)
@@ -368,7 +442,7 @@ def opnorm_bracket(
     found = [(top * (2.0 * math.pi) ** (1.0 / p - 1.0 / p_dual), f"exponential m={top_m}")]
 
     if p % 2 == 0:
-        grid = PeriodicGrid(_next_fast_len(max(8, int(p) * n + 1)))
+        grid = PeriodicGrid(_next_fast_len(max(8, int(p) * n + 1), _FAST_PRIMES))
         k = _synthesize(c, grid)
     else:
         grid = PeriodicGrid.for_degree(n)

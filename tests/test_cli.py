@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -560,6 +561,42 @@ class TestRun:
         got = [(float(r[header.index("lower")]), float(r[header.index("upper")])) for r in rows]
         assert got == [(b.lower, b.upper) for b in brackets]
 
+    def test_opnorm_at_a_large_p_keeps_the_exit_contract(self, tmp_path):
+        # Young's sum of |k|^50 overflowed to inf here, and the run exited 2.
+        cfg = {
+            "command": "opnorm",
+            "seed": 7,
+            "parameters": {"alpha": 3, "beta": 1, "p": 100, "n_values": [64, 128, 256, 512]},
+        }
+        assert run(cfg, out_dir=str(tmp_path)) in (0, 1)
+        header, rows = read_csv(tmp_path / "opnorm.csv")
+        uppers = [float(r[header.index("upper")]) for r in rows]
+        assert len(uppers) == 4 and all(math.isfinite(u) and u > 0 for u in uppers)
+        summary = json.loads((tmp_path / "opnorm_summary.json").read_text())["summary"]
+        assert summary["unrefined_degrees"] == []
+
+    def test_kernel_norms_at_a_large_q_keep_the_exit_contract(self, tmp_path):
+        cfg = {"command": "kernel-norms", "parameters": {**KERNEL_NORMS, "alpha": 3.0, "q_values": [2, 200]}}
+        assert run(cfg, out_dir=str(tmp_path)) in (0, 1)
+        header, rows = read_csv(tmp_path / "kernel_norms.csv")
+        norms = [float(r[header.index("norm")]) for r in rows]
+        assert len(norms) == 6 and all(math.isfinite(v) and v > 0 for v in norms)
+
+    def test_opnorm_reports_unrefined_degrees(self, tmp_path, monkeypatch):
+        bracket = crossflat.torus.opnorm_bracket
+        cfg = {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "p": 4, "iteration_budget": 5}}
+        assert run(cfg, out_dir=str(tmp_path / "a")) in (0, 1)
+        monkeypatch.setattr(
+            crossflat.torus,
+            "opnorm_bracket",
+            lambda *args, **kwargs: dataclasses.replace(bracket(*args, **kwargs), refined=args[1] != 32),
+        )
+        assert run(cfg, out_dir=str(tmp_path / "b")) in (0, 1)
+        summaries = [json.loads((tmp_path / side / "opnorm_summary.json").read_text()) for side in "ab"]
+        assert [s["summary"]["unrefined_degrees"] for s in summaries] == [[], [32]]
+        # The CSV does not carry the flag.
+        assert (tmp_path / "a" / "opnorm.csv").read_bytes() == (tmp_path / "b" / "opnorm.csv").read_bytes()
+
     def test_fourier_positivity(self, tmp_path):
         cfg = {
             "command": "fourier",
@@ -704,3 +741,10 @@ class TestCompareOutputsReport:
             "  summary non-numeric cells differ: no",
         ]
         assert describe("summary", None, theirs) == ["  summary: only one tree wrote it"]
+
+    def test_summary_counts_a_key_that_holds_an_empty_list(self):
+        describe = _compare_outputs_module().describe
+        ours = json.dumps({"summary": {"unrefined_degrees": [], "upper_slope": 2.0}}).encode()
+        theirs = json.dumps({"summary": {"upper_slope": 2.0}}).encode()
+        assert describe("summary", ours, theirs) == ["  summary non-numeric cells differ: yes"]
+        assert describe("summary", ours, ours) == ["  summary non-numeric cells differ: no"]

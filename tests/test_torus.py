@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 from pathlib import Path
@@ -35,6 +36,23 @@ HALF = JacobiParams.of(0.5, 0.5)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+def smallest_5_smooth(targets) -> list[int]:
+    """For each target, the smallest integer at or above it with no prime
+    factor above 5, by testing every integer from 1 up."""
+    targets = list(targets)
+    top = max(targets)
+    found, m = [], 0
+    while not found or found[-1] < top:
+        m += 1
+        rest = m
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            found.append(m)
+    return [found[bisect.bisect_left(found, t)] for t in targets]
+
+
 def dirichlet_l2_sq(n: int) -> float:
     # int_0^{2pi} (C sin((n+1)t)/((n+1) sin t))^2 dt = C^2 2 pi / (n+1)
     return jacobi_binomial(0.5, n) ** 2 * 2 * math.pi / (n + 1)
@@ -61,6 +79,14 @@ class TestLpNorm:
         n = 4096
         exact = float(mpmath.binomial(mpmath.mpf(n) + 0.5, n) * mpmath.sqrt(2 * mpmath.pi / (n + 1)))
         assert kernel_lp_norm(HALF, n, 2) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e10, 1e200])
+    def test_a_power_past_the_float_range_keeps_the_norm_finite(self, scale):
+        # |f|^50 overflows for both scales; the norm itself does not.
+        g = PeriodicGrid(64)
+        f = scale * (2.0 + np.cos(g.thetas))
+        plain = lp_norm_periodic(g, f / scale, 50)
+        assert lp_norm_periodic(g, f, 50) == pytest.approx(scale * plain, rel=1e-14)
 
     def test_infinity_norm(self):
         g = PeriodicGrid(32)
@@ -125,6 +151,14 @@ class TestNextFastLen:
 
         targets = list(range(1, 20001)) + [8 * (n + 1) for n in range(70001)]
         assert [_next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
+
+    def test_five_smooth_lengths_against_a_brute_force_scan(self):
+        # Every target up to 20000, and p n + 1 for every even p <= 12 and
+        # n <= 4096: the smallest length at or above it with no prime factor
+        # above 5.
+        targets = sorted(set(range(1, 20001)) | {p * n + 1 for p in range(2, 13, 2) for n in range(4097)})
+        sizes = [_next_fast_len(t, torus._FAST_PRIMES) for t in targets]
+        assert sizes == smallest_5_smooth(targets)
 
 
 class TestEnvelopes:
@@ -295,6 +329,53 @@ def serial_boyd_refine(apply_op, f0, p, weight, budget):
     return best, False
 
 
+def binary_power(x, e):
+    """x^e by left-to-right binary powering: square, then times x on a set bit."""
+    y = x
+    for bit in bin(e)[3:]:
+        y = y * y
+        if bit == "1":
+            y = y * x
+    return y
+
+
+def serial_even_boyd_refine(apply_op, f, p, weight, budget):
+    # serial_boyd_refine with the even-p arithmetic: each half-step divides
+    # by the largest magnitude M and raises x = g / M to the power p - 1 by
+    # multiplication, and both norms come from sum x^p.  The start is not
+    # normalized, since only its direction matters.
+    e, p_dual = int(p) - 1, p / (p - 1.0)
+
+    def powers(g):
+        top = max(float(np.max(g)), -float(np.min(g)), 1e-300)
+        x = g / top
+        y = binary_power(x, e)
+        return top, y, float(np.sum(x * y))
+
+    best = 0.0
+    stall = 0
+    for sweep in range(budget):
+        top, u, total = powers(apply_op(f))
+        lam = top * (weight * total) ** (1.0 / p)
+        if not math.isfinite(lam):
+            return best, True
+        if not sweep:
+            pass  # the start's own ratio does not count
+        elif lam <= best * (1.0 + 1e-13):
+            stall += 1
+            if stall >= _PLATEAU_SWEEPS:
+                break
+        else:
+            stall = 0
+            best = lam
+        _, f_next, total = powers(apply_op(u))
+        norm = (weight * total) ** (1.0 / p_dual)
+        if not (math.isfinite(norm) and norm > 0):
+            return best, True
+        f = f_next / norm
+    return best, False
+
+
 def convolution(params, n, grid):
     """Convolution with the degree-n kernel on the grid, along the last axis."""
     ms, multiplier = fourier_multiplier(params, n)
@@ -318,19 +399,50 @@ def bits(values, diverged):
     return [(float(v).hex(), bool(d)) for v, d in zip(values, diverged)]
 
 
+@pytest.mark.parametrize("e", [3, 5, 7, 11, 63])
+def test_odd_power_is_the_binary_chain_of_the_scaled_rows(e):
+    rows = np.random.default_rng(e).standard_normal((3, 40)) * np.array([[1e-3], [1.0], [1e3]])
+    top = np.max(np.abs(rows), axis=1)
+    x = rows / top[:, None]
+    out = np.empty_like(rows)
+    got_top, sums = torus._odd_power(rows.copy(), e, out)
+    assert got_top.tolist() == top.tolist()
+    assert out.tobytes() == binary_power(x, e).tobytes()
+    assert sums.tolist() == [float(np.sum(row * binary_power(row, e))) for row in x]
+
+
 class TestLockstepRefinement:
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("p", [3.0, 6.0, 8.0])
     @pytest.mark.parametrize("n", [0, 5, 64])
     @pytest.mark.parametrize("alpha, beta", [(0, 0), (0.5, 0.5), (1, 0)])
     def test_rows_match_the_serial_iteration_bit_for_bit(self, alpha, beta, n, p, seed):
+        # Even p against the one-candidate iteration with the same
+        # multiplication chain, other p against the pow one.
         params = JacobiParams.of(alpha, beta)
         grid = PeriodicGrid.for_degree(n)
         op = convolution(params, n, grid)
         starts = candidate_starts(params, n, grid, seed)
-        expected = [serial_boyd_refine(op, row, p, grid.weight, 200) for row in starts]
+        serial = serial_boyd_refine if p % 2 else serial_even_boyd_refine
+        expected = [serial(op, row, p, grid.weight, 200) for row in starts]
         got = _boyd_refine(op, starts.copy(), p, grid.weight, 200)
         assert bits(*got) == bits(*zip(*expected))
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("n", [0, 5, 64])
+    @pytest.mark.parametrize("alpha, beta", [(0, 0), (0.5, 0.5), (1, 0)])
+    def test_even_rows_agree_with_the_pow_iteration(self, alpha, beta, n, p, seed):
+        # Within the plateau threshold of the pow-based one-candidate
+        # iteration, which the even-p arithmetic replaced.
+        params = JacobiParams.of(alpha, beta)
+        grid = PeriodicGrid.for_degree(n)
+        op = convolution(params, n, grid)
+        starts = candidate_starts(params, n, grid, seed)
+        expected, expected_diverged = zip(*(serial_boyd_refine(op, row, p, grid.weight, 200) for row in starts))
+        values, diverged = _boyd_refine(op, starts.copy(), p, grid.weight, 200)
+        assert diverged.tolist() == list(expected_diverged) == [False] * len(starts)
+        assert values == pytest.approx(expected, rel=1e-13)
 
     def test_a_diverging_row_leaves_the_others_unchanged(self):
         params, n, p = JacobiParams.of(1, 0), 64, 6.0
@@ -380,7 +492,7 @@ class TestLockstepRefinement:
 
     def test_an_all_zero_start_is_skipped(self, monkeypatch):
         # At n = 16 the bumps have widths 2^0..2^-6; the 2^-1 one is zeroed.
-        # At p = 6 the candidates live on the 98-point iteration grid, whose
+        # At p = 6 the candidates live on the 100-point iteration grid, whose
         # spacing exceeds 2^-4: the last three bumps are one row, kept once.
         clean = opnorm_bracket(HALF, 16, 6.0)
         bump, refine = torus._bump, torus._boyd_refine
@@ -396,7 +508,7 @@ class TestLockstepRefinement:
         (starts,) = seen
         assert len(starts) == 2 + 7 + 1 - 1 - 2
         assert np.all(np.max(np.abs(starts), axis=1) > 0)
-        thetas = PeriodicGrid(_next_fast_len(6 * 16 + 1)).thetas
+        thetas = PeriodicGrid(100).thetas
         assert starts.shape[1] == len(thetas)
         assert sum(np.array_equal(row, bump(thetas, 0.25)) for row in starts) == 1
         assert not any(np.array_equal(row, bump(thetas, 0.5)) for row in starts)
@@ -459,14 +571,23 @@ class TestEvenPIterationGrid:
     @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
     @pytest.mark.parametrize("n", [0, 5, 64, 300])
     def test_even_p_iterates_on_the_smallest_exact_grid(self, monkeypatch, n, p):
+        # The smallest length above p n with no prime factor above 5.
         bracket, starts = recorded_bracket(monkeypatch, HALF, n, p, seed=7)
-        assert starts.shape[1] == _next_fast_len(max(8, int(p) * n + 1))
+        assert [starts.shape[1]] == smallest_5_smooth([max(8, int(p) * n + 1)])
         # Young's sum keeps the default grid.
         assert bracket.upper == kernel_lp_norm(HALF, n, p / 2.0)
 
     def test_grid_sizes_at_degree_64(self, monkeypatch):
         sizes = [recorded_bracket(monkeypatch, HALF, 64, p)[1].shape[1] for p in (6.0, 8.0)]
-        assert sizes == [385, 525]
+        assert sizes == [400, 540]
+
+    def test_a_large_p_refines_to_near_its_upper_bound(self):
+        # Every |g|^64 of the pow iteration overflowed here, so every
+        # candidate diverged and the closed-form exponential, 6.6e-4 of the
+        # upper bound, was the lower bound.
+        bracket = opnorm_bracket(JacobiParams.of(3, 1), 2048, 64.0, seed=7)
+        assert bracket.refined
+        assert 0.98 * bracket.upper <= bracket.lower <= bracket.upper
 
     @pytest.mark.parametrize("p", [3.0, 6.5, 7.0])
     def test_other_p_iterate_on_the_default_grid(self, monkeypatch, p):

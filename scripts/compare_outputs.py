@@ -4,15 +4,16 @@
     python scripts/compare_outputs.py <other-src>
 
 <other-src> is the `src` directory of another checkout, typically the parent
-commit.  Every bundled config in configs/, and every config of every
-benchmark workload (perfbench/workloads.py) for seeds 101-105, runs through
-`python -m crossflat` once with each tree's `src` on PYTHONPATH, at
-`--threads 1` and at `--threads 2`.  The two trees' CSV and summary bytes,
-exit codes and stderr must match.  Prints one line per run that differs,
-followed, when its CSV or summary differs, by the largest relative
-difference of each numeric CSV column and each numeric summary field that
-moved, and by whether any non-numeric cell differs.  Exits 1 if any run
-differs, 0 otherwise.
+commit.  Every bundled config in configs/, every config of every benchmark
+workload (perfbench/workloads.py) for seeds 101-105, and a few `opnorm`
+probes at odd and non-integer p (PROBES; no bundled or workload config runs
+those p) run through `python -m crossflat` once with each tree's `src` on
+PYTHONPATH, at `--threads 1` and at `--threads 2`.  The two trees' CSV and
+summary bytes, exit codes and stderr must match.  Prints one line per run
+that differs, followed, when its CSV or summary differs, by the largest
+relative difference of each numeric CSV column and each numeric summary
+field that moved, and by whether any non-numeric cell differs.  Exits 1 if
+any run differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -35,13 +36,27 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 
+def _opnorm(alpha: float, beta: float, p: float, n_values: list[int]) -> dict:
+    return {"command": "opnorm", "seed": 7,
+            "parameters": {"alpha": alpha, "beta": beta, "p": p, "n_values": n_values}}
+
+
+# Kept out of configs/, whose opnorm configs a test runs bracket by bracket.
+PROBES = [
+    ("probe-opnorm-p3", _opnorm(1, 0, 3, [64, 128, 256, 512])),
+    ("probe-opnorm-p6.5", _opnorm(0.5, 0.5, 6.5, [64, 128, 256, 512])),
+    ("probe-opnorm-p99", _opnorm(3, 1, 99, [64, 128, 256])),
+]
+
+
 def configs() -> list[tuple[str, dict]]:
-    """(name, config) for every bundled config, then every workload config."""
+    """(name, config) for every bundled config, then every workload config,
+    then the probes."""
     out = [(path.stem, json.loads(path.read_text())) for path in sorted((ROOT / "configs").glob("*.json"))]
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             out += [(f"{workload}-{seed}-{name}", config) for name, config in workloads.generate(workload, seed)]
-    return out
+    return out + PROBES
 
 
 def run(src: Path, config_path: Path, out_dir: Path, threads: int, command: str) -> tuple:

@@ -161,13 +161,20 @@ class _Parameters:
         return self.read(key, default, ok, expected)
 
     def numbers(self, key: str, default, rule):
+        """A list of numbers, each of which names a summary entry by
+        f"{x:g}", so no two may share that key."""
         text, test = rule
 
         def ok(v) -> bool:
             return isinstance(v, list) and len(v) > 0 and all(_is_number(x) and test(x) for x in v)
 
         values = self.read(key, default, ok, f"a nonempty list of numbers {text}")
-        return None if values is None else [float(x) for x in values]
+        if values is None:
+            return None
+        values = [float(x) for x in values]
+        if len({f"{x:g}" for x in values}) < len(values):
+            self.fail(key, "must differ in their first 6 significant digits (the summary key of each value)")
+        return values
 
     def build(self, keys: str, constructor, *args):
         """constructor(*args), or None when one of the comma-separated keys
@@ -438,8 +445,6 @@ def _parse_sharpness(r: _Parameters):
         r.fail("level_min, level_max", "must satisfy level_min < level_max")
     level_count = r.integer("level_count", 12, minimum=3)  # the slope fit needs three levels
     p_values = r.numbers("p_values", [2.0], _EXPONENT)
-    if p_values is not None and len({f"{p:g}" for p in p_values}) < len(p_values):
-        r.fail("p_values", "must differ in their first 6 significant digits (the summary key of each p)")
     ppw = r.number("points_per_wavelength", 8.0, _FINITE_POSITIVE)
     slope_tol = r.number("slope_tolerance", 0.25)
     epsilon = r.number("epsilon", 0.05, _OPEN_UNIT)

@@ -9,9 +9,10 @@ stops after _PLATEAU_SWEEPS sweeps without gain, or when its budget runs out.
 A ratio counts from the second sweep on; for even p every iterate is then a
 trigonometric polynomial whose norms the iteration grid sums exactly, so the
 lower bound is certified up to rounding.  That grid is the smallest
-5-smooth length above p n, and each sweep there forms its powers p - 1 and
-p by multiplication.  Other p iterate on the default grid through pow, and
-their lower bounds are best-effort.  The candidates of a bracket refine
+5-smooth length above p n.  Other p iterate on the default grid, and their
+lower bounds are best-effort.  Each half-step scales a row by its largest
+magnitude before raising it to the power p - 1, by multiplication for even
+p, so no power overflows.  The candidates of a bracket refine
 in lockstep, as the rows of one (K, N) array transformed by batched FFTs.  A
 kernel is held as its Fourier coefficients; samples on a grid are
 synthesized from them, and kernel_coefficients takes a whole degree ladder
@@ -231,78 +232,29 @@ def _grid_lp(f: np.ndarray, p: float, weight: float) -> float:
     return norm
 
 
-def _row_lp(f: np.ndarray, p: float, weight: float, scratch: np.ndarray) -> np.ndarray:
-    # _grid_lp of each row of f, element for element in the same order and
-    # with the root taken per row on the scalar sum; scratch is overwritten.
-    t = np.abs(f, out=scratch)
-    t **= p
-    t *= weight
-    return np.array([s ** (1.0 / p) for s in np.sum(t, axis=1)])
-
-
-def _dual_map(g: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
-    # Each row of g divided by its largest magnitude, then mapped to
-    # sign(g) |g|^(p-1) in out; g is overwritten.
-    np.abs(g, out=out)
-    g /= np.maximum(np.max(out, axis=1), 1e-300)[:, None]
-    np.abs(g, out=out)
-    out **= p - 1.0
-    out *= np.sign(g, out=g)
-    return out
-
-
-def _odd_power(g: np.ndarray, e: int, out: np.ndarray):
+def _scaled_power(g: np.ndarray, p: float, out: np.ndarray):
     # Each row of g divided by its largest magnitude M, so x = g / M, and
-    # x^e formed in out by left-to-right binary powering (e odd and at
-    # least 3, so the sign comes along).  Returns M and each row's sum of
-    # x^(e+1); g is overwritten.  A row holding inf turns to nan, and its
-    # sum with it.
+    # sign(x) |x|^(p-1) formed in out (p > 2): for even p by left-to-right
+    # binary powering of x (p - 1 is odd, so the sign comes along), for
+    # other p through pow and copysign.  Returns M and each row's sum of
+    # |x|^p, as sum x out; g is overwritten.  Since |x| <= 1 no power can
+    # overflow.  A row holding inf turns to nan, and its sum with it.
     top = np.maximum(np.maximum(np.max(g, axis=1), -np.min(g, axis=1)), 1e-300)
     with np.errstate(invalid="ignore"):
         g /= top[:, None]
-    np.multiply(g, g, out=out)
-    for i, bit in enumerate(bin(e)[3:]):
-        if i:
-            out *= out
-        if bit == "1":
-            out *= g
+    if p % 2:
+        np.abs(g, out=out)
+        out **= p - 1.0
+        np.copysign(out, g, out=out)
+    else:
+        np.multiply(g, g, out=out)
+        for i, bit in enumerate(bin(int(p) - 1)[3:]):
+            if i:
+                out *= out
+            if bit == "1":
+                out *= g
     g *= out
     return top, np.sum(g, axis=1)
-
-
-def _half_steps(p: float, p_dual: float, weight: float):
-    """The two halves of a power-iteration sweep for exponent p.
-
-    forward(g, out) returns the dual direction of each row of g, in out, and
-    the row's L^p norm; backward(h, out, scratch) returns the next iterate,
-    the dual direction of each row of h in out, and its L^{p'} norm.  Both
-    overwrite their first argument.  For even p each is one _odd_power: with
-    x = g / M the dual direction is x^(p-1), ||g||_p = M (w sum x^p)^(1/p)
-    and ||x^(p-1)||_{p'} = (w sum x^p)^(1/p'), with no pow, abs or sign
-    pass.  Other p map and sum through pow.
-    """
-    if p % 2:
-        def forward(g, out):
-            lam = _row_lp(g, p, weight, out)
-            return _dual_map(g, p, out), lam
-
-        def backward(h, out, scratch):
-            f = _dual_map(h, p, out)
-            return f, _row_lp(f, p_dual, weight, scratch)
-
-        return forward, backward
-
-    e = int(p) - 1
-
-    def forward(g, out):
-        top, sums = _odd_power(g, e, out)
-        return out, np.array([m * (weight * s) ** (1.0 / p) for m, s in zip(top.tolist(), sums.tolist())])
-
-    def backward(h, out, scratch):
-        _, sums = _odd_power(h, e, out)
-        return out, np.array([(weight * s) ** (1.0 / p_dual) for s in sums.tolist()])
-
-    return forward, backward
 
 
 # Sweeps in a row without a relative gain above 1e-13 after which a power
@@ -316,22 +268,23 @@ def _boyd_refine(apply_op, f: np.ndarray, p: float, weight: float, budget: int):
     # a (rows, N) array row by row.  Each full sweep is nondecreasing in a
     # row's Rayleigh ratio, so each row tracks its best value and leaves the
     # batch once it plateaus or diverges; the rows that stay move to the
-    # front of f and of one scratch buffer.  The first sweep's ratio is of the
-    # start itself, whatever its samples are, so a row's ratio counts from
-    # the second sweep on; even-p starts skip the normalization, since each
-    # of their half-steps divides a row by its largest magnitude.  Returns
-    # every row's best value and whether it diverged.
+    # front of f and of one scratch buffer.  Each half-step is one
+    # _scaled_power: with x = g / M the dual direction is sign(x) |x|^(p-1),
+    # ||g||_p = M (w sum |x|^p)^(1/p) and the next iterate's L^{p'} norm is
+    # (w sum |x|^p)^(1/p').  Only a row's direction matters, so the starts
+    # need no normalization; the first sweep's ratio is of the start itself,
+    # whatever its samples are, so a row's ratio counts from the second
+    # sweep on.  Returns every row's best value and whether it diverged.
     p_dual = p / (p - 1.0)
-    forward, backward = _half_steps(p, p_dual, weight)
     best = np.zeros(len(f))
     diverged = np.zeros(len(f), dtype=bool)
     stall = np.zeros(len(f), dtype=int)
     live = np.arange(len(f))
     buffer = np.empty_like(f)
-    if p % 2:
-        f /= _row_lp(f, p_dual, weight, buffer)[:, None]
     for sweep in range(budget):
-        u, lam = forward(apply_op(f), buffer[: len(live)])
+        u = buffer[: len(live)]
+        top, sums = _scaled_power(apply_op(f), p, u)
+        lam = np.array([m * (weight * s) ** (1.0 / p) for m, s in zip(top.tolist(), sums.tolist())])
         finite = np.isfinite(lam)
         if sweep:
             gain = finite & (lam > best[live] * (1.0 + 1e-13))
@@ -343,7 +296,9 @@ def _boyd_refine(apply_op, f: np.ndarray, p: float, weight: float, budget: int):
             live, u = live[stay], u[stay]
             if not len(live):
                 break
-        f, norm = backward(apply_op(u), f[: len(live)], buffer[: len(live)])
+        f = f[: len(live)]
+        _, sums = _scaled_power(apply_op(u), p, f)
+        norm = np.array([(weight * s) ** (1.0 / p_dual) for s in sums.tolist()])
         stay = np.isfinite(norm) & (norm > 0)
         if not stay.all():
             diverged[live[~stay]] = True
@@ -387,15 +342,13 @@ def _check_exponent(p: float) -> None:
         raise ValueError(f"bracket requires a finite p >= 2, got p = {p}")
 
 
-def _upper_bound(c: np.ndarray, p: float):
+def _upper_bound(c: np.ndarray, p: float) -> tuple[float, str]:
     """A bracket's upper bound and its method: the exact multiplier at
-    p = 2, else Young's bound from the kernel samples on the default grid,
-    which come along (None at p = 2)."""
+    p = 2, else Young's bound from the kernel samples on the default grid."""
     if p == 2:
-        return 2.0 * math.pi * float(np.max(np.abs(c))), UPPER_EXACT_MULTIPLIER, None
+        return 2.0 * math.pi * float(np.max(np.abs(c))), UPPER_EXACT_MULTIPLIER
     grid = PeriodicGrid.for_degree(len(c) - 1)
-    k = _synthesize(c, grid)
-    return lp_norm_periodic(grid, k, p / 2.0), UPPER_YOUNG, k
+    return lp_norm_periodic(grid, _synthesize(c, grid), p / 2.0), UPPER_YOUNG
 
 
 def opnorm_bracket(
@@ -420,10 +373,10 @@ def opnorm_bracket(
     5-smooth grid with more than p n points (at least 8): from the second
     sweep on each iterate is h^(p-1) with h of degree <= n, the rectangle
     rule sums both norms of its ratio exactly there, and the lower bound is
-    a true one up to rounding.  Each half-step scales a row by its largest
-    magnitude and raises it to the odd power p - 1 by multiplication, so a
-    large p cannot overflow.  Other p iterate on PeriodicGrid.for_degree(n),
-    where Young's sum always runs, and keep their pow arithmetic.  The
+    a true one up to rounding.  Other p iterate on PeriodicGrid.for_degree(n),
+    where Young's sum always runs.  For every p each half-step scales a row
+    by its largest magnitude before it raises it to the power p - 1 (by
+    multiplication for even p), so a large p cannot overflow.  The
     witness is the first candidate, the closed-form exponential first, whose
     value is within 1e-12 relative of the best.  coefficients, if given, is
     the kernel's coefficient row (as from kernel_coefficients) in place of a
@@ -431,7 +384,7 @@ def opnorm_bracket(
     """
     _check_exponent(p)
     c = _coefficients(params, n, coefficients)
-    upper, method, k = _upper_bound(c, p)
+    upper, method = _upper_bound(c, p)
     top_m = int(np.argmax(np.abs(c)))
     if p == 2:
         return NormBracket(upper, upper, f"exponential m={top_m}", method)
@@ -443,7 +396,6 @@ def opnorm_bracket(
 
     if p % 2 == 0:
         grid = PeriodicGrid(_next_fast_len(max(8, int(p) * n + 1), _FAST_PRIMES))
-        k = _synthesize(c, grid)
     else:
         grid = PeriodicGrid.for_degree(n)
     thetas = grid.thetas
@@ -457,7 +409,7 @@ def opnorm_bracket(
     names += [f"bump width 2^-{j}" for j in range(len(widths))] + ["random start"]
     starts = np.empty((len(names), grid.size))
     starts[0] = np.cos(top_m * thetas)
-    starts[1] = k
+    starts[1] = _synthesize(c, grid)
     for j, width in enumerate(widths):
         starts[2 + j] = _bump(thetas, width)
     starts[-1] = np.random.default_rng(seed).standard_normal(grid.size)

@@ -172,6 +172,8 @@ class TestValidate:
             {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "p": math.inf}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "p_values": [2, 2]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "p_values": [6, 6.0000001]}},
+            {"command": "kernel-norms", "parameters": {**KERNEL_NORMS, "q_values": [2, 2]}},
+            {"command": "kernel-norms", "parameters": {**KERNEL_NORMS, "q_values": [4, 4.0000001]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [0, 40, 80, 120]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "degrees": [0, 1, 2, 3]}},
             {"command": "fourier", "parameters": {"space": S3, "n_maxx": 10}},
@@ -229,6 +231,8 @@ class TestValidate:
             "opnorm-infinite-p",
             "sharpness-repeated-p",
             "sharpness-p-sharing-a-summary-key",
+            "kernel-norms-repeated-q",
+            "kernel-norms-q-sharing-a-summary-key",
             "sharpness-level-zero",
             "sharpness-degree-zero",
             "fourier-unknown-key",
@@ -573,6 +577,25 @@ class TestRun:
         uppers = [float(r[header.index("upper")]) for r in rows]
         assert len(uppers) == 4 and all(math.isfinite(u) and u > 0 for u in uppers)
         summary = json.loads((tmp_path / "opnorm_summary.json").read_text())["summary"]
+        assert summary["unrefined_degrees"] == []
+
+    def test_opnorm_at_a_large_odd_p_refines_every_degree(self, tmp_path):
+        # The unscaled |g|^99 overflowed here: every degree was unrefined,
+        # and numpy's overflow warning reached stderr.
+        cfg = {
+            "command": "opnorm",
+            "seed": 7,
+            "parameters": {"alpha": 3, "beta": 1, "p": 99, "n_values": [64, 128, 256]},
+        }
+        config = tmp_path / "opnorm.json"
+        config.write_text(json.dumps(cfg))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crossflat.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-m", "crossflat", "--config", str(config), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        summary = json.loads((tmp_path / "out" / "opnorm_summary.json").read_text())["summary"]
         assert summary["unrefined_degrees"] == []
 
     def test_kernel_norms_at_a_large_q_keep_the_exit_contract(self, tmp_path):

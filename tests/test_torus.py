@@ -1,6 +1,7 @@
 import bisect
 import json
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -339,17 +340,18 @@ def binary_power(x, e):
     return y
 
 
-def serial_even_boyd_refine(apply_op, f, p, weight, budget):
-    # serial_boyd_refine with the even-p arithmetic: each half-step divides
-    # by the largest magnitude M and raises x = g / M to the power p - 1 by
-    # multiplication, and both norms come from sum x^p.  The start is not
-    # normalized, since only its direction matters.
-    e, p_dual = int(p) - 1, p / (p - 1.0)
+def serial_scaled_boyd_refine(apply_op, f, p, weight, budget):
+    # serial_boyd_refine with the scaled arithmetic: each half-step divides
+    # by the largest magnitude M and maps x = g / M to sign(x) |x|^(p-1), by
+    # multiplication for even p and through pow otherwise, and both norms
+    # come from sum |x|^p.  The start is not normalized, since only its
+    # direction matters.
+    p_dual = p / (p - 1.0)
 
     def powers(g):
         top = max(float(np.max(g)), -float(np.min(g)), 1e-300)
         x = g / top
-        y = binary_power(x, e)
+        y = np.copysign(np.abs(x) ** (p - 1.0), x) if p % 2 else binary_power(x, int(p) - 1)
         return top, y, float(np.sum(x * y))
 
     best = 0.0
@@ -405,10 +407,22 @@ def test_odd_power_is_the_binary_chain_of_the_scaled_rows(e):
     top = np.max(np.abs(rows), axis=1)
     x = rows / top[:, None]
     out = np.empty_like(rows)
-    got_top, sums = torus._odd_power(rows.copy(), e, out)
+    got_top, sums = torus._scaled_power(rows.copy(), e + 1.0, out)
     assert got_top.tolist() == top.tolist()
     assert out.tobytes() == binary_power(x, e).tobytes()
     assert sums.tolist() == [float(np.sum(row * binary_power(row, e))) for row in x]
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 6.5, 7.0, 99.0])
+def test_other_powers_go_through_pow_and_copysign(p):
+    rows = np.random.default_rng(7).standard_normal((3, 40)) * np.array([[1e-3], [1.0], [1e3]])
+    top = np.max(np.abs(rows), axis=1)
+    x = rows / top[:, None]
+    out = np.empty_like(rows)
+    got_top, sums = torus._scaled_power(rows.copy(), p, out)
+    assert got_top.tolist() == top.tolist()
+    assert out.tobytes() == np.copysign(np.abs(x) ** (p - 1.0), x).tobytes()
+    assert sums.tolist() == pytest.approx(np.sum(np.abs(x) ** p, axis=1).tolist(), rel=1e-14)
 
 
 class TestLockstepRefinement:
@@ -417,24 +431,24 @@ class TestLockstepRefinement:
     @pytest.mark.parametrize("n", [0, 5, 64])
     @pytest.mark.parametrize("alpha, beta", [(0, 0), (0.5, 0.5), (1, 0)])
     def test_rows_match_the_serial_iteration_bit_for_bit(self, alpha, beta, n, p, seed):
-        # Even p against the one-candidate iteration with the same
-        # multiplication chain, other p against the pow one.
+        # Against the one-candidate iteration with the same scaled
+        # arithmetic: a multiplication chain for even p, pow for other p.
         params = JacobiParams.of(alpha, beta)
         grid = PeriodicGrid.for_degree(n)
         op = convolution(params, n, grid)
         starts = candidate_starts(params, n, grid, seed)
-        serial = serial_boyd_refine if p % 2 else serial_even_boyd_refine
-        expected = [serial(op, row, p, grid.weight, 200) for row in starts]
+        expected = [serial_scaled_boyd_refine(op, row, p, grid.weight, 200) for row in starts]
         got = _boyd_refine(op, starts.copy(), p, grid.weight, 200)
         assert bits(*got) == bits(*zip(*expected))
 
     @pytest.mark.parametrize("seed", [3, 11])
-    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0, 3.0, 6.5, 7.0])
     @pytest.mark.parametrize("n", [0, 5, 64])
     @pytest.mark.parametrize("alpha, beta", [(0, 0), (0.5, 0.5), (1, 0)])
     def test_even_rows_agree_with_the_pow_iteration(self, alpha, beta, n, p, seed):
-        # Within the plateau threshold of the pow-based one-candidate
-        # iteration, which the even-p arithmetic replaced.
+        # Within the plateau threshold of the unscaled pow-based
+        # one-candidate iteration, which the scaled arithmetic replaced for
+        # every p (even p first, hence the name).
         params = JacobiParams.of(alpha, beta)
         grid = PeriodicGrid.for_degree(n)
         op = convolution(params, n, grid)
@@ -589,6 +603,16 @@ class TestEvenPIterationGrid:
         assert bracket.refined
         assert 0.98 * bracket.upper <= bracket.lower <= bracket.upper
 
+    @pytest.mark.parametrize("p", [97.0, 99.0, 101.0])
+    def test_a_large_odd_p_refines_without_overflow(self, p):
+        # The unscaled |g|^p overflowed here: every candidate diverged, with
+        # a RuntimeWarning, and the lower bound was 1.7 % of the upper one.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bracket = opnorm_bracket(JacobiParams.of(3, 1), 64, p, seed=7)
+        assert bracket.refined
+        assert 0.98 * bracket.upper <= bracket.lower <= bracket.upper
+
     @pytest.mark.parametrize("p", [3.0, 6.5, 7.0])
     def test_other_p_iterate_on_the_default_grid(self, monkeypatch, p):
         _, starts = recorded_bracket(monkeypatch, HALF, 64, p)
@@ -636,19 +660,19 @@ class TestEvenPIterationGrid:
         "alpha, beta, n, p, lower, upper",
         [
             (0.5, 0.5, 5, 3.0, "0x1.34c8562feac33p+1", "0x1.9b833ab564062p+1"),
-            (0.5, 0.5, 5, 6.5, "0x1.23993bf616aa3p+1", "0x1.41a9cdaf87685p+1"),
+            (0.5, 0.5, 5, 6.5, "0x1.23993bf616aa2p+1", "0x1.41a9cdaf87685p+1"),
             (0.5, 0.5, 5, 7.0, "0x1.24245a13dc931p+1", "0x1.3fe62f4039e71p+1"),
             (1, 0, 64, 3.0, "0x1.08d52599180a0p+3", "0x1.488f91b6170d6p+3"),
-            (1, 0, 64, 6.5, "0x1.62ce19e2ae98fp+4", "0x1.85aeabda7cd80p+4"),
-            (1, 0, 64, 7.0, "0x1.7b0c8c6c666bfp+4", "0x1.9ddd71b7a8526p+4"),
-            (3, 1, 300, 3.0, "0x1.0ab5a113fa322p+18", "0x1.35de298dcf06dp+18"),
-            (3, 1, 300, 6.5, "0x1.0a783b62694a2p+20", "0x1.2461c5fe8231fp+20"),
-            (3, 1, 300, 7.0, "0x1.23fe656bb7d06p+20", "0x1.3e9c431533c6cp+20"),
+            (1, 0, 64, 6.5, "0x1.62ce19e2ae98ep+4", "0x1.85aeabda7cd80p+4"),
+            (1, 0, 64, 7.0, "0x1.7b0c8c6c666c0p+4", "0x1.9ddd71b7a8526p+4"),
+            (3, 1, 300, 3.0, "0x1.0ab5a113fa326p+18", "0x1.35de298dcf06dp+18"),
+            (3, 1, 300, 6.5, "0x1.0a783b626949ep+20", "0x1.2461c5fe8231fp+20"),
+            (3, 1, 300, 7.0, "0x1.23fe656bb7d0bp+20", "0x1.3e9c431533c6cp+20"),
         ],
     )
     def test_odd_and_non_integer_p_keep_their_bits(self, alpha, beta, n, p, lower, upper):
-        # The bits these brackets had when every ratio counted from the first
-        # sweep; the start's own ratio never was their best.
+        # The bits of the scaled half-step, which odd and non-integer p
+        # share with even p.
         bracket = opnorm_bracket(JacobiParams.of(alpha, beta), n, p, seed=7)
         assert (bracket.lower.hex(), bracket.upper.hex()) == (lower, upper)
 

@@ -11,9 +11,10 @@ those p) run through `python -m crossflat` once with each tree's `src` on
 PYTHONPATH, at `--threads 1` and at `--threads 2`.  The two trees' CSV and
 summary bytes, exit codes and stderr must match.  Prints one line per run
 that differs, followed, when its CSV or summary differs, by the largest
-relative difference of each numeric CSV column and each numeric summary
-field that moved, and by whether any non-numeric cell differs.  Exits 1 if
-any run differs, 0 otherwise.
+relative and the largest absolute difference of each numeric CSV column and
+each numeric summary field that moved (a value near 0 can move far in
+relative terms and hardly at all in absolute ones), and by whether any
+non-numeric cell differs.  Exits 1 if any run differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -106,22 +107,29 @@ def _summary_cells(data: bytes) -> dict[tuple, object]:
 
 def describe(kind: str, ours: bytes | None, theirs: bytes | None) -> list[str]:
     """Lines that say how two CSVs or two summaries differ: the largest
-    relative difference of each numeric column or field that moved, and
-    whether a non-numeric cell, a missing cell or a missing file differs."""
+    relative and absolute differences of each numeric column or field that
+    moved, and whether a non-numeric cell, a missing cell or a missing file
+    differs."""
     if ours is None or theirs is None:
         return [f"  {kind}: only one tree wrote it"]
     cells = _csv_cells if kind == "csv" else _summary_cells
     a, b = cells(ours), cells(theirs)
-    largest: dict[str, float] = {}
+    largest: dict[str, tuple[float, float]] = {}
     other = set(a) ^ set(b)
     for key in set(a) & set(b):
         x, y = _numeric(a[key]), _numeric(b[key])
         if x is not None and y is not None:
-            relative = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
-            largest[key[1]] = max(largest.get(key[1], 0.0), relative)
+            absolute = abs(x - y)
+            relative = 0.0 if x == y else absolute / max(abs(x), abs(y))
+            rel, ab = largest.get(key[1], (0.0, 0.0))
+            largest[key[1]] = (max(rel, relative), max(ab, absolute))
         elif a[key] != b[key]:
             other.add(key)
-    lines = [f"  {kind} {name}: max relative difference {rel:.2g}" for name, rel in sorted(largest.items()) if rel]
+    lines = [
+        f"  {kind} {name}: max relative difference {rel:.2g}, max absolute difference {ab:.2g}"
+        for name, (rel, ab) in sorted(largest.items())
+        if rel
+    ]
     lines.append(f"  {kind} non-numeric cells differ: {'yes' if other else 'no'}")
     return lines
 

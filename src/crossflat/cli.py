@@ -277,8 +277,7 @@ def _parse_kernel_norms(r: _Parameters):
         rows = []
         fits = {}
         passed = True
-        # One coefficient sweep serves the ladder, and one synthesis per
-        # degree serves every q.
+        # One coefficient row and one synthesis per degree serve every q.
         rows_of = torus.kernel_coefficients(jp, n_values)
         grids = [torus.PeriodicGrid.for_degree(n) for n in n_values]
         kernels = [
@@ -486,11 +485,9 @@ def _parse_sharpness(r: _Parameters):
         passed = passed and pw_min >= 0.5
         # unconstrained count growth
         counts = products.count_unconstrained(manifold, max(levels))
-        pts = [
-            (math.sqrt(lv), int(counts[lv]))
-            for lv in range(max(100, min(levels)), max(levels) + 1)
-            if counts[lv] > 0
-        ]
+        lo = max(100, min(levels))
+        nonzero = np.flatnonzero(counts[lo : max(levels) + 1]) + lo
+        pts = list(zip(np.sqrt(nonzero), counts[nonzero]))
         if len(pts) >= 3:
             count_fit = torus.fit_exponent(pts)
             summary["count_slope"] = count_fit.slope

@@ -1,10 +1,12 @@
 """Jacobi polynomials, their main asymptotic terms, and Bessel/Gamma helpers.
 
-Everything is evaluated by the forward three-term recurrence in the degree,
-which is stable on [-1, 1] and needs no coefficient tables: on point values
-for spatial evaluation, in Reinsch's difference form, and on Fourier
-coefficient vectors for the kernels P_n(cos theta) on the circle.  Both run
-in float64, so results do not depend on the platform.  Gamma ratios in the
+Point values come from the forward three-term recurrence in the degree,
+which is stable on [-1, 1] and needs no coefficient tables, in Reinsch's
+difference form.  The Fourier coefficients of the kernels P_n(cos theta) on
+the circle come either from the same recurrence run on coefficient vectors,
+which passes through every lower degree, or, one degree at a time, from a
+recurrence in the frequency whose terms are all nonnegative.  All run in
+float64, so results do not depend on the platform.  Gamma ratios in the
 main terms go through log-Gamma so that degrees in the thousands do not
 overflow.  The normalization is P_n(1) = binomial(n + alpha, n) throughout.
 The Bessel helpers import scipy when called, so that importing this module
@@ -24,6 +26,7 @@ __all__ = [
     "AsymptoticFrame",
     "jacobi_recurrence_rows",
     "jacobi_fourier_rows",
+    "jacobi_fourier_row",
     "jacobi_eval",
     "jacobi_binomial",
     "binomial_main_term",
@@ -226,6 +229,39 @@ def jacobi_fourier_rows(alpha: float, beta: float, n_max: int):
         p_prev[: n + 1] = (c0 * p[: n + 1] + c1 * x_p[: n + 1] - c2 * p_prev[: n + 1]) / den
         p, p_prev = p_prev, p
         yield n, p[: n + 1].copy()
+
+
+def jacobi_fourier_row(alpha: float, beta: float, n: int) -> np.ndarray:
+    """Fourier coefficients c[m], m = 0..n, of P_n^{(alpha,beta)}(cos(theta)),
+    the row jacobi_fourier_rows yields at degree n, in one O(n) pass.
+
+    The Jacobi equation in theta, sin y'' + (rho cos + alpha - beta) y' +
+    n (n + rho) sin y = 0 with rho = alpha + beta + 1, gives the recurrence
+    in the frequency
+
+        (n-k+1)(n+k-1+rho) c[k-1] = 2 (alpha-beta) k c[k] + (n+k+1)(n+rho-k-1) c[k+1],
+
+    run down from c[n+1] = 0, c[n] = 1; the row is then scaled so that
+    c[0] + 2 sum c[m] = P_n(1) = binomial(n + alpha, n).  For beta > alpha
+    the (beta, alpha) row is computed and entry m multiplied by (-1)^(n+m),
+    so for half-integer pairs alpha >= beta, rho >= 0 and every term is
+    nonnegative: nothing cancels.
+    """
+    _check_recurrence(alpha, beta, n)
+    a, b = float(alpha), float(beta)
+    if b > a:
+        c = jacobi_fourier_row(b, a, n)
+        c[(n + 1) % 2 :: 2] *= -1.0
+        return c
+    rho, diff = a + b + 1.0, 2.0 * (a - b)
+    row = [0.0] * (n + 2)
+    row[n] = 1.0
+    for k in range(n, 0, -1):
+        row[k - 1] = (diff * k * row[k] + (n + k + 1) * (n + rho - k - 1) * row[k + 1]) / (
+            (n - k + 1) * (n + k - 1 + rho)
+        )
+    c = np.array(row[: n + 1])
+    return c * (_binomial_row(a, n)[-1] / (c[0] + 2.0 * np.sum(c[1:])))
 
 
 def jacobi_eval(params: JacobiParams, n: int, x):

@@ -14,9 +14,9 @@ lower bounds are best-effort.  Each half-step scales a row by its largest
 magnitude before raising it to the power p - 1, by multiplication for even
 p, so no power overflows.  The candidates of a bracket refine
 in lockstep, as the rows of one (K, N) array transformed by batched FFTs.  A
-kernel is held as its Fourier coefficients; samples on a grid are
-synthesized from them, and kernel_coefficients takes a whole degree ladder
-from one sweep.
+kernel is held as its Fourier coefficients, each degree's row from one O(n)
+pass of special.jacobi_fourier_row; samples on a grid are synthesized from
+them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .special import JacobiParams, jacobi_fourier_rows
+from .special import JacobiParams, jacobi_fourier_row
 
 __all__ = [
     "PeriodicGrid",
@@ -126,22 +126,19 @@ def lp_norm_periodic(grid: PeriodicGrid, samples, p) -> float:
 
 
 def _coefficients(params: JacobiParams, n: int, given: np.ndarray | None = None) -> np.ndarray:
-    # The degree-n row: given by the caller, or the last row of its own sweep.
+    # The degree-n row: given by the caller, or computed here.
     if given is not None:
         if len(given) != n + 1:
             raise ValueError(f"a degree-{n} kernel has {n + 1} coefficients, got {len(given)}")
         return given
-    for _, c in jacobi_fourier_rows(params.alpha, params.beta, n):
-        pass
-    return c
+    return jacobi_fourier_row(params.alpha, params.beta, n)
 
 
 def kernel_coefficients(params: JacobiParams, degrees) -> dict[int, np.ndarray]:
-    """Fourier coefficient rows of the kernels of several degrees, collected
-    from one recurrence sweep to the largest; each equals the row a sweep to
-    its own degree ends on."""
-    wanted = set(int(n) for n in degrees)
-    return {n: c for n, c in jacobi_fourier_rows(params.alpha, params.beta, max(wanted)) if n in wanted}
+    """Fourier coefficient rows of the kernels of several degrees, one
+    jacobi_fourier_row pass per distinct degree, in O(n) each whatever the
+    other degrees are."""
+    return {n: jacobi_fourier_row(params.alpha, params.beta, n) for n in sorted(set(int(n) for n in degrees))}
 
 
 def _synthesize(c: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -156,7 +153,7 @@ def _synthesize(c: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 def kernel_samples(params: JacobiParams, n: int, grid: PeriodicGrid, *, coefficients=None) -> np.ndarray:
     """P_n^{(alpha,beta)}(cos(theta)) on the grid, synthesized from its
     Fourier coefficients (the given row, such as one of kernel_coefficients,
-    or else one sweep to degree n)."""
+    or else jacobi_fourier_row)."""
     return _synthesize(_coefficients(params, n, coefficients), grid)
 
 
@@ -379,8 +376,8 @@ def opnorm_bracket(
     multiplication for even p), so a large p cannot overflow.  The
     witness is the first candidate, the closed-form exponential first, whose
     value is within 1e-12 relative of the best.  coefficients, if given, is
-    the kernel's coefficient row (as from kernel_coefficients) in place of a
-    sweep to degree n.
+    the kernel's coefficient row (as from kernel_coefficients) in place of
+    computing it.
     """
     _check_exponent(p)
     c = _coefficients(params, n, coefficients)

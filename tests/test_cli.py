@@ -84,6 +84,25 @@ def read_csv(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
+def _record_coefficient_rows(monkeypatch) -> list[int]:
+    """Record the degree of each kernel coefficient row torus computes, and
+    fail any call of the sweep through every degree."""
+    degrees = []
+    fourier_row = crossflat.torus.jacobi_fourier_row
+    monkeypatch.setattr(
+        crossflat.torus,
+        "jacobi_fourier_row",
+        lambda alpha, beta, n: degrees.append(n) or fourier_row(alpha, beta, n),
+    )
+
+    def no_sweep(*args):
+        raise AssertionError(f"jacobi_fourier_rows{args} called")
+
+    for module in (crossflat.special, crossflat.spaces):
+        monkeypatch.setattr(module, "jacobi_fourier_rows", no_sweep)
+    return degrees
+
+
 class TestValidate:
     def test_well_formed_config_is_clean(self):
         cfg = {
@@ -522,23 +541,18 @@ class TestRun:
         assert abs(fit["slope"] - 0.5) <= 0.05
 
     def test_kernel_norms_sweeps_each_degree_once(self, tmp_path, monkeypatch):
-        calls, sweeps = [], []
+        calls = []
         kernel_samples = crossflat.torus.kernel_samples
-        fourier_rows = crossflat.torus.jacobi_fourier_rows
         monkeypatch.setattr(
             crossflat.torus,
             "kernel_samples",
             lambda params, n, grid, **kw: calls.append(n) or kernel_samples(params, n, grid, **kw),
         )
-        monkeypatch.setattr(
-            crossflat.torus,
-            "jacobi_fourier_rows",
-            lambda alpha, beta, n_max: sweeps.append(n_max) or fourier_rows(alpha, beta, n_max),
-        )
+        degrees = _record_coefficient_rows(monkeypatch)
         cfg = {"command": "kernel-norms", "parameters": {**KERNEL_NORMS, "q_values": [2, 4]}}
         assert run(cfg, out_dir=str(tmp_path)) in (0, 1)
         assert calls == [16, 32, 64]
-        assert sweeps == [64]
+        assert degrees == [16, 32, 64]
         monkeypatch.undo()
         header, rows = read_csv(tmp_path / "kernel_norms.csv")
         jp = JacobiParams.of(1.0, 1.0)
@@ -547,17 +561,11 @@ class TestRun:
         assert got == expected
 
     @pytest.mark.parametrize("p", [2, 4])
-    def test_opnorm_takes_one_coefficient_sweep(self, tmp_path, monkeypatch, p):
-        sweeps = []
-        fourier_rows = crossflat.torus.jacobi_fourier_rows
-        monkeypatch.setattr(
-            crossflat.torus,
-            "jacobi_fourier_rows",
-            lambda alpha, beta, n_max: sweeps.append(n_max) or fourier_rows(alpha, beta, n_max),
-        )
+    def test_opnorm_takes_one_coefficient_row_per_degree(self, tmp_path, monkeypatch, p):
+        degrees = _record_coefficient_rows(monkeypatch)
         cfg = {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "p": p, "iteration_budget": 5}}
         assert run(cfg, out_dir=str(tmp_path), threads=2) in (0, 1)
-        assert sweeps == [max(OPNORM["n_values"])]
+        assert degrees == OPNORM["n_values"]
         monkeypatch.undo()
         header, rows = read_csv(tmp_path / "opnorm.csv")
         jp = JacobiParams.of(OPNORM["alpha"], OPNORM["beta"])
@@ -750,7 +758,7 @@ class TestCompareOutputsReport:
         ours = b"n,dimension,ok\n1,3.0000000000003,true\n2,5,true\n"
         theirs = b"n,dimension,ok\n1,3,true\n2,5,true\n"
         assert describe("csv", ours, theirs) == [
-            "  csv dimension: max relative difference 1e-13",
+            "  csv dimension: max relative difference 1e-13, max absolute difference 3e-13",
             "  csv non-numeric cells differ: no",
         ]
         assert describe("csv", ours, theirs.replace(b"2,5,true", b"2,5,false"))[-1] == "  csv non-numeric cells differ: yes"
@@ -760,7 +768,7 @@ class TestCompareOutputsReport:
         ours = json.dumps({"summary": {"growth_slope": 2.0, "slope_ok": True}, "seed": 1}).encode()
         theirs = json.dumps({"summary": {"growth_slope": 2.5, "slope_ok": True}, "seed": 1}).encode()
         assert describe("summary", ours, theirs) == [
-            "  summary summary.growth_slope: max relative difference 0.2",
+            "  summary summary.growth_slope: max relative difference 0.2, max absolute difference 0.5",
             "  summary non-numeric cells differ: no",
         ]
         assert describe("summary", None, theirs) == ["  summary: only one tree wrote it"]

@@ -17,6 +17,7 @@ from crossflat.special import (
     interior_main_term,
     jacobi_binomial,
     jacobi_eval,
+    jacobi_fourier_row,
     jacobi_fourier_rows,
     jacobi_recurrence_rows,
     jacobi_theta_derivative,
@@ -199,27 +200,71 @@ def mpmath_coefficients(alpha: float, beta: float, n: int) -> np.ndarray:
         )
 
 
+def sweep_row(alpha: float, beta: float, n: int) -> np.ndarray:
+    # The last row of a forward sweep through every degree up to n.
+    *_, (_, c) = jacobi_fourier_rows(alpha, beta, n)
+    return c
+
+
+# Pairs outside the catalog: beta > alpha, and alpha + beta + 1 = 0.
+EXTRA_PARAMS = [
+    JacobiParams.of(0, 0.5),
+    JacobiParams.of(0.5, 1.5),
+    JacobiParams.of(-0.5, -0.5),
+    JacobiParams.of(-0.5, 0.5),
+]
+
+
 class TestFourierRows:
     DEGREES = (0, 1, 2, 3, 17, 40)
+    ENGINES = pytest.mark.parametrize("engine", [sweep_row, jacobi_fourier_row], ids=["sweep", "row"])
 
+    @ENGINES
     @pytest.mark.parametrize("params", [p for p in CATALOG_PARAMS if p.alpha == p.beta], ids=str)
-    def test_gegenbauer_closed_form(self, params):
-        for n, c in jacobi_fourier_rows(params.alpha, params.beta, 40):
+    def test_gegenbauer_closed_form(self, engine, params):
+        for n in range(41):
+            c = engine(params.alpha, params.beta, n)
             ref = gegenbauer_coefficients(params.alpha, n)
             assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("params", [p for p in CATALOG_PARAMS if p.alpha != p.beta], ids=str)
-    def test_mpmath_coefficients(self, params):
-        for n, c in jacobi_fourier_rows(params.alpha, params.beta, 40):
-            if n in self.DEGREES:
-                ref = mpmath_coefficients(params.alpha, params.beta, n)
-                assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+    @ENGINES
+    @pytest.mark.parametrize("params", [p for p in CATALOG_PARAMS if p.alpha != p.beta] + EXTRA_PARAMS, ids=str)
+    def test_mpmath_coefficients(self, engine, params):
+        for n in self.DEGREES:
+            c = engine(params.alpha, params.beta, n)
+            ref = mpmath_coefficients(params.alpha, params.beta, n)
+            assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_rejections(self):
+    @pytest.mark.parametrize("params", [p for p in CATALOG_PARAMS if p.alpha == p.beta], ids=str)
+    def test_gegenbauer_closed_form_at_a_high_degree(self, params):
+        # The sweep misses this bound by up to 12x (2.3e-13 at alpha = 1/2).
+        c = jacobi_fourier_row(params.alpha, params.beta, 2048)
+        ref = gegenbauer_coefficients(params.alpha, 2048)
+        assert np.max(np.abs(c - ref)) <= 2e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("params", CATALOG_PARAMS, ids=str)
+    def test_row_agrees_with_the_sweep(self, params):
+        degrees = (0, 1, 2, 3, 64, 300, 2048)
+        swept = {n: c for n, c in jacobi_fourier_rows(params.alpha, params.beta, max(degrees)) if n in degrees}
+        for n in degrees:
+            c = jacobi_fourier_row(params.alpha, params.beta, n)
+            assert c.shape == (n + 1,)
+            assert np.max(np.abs(c - swept[n])) <= 1e-12 * np.max(np.abs(c)), n
+
+    def test_large_parameters_stay_finite_and_mirror(self):
+        # P^(a,b)(cos t) = (-1)^n P^(b,a)(cos(pi - t)): entry m flips by (-1)^(n+m).
+        n = 2048
+        row, mirrored = jacobi_fourier_row(50, 0, n), jacobi_fourier_row(0, 50, n)
+        assert np.all(np.isfinite(row)) and np.all(np.isfinite(mirrored))
+        signs = (-1.0) ** (n + np.arange(n + 1))
+        assert np.array_equal(mirrored, signs * row)
+        assert np.max(np.abs(row - sweep_row(50, 0, n))) <= 1e-12 * np.max(np.abs(row))
+
+    @ENGINES
+    @pytest.mark.parametrize("alpha, beta, n", [(-1.0, 0.0, 4), (0.0, -1.5, 4), (0.5, 0.5, -1)])
+    def test_rejections(self, engine, alpha, beta, n):
         with pytest.raises(ValueError):
-            next(jacobi_fourier_rows(-1.0, 0.0, 4))
-        with pytest.raises(ValueError):
-            next(jacobi_fourier_rows(0.5, 0.5, -1))
+            engine(alpha, beta, n)
 
 
 class TestChebyshevHalfCase:

@@ -5,10 +5,11 @@
 
 <other-src> is the `src` directory of another checkout, typically the parent
 commit.  Every bundled config in configs/, every config of every benchmark
-workload (perfbench/workloads.py) for seeds 101-105, and a few `opnorm`
-probes at odd and non-integer p (PROBES; no bundled or workload config runs
-those p) run through `python -m crossflat` once with each tree's `src` on
-PYTHONPATH, at `--threads 1` and at `--threads 2`.  The two trees' CSV and
+workload (perfbench/workloads.py) for seeds 101-105, a few `opnorm` probes
+at odd and non-integer p, and two `fourier` probes up to degree 2048
+(PROBES; no bundled or workload config runs those p or degrees) run through
+`python -m crossflat` once with each tree's `src` on PYTHONPATH, at
+`--threads 1` and at `--threads 2`.  The two trees' CSV and
 summary bytes, exit codes and stderr must match.  Prints one line per run
 that differs, followed, when its CSV or summary differs, by the largest
 relative and the largest absolute difference of each numeric CSV column and
@@ -42,11 +43,19 @@ def _opnorm(alpha: float, beta: float, p: float, n_values: list[int]) -> dict:
             "parameters": {"alpha": alpha, "beta": beta, "p": p, "n_values": n_values}}
 
 
+def _fourier(kind: str, dimension: int, n_max: int) -> dict:
+    return {"command": "fourier", "parameters": {"space": {"kind": kind, "dimension": dimension}, "n_max": n_max}}
+
+
 # Kept out of configs/, whose opnorm configs a test runs bracket by bracket.
+# The fourier probes reach degrees that span several jacobi_fourier_rows
+# blocks, with alpha = beta (S^3) and alpha != beta (OP^16).
 PROBES = [
     ("probe-opnorm-p3", _opnorm(1, 0, 3, [64, 128, 256, 512])),
     ("probe-opnorm-p6.5", _opnorm(0.5, 0.5, 6.5, [64, 128, 256, 512])),
     ("probe-opnorm-p99", _opnorm(3, 1, 99, [64, 128, 256])),
+    ("probe-fourier-s3", _fourier("sphere", 3, 2048)),
+    ("probe-fourier-op16", _fourier("octonionic_plane", 16, 2048)),
 ]
 
 

@@ -277,12 +277,9 @@ def _parse_kernel_norms(r: _Parameters):
         rows = []
         fits = {}
         passed = True
-        # One coefficient row and one synthesis per degree serve every q.
-        rows_of = torus.kernel_coefficients(jp, n_values)
+        # One synthesis per degree serves every q.
         grids = [torus.PeriodicGrid.for_degree(n) for n in n_values]
-        kernels = [
-            torus.kernel_samples(jp, n, grid, coefficients=rows_of[n]) for n, grid in zip(n_values, grids)
-        ]
+        kernels = [torus.kernel_samples(jp, n, grid) for n, grid in zip(n_values, grids)]
         for q in q_values:
             points = []
             for n, grid, k in zip(n_values, grids, kernels):
@@ -312,12 +309,9 @@ def _parse_opnorm(r: _Parameters):
 
     def handler(seed, threads):
         header = ["alpha", "beta", "n", "p", "lower", "upper", "envelope", "ratio"]
-        rows_of = torus.kernel_coefficients(jp, n_values)
 
         def cell(n: int):
-            bracket = torus.opnorm_bracket(
-                jp, n, p, seed=seed or 0, iteration_budget=budget, coefficients=rows_of[n]
-            )
+            bracket = torus.opnorm_bracket(jp, n, p, seed=seed or 0, iteration_budget=budget)
             env = torus.envelope_A(jp.alpha, p / 2.0, n)
             row = (jp.alpha, jp.beta, n, p, bracket.lower, bracket.upper, env, bracket.upper / env)
             return row, bracket.refined

@@ -254,21 +254,17 @@ class FourierExpansion:
 
 
 def fourier_expansion(space: CrossSpace, n: int) -> FourierExpansion:
-    """Fourier coefficients of Phi_n, from the coefficient-space Jacobi recurrence."""
+    """Fourier coefficients of Phi_n, from the Jacobi recurrence in the frequency."""
     return next(fourier_expansions(space, [n]))[1]
 
 
 def fourier_expansions(space: CrossSpace, degrees):
-    """Yield (n, fourier_expansion(space, n)) for several degrees, in
-    increasing order, from one recurrence sweep."""
-    wanted = set(int(n) for n in degrees)
-    if not wanted:
-        return
-    for n, c in jacobi_fourier_rows(space.params.alpha, space.params.beta, max(wanted)):
-        if n in wanted:
-            # Divide by the row's own value at theta = 0, so that Phi_n(0) = 1
-            # as in spherical_eval.
-            yield n, FourierExpansion(c / (c[0] + 2.0 * np.sum(c[1:])))
+    """Yield (n, fourier_expansion(space, n)) for each distinct degree, in
+    increasing order, from one batched run of the frequency recurrence."""
+    for n, c in jacobi_fourier_rows(space.params.alpha, space.params.beta, degrees):
+        # Divide by the row's own value at theta = 0, so that Phi_n(0) = 1
+        # as in spherical_eval.
+        yield n, FourierExpansion(c / (c[0] + 2.0 * np.sum(c[1:])))
 
 
 # ---------------------------------------------------------------------------

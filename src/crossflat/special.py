@@ -3,9 +3,9 @@
 Point values come from the forward three-term recurrence in the degree,
 which is stable on [-1, 1] and needs no coefficient tables, in Reinsch's
 difference form.  The Fourier coefficients of the kernels P_n(cos theta) on
-the circle come either from the same recurrence run on coefficient vectors,
-which passes through every lower degree, or, one degree at a time, from a
-recurrence in the frequency whose terms are all nonnegative.  All run in
+the circle come from a recurrence in the frequency whose terms are all
+nonnegative, run for one degree as a scalar pass or for many degrees
+together as one numpy step per frequency, with the same bits.  All run in
 float64, so results do not depend on the platform.  Gamma ratios in the
 main terms go through log-Gamma so that degrees in the thousands do not
 overflow.  The normalization is P_n(1) = binomial(n + alpha, n) throughout.
@@ -40,6 +40,10 @@ __all__ = [
 # Width constant c of the edge/interior split: edge is theta <= c/(n+1),
 # interior is c/(n+1) <= theta <= pi - c/(n+1).
 REGIME_WINDOW_CONSTANT = 1.0
+
+# Entries of one jacobi_fourier_rows block: each of its three arrays (the
+# rows and the recurrence's two factors) holds at most this many doubles, 8 MB.
+_FOURIER_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,16 +131,6 @@ def _check_recurrence(alpha: float, beta: float, n_max: int) -> None:
         raise ValueError("degree must be nonnegative")
 
 
-def _recurrence_coefficients(a: float, b: float, n: int) -> tuple[float, float, float, float]:
-    # P_n = ((c0 + c1 x) P_{n-1} - c2 P_{n-2}) / den, for n >= 2.
-    s = 2 * n + a + b
-    den = 2.0 * n * (n + a + b) * (s - 2.0)
-    c0 = (s - 1.0) * (a * a - b * b)
-    c1 = (s - 1.0) * s * (s - 2.0)
-    c2 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * s
-    return den, c0, c1, c2
-
-
 def _binomial_row(alpha: float, n_max: int) -> np.ndarray:
     """binomial(n + alpha, n) = P_n(1) for n = 0..n_max, as the running
     product of 1 + alpha/k."""
@@ -144,12 +138,12 @@ def _binomial_row(alpha: float, n_max: int) -> np.ndarray:
 
 
 def _normalized_coefficients(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    # With q_n = P_n / P_n(1), r_n = binomial(n + a, n) and x = 1 - 2s, the
-    # three-term recurrence becomes d_n = beta_n d_{n-1} - gamma_n s q_{n-1},
-    # q_n = q_{n-1} + d_n, where beta_n = c2/den r_{n-2}/r_n and
-    # gamma_n = 2 c1/den r_{n-1}/r_n (coefficients of _recurrence_coefficients)
-    # reduce to the ratios below.  d_1 = -(a+b+2)/(a+1) s starts it from
-    # d_0 = 0; the n = 1 ratio would be 0/0 when a + b = -1.
+    # With t = 2n + a + b, 2n (n+a+b) (t-2) P_n = (t-1) (t (t-2) x + a^2 - b^2)
+    # P_{n-1} - 2 (n+a-1) (n+b-1) t P_{n-2}.  In q_n = P_n / binomial(n + a, n)
+    # and x = 1 - 2s, where q_n = 1 solves it at s = 0, it becomes
+    # d_n = beta_n d_{n-1} - gamma_n s q_{n-1}, q_n = q_{n-1} + d_n, with the
+    # ratios below.  d_1 = -(a+b+2)/(a+1) s starts it from d_0 = 0; the
+    # n = 1 ratio would be 0/0 when a + b = -1.
     n = np.arange(2.0, n_max + 1.0)
     t = 2.0 * n + a + b
     beta = (n - 1.0) * (n + b - 1.0) * t / ((n + a) * (n + a + b) * (t - 2.0))
@@ -202,38 +196,9 @@ def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x):
         yield n, row.reshape(shape)
 
 
-def jacobi_fourier_rows(alpha: float, beta: float, n_max: int):
-    """Yield (n, c) for the kernel P_n^{(alpha,beta)}(cos(theta)), n = 0..n_max.
-
-    c[m], m = 0..n, is the coefficient of exp(i m theta), which equals that of
-    exp(-i m theta).  The three-term recurrence runs on coefficient vectors:
-    multiplying by cos(theta) averages the two neighbouring entries.  No
-    angle is rounded on the way, so float64 suffices; each degree costs O(n).
-    """
-    _check_recurrence(alpha, beta, n_max)
-    a, b = float(alpha), float(beta)
-    # Zero-padded buffers for degrees n-1 and n-2: the cos(theta) product
-    # reads one entry past the support of degree n-1.
-    p_prev, p = np.zeros(n_max + 2), np.zeros(n_max + 2)
-    p_prev[0] = 1.0
-    yield 0, p_prev[:1].copy()
-    if n_max == 0:
-        return
-    p[0], p[1] = (a - b) / 2.0, (a + b + 2.0) / 4.0
-    yield 1, p[:2].copy()
-    x_p = np.empty(n_max + 1)
-    for n in range(2, n_max + 1):
-        den, c0, c1, c2 = _recurrence_coefficients(a, b, n)
-        x_p[0] = p[1]
-        x_p[1 : n + 1] = 0.5 * (p[:n] + p[2 : n + 2])
-        p_prev[: n + 1] = (c0 * p[: n + 1] + c1 * x_p[: n + 1] - c2 * p_prev[: n + 1]) / den
-        p, p_prev = p_prev, p
-        yield n, p[: n + 1].copy()
-
-
 def jacobi_fourier_row(alpha: float, beta: float, n: int) -> np.ndarray:
     """Fourier coefficients c[m], m = 0..n, of P_n^{(alpha,beta)}(cos(theta)),
-    the row jacobi_fourier_rows yields at degree n, in one O(n) pass.
+    in one O(n) pass.
 
     The Jacobi equation in theta, sin y'' + (rho cos + alpha - beta) y' +
     n (n + rho) sin y = 0 with rho = alpha + beta + 1, gives the recurrence
@@ -262,6 +227,67 @@ def jacobi_fourier_row(alpha: float, beta: float, n: int) -> np.ndarray:
         )
     c = np.array(row[: n + 1])
     return c * (_binomial_row(a, n)[-1] / (c[0] + 2.0 * np.sum(c[1:])))
+
+
+def jacobi_fourier_rows(alpha: float, beta: float, degrees):
+    """Yield (n, jacobi_fourier_row(alpha, beta, n)) for each distinct n in
+    degrees, in increasing order, equal to it bit for bit.
+
+    The degrees run through that recurrence together, in blocks of
+    ascending degrees of at most _FOURIER_BLOCK entries each (a degree too
+    large for that is a block of its own).  A block holds frequency k in
+    row k and one degree per column, the degrees decreasing, so the degrees
+    n >= k are a prefix of row k: one numpy step per frequency writes them
+    all, each entry by the scalar pass's operations in its order, the
+    mirror for beta > alpha included.
+    """
+    wanted = sorted(set(int(n) for n in degrees))
+    _check_recurrence(alpha, beta, wanted[0] if wanted else 0)
+    if not wanted:
+        return
+    a, b = float(alpha), float(beta)
+    mirror = b > a
+    if mirror:
+        a, b = b, a
+    binomials = _binomial_row(a, wanted[-1])
+    start = 0
+    while start < len(wanted):
+        stop = start + 1
+        while stop < len(wanted) and (wanted[stop] + 2) * (stop + 1 - start) <= _FOURIER_BLOCK:
+            stop += 1
+        block = wanted[start:stop][::-1]
+        table = _fourier_block(a + b + 1.0, 2.0 * (a - b), block)
+        for j in range(len(block) - 1, -1, -1):
+            n = block[j]
+            c = table[: n + 1, j].copy()
+            c *= binomials[n] / (c[0] + 2.0 * np.sum(c[1:]))
+            if mirror:
+                c[(n + 1) % 2 :: 2] *= -1.0
+            yield n, c
+        start = stop
+
+
+def _fourier_block(rho: float, diff: float, degrees: list[int]) -> np.ndarray:
+    # Unscaled rows of the decreasing degrees as columns: c[n, j] = 1 and
+    # c[n + 1, j] = 0 for n = degrees[j], then the frequency recurrence down.
+    # Its factors for every (k, j) come first, as whole arrays, by the scalar
+    # pass's operations; entries for k > n are never read.
+    top = degrees[0]
+    c = np.zeros((top + 2, len(degrees)))
+    c[degrees, np.arange(len(degrees))] = 1.0
+    n = np.array(degrees, dtype=float)
+    ks = np.arange(top + 1.0)[:, None]
+    upper = (n + ks + 1) * (n + rho - ks - 1)
+    lower = (n - ks + 1) * (n + ks - 1 + rho)
+    active = 0
+    for k in range(top, 0, -1):
+        while active < len(degrees) and degrees[active] >= k:
+            active += 1
+        row = c[k - 1, :active]
+        np.multiply(c[k, :active], diff * k, out=row)
+        row += upper[k, :active] * c[k + 1, :active]
+        row /= lower[k, :active]
+    return c
 
 
 def jacobi_eval(params: JacobiParams, n: int, x):

@@ -34,7 +34,6 @@ from .special import JacobiParams, jacobi_fourier_row
 __all__ = [
     "PeriodicGrid",
     "lp_norm_periodic",
-    "kernel_coefficients",
     "kernel_samples",
     "kernel_lp_norm",
     "envelope_exponent",
@@ -125,22 +124,6 @@ def lp_norm_periodic(grid: PeriodicGrid, samples, p) -> float:
     return _grid_lp(f, p, grid.weight)
 
 
-def _coefficients(params: JacobiParams, n: int, given: np.ndarray | None = None) -> np.ndarray:
-    # The degree-n row: given by the caller, or computed here.
-    if given is not None:
-        if len(given) != n + 1:
-            raise ValueError(f"a degree-{n} kernel has {n + 1} coefficients, got {len(given)}")
-        return given
-    return jacobi_fourier_row(params.alpha, params.beta, n)
-
-
-def kernel_coefficients(params: JacobiParams, degrees) -> dict[int, np.ndarray]:
-    """Fourier coefficient rows of the kernels of several degrees, one
-    jacobi_fourier_row pass per distinct degree, in O(n) each whatever the
-    other degrees are."""
-    return {n: jacobi_fourier_row(params.alpha, params.beta, n) for n in sorted(set(int(n) for n in degrees))}
-
-
 def _synthesize(c: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     # Frequencies past the grid's Nyquist bin fold onto m mod size, which
     # keeps the samples exact on grids of any size.
@@ -150,11 +133,10 @@ def _synthesize(c: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return irfft(folded[: grid.size // 2 + 1], grid.size, norm="forward")
 
 
-def kernel_samples(params: JacobiParams, n: int, grid: PeriodicGrid, *, coefficients=None) -> np.ndarray:
+def kernel_samples(params: JacobiParams, n: int, grid: PeriodicGrid) -> np.ndarray:
     """P_n^{(alpha,beta)}(cos(theta)) on the grid, synthesized from its
-    Fourier coefficients (the given row, such as one of kernel_coefficients,
-    or else jacobi_fourier_row)."""
-    return _synthesize(_coefficients(params, n, coefficients), grid)
+    Fourier coefficients."""
+    return _synthesize(jacobi_fourier_row(params.alpha, params.beta, n), grid)
 
 
 def kernel_lp_norm(params: JacobiParams, n: int, q, grid: PeriodicGrid | None = None) -> float:
@@ -192,12 +174,12 @@ def envelope_A_tilde(delta: float, p: float, n: int) -> float:
 def fourier_multiplier(params: JacobiParams, n: int):
     """Frequencies m = -n..n and multiplier values khat(m) = int k e^{-im theta} dtheta."""
     ms = np.arange(-n, n + 1)
-    return ms, 2.0 * math.pi * _coefficients(params, n)[np.abs(ms)]
+    return ms, 2.0 * math.pi * jacobi_fourier_row(params.alpha, params.beta, n)[np.abs(ms)]
 
 
 def opnorm_l2_exact(params: JacobiParams, n: int) -> float:
     """Exact L^2 -> L^2 norm of convolution with the kernel: max_m |khat(m)|."""
-    return 2.0 * math.pi * float(np.max(np.abs(_coefficients(params, n))))
+    return 2.0 * math.pi * float(np.max(np.abs(jacobi_fourier_row(params.alpha, params.beta, n))))
 
 
 @dataclass(frozen=True)
@@ -354,8 +336,6 @@ def opnorm_bracket(
     p: float,
     seed: int = 0,
     iteration_budget: int = 200,
-    *,
-    coefficients=None,
 ) -> NormBracket:
     """Bracket the L^{p'} -> L^p norm of convolution with the degree-n kernel.
 
@@ -375,12 +355,10 @@ def opnorm_bracket(
     by its largest magnitude before it raises it to the power p - 1 (by
     multiplication for even p), so a large p cannot overflow.  The
     witness is the first candidate, the closed-form exponential first, whose
-    value is within 1e-12 relative of the best.  coefficients, if given, is
-    the kernel's coefficient row (as from kernel_coefficients) in place of
-    computing it.
+    value is within 1e-12 relative of the best.
     """
     _check_exponent(p)
-    c = _coefficients(params, n, coefficients)
+    c = jacobi_fourier_row(params.alpha, params.beta, n)
     upper, method = _upper_bound(c, p)
     top_m = int(np.argmax(np.abs(c)))
     if p == 2:
@@ -440,7 +418,7 @@ def tensor_opnorm_upper(factors, p: float) -> float:
     _check_exponent(p)
     out = 1.0
     for params, n in factors:
-        out *= _upper_bound(_coefficients(params, n), p)[0]
+        out *= _upper_bound(jacobi_fourier_row(params.alpha, params.beta, n), p)[0]
     return out
 
 

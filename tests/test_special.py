@@ -1,5 +1,6 @@
 import inspect
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+import crossflat.special
+import exact
 from crossflat.special import (
     AsymptoticFrame,
     JacobiParams,
@@ -200,12 +203,6 @@ def mpmath_coefficients(alpha: float, beta: float, n: int) -> np.ndarray:
         )
 
 
-def sweep_row(alpha: float, beta: float, n: int) -> np.ndarray:
-    # The last row of a forward sweep through every degree up to n.
-    *_, (_, c) = jacobi_fourier_rows(alpha, beta, n)
-    return c
-
-
 # Pairs outside the catalog: beta > alpha, and alpha + beta + 1 = 0.
 EXTRA_PARAMS = [
     JacobiParams.of(0, 0.5),
@@ -217,7 +214,7 @@ EXTRA_PARAMS = [
 
 class TestFourierRows:
     DEGREES = (0, 1, 2, 3, 17, 40)
-    ENGINES = pytest.mark.parametrize("engine", [sweep_row, jacobi_fourier_row], ids=["sweep", "row"])
+    ENGINES = pytest.mark.parametrize("engine", [exact.fourier_row_float, jacobi_fourier_row], ids=["exact", "row"])
 
     @ENGINES
     @pytest.mark.parametrize("params", [p for p in CATALOG_PARAMS if p.alpha == p.beta], ids=str)
@@ -237,19 +234,17 @@ class TestFourierRows:
 
     @pytest.mark.parametrize("params", [p for p in CATALOG_PARAMS if p.alpha == p.beta], ids=str)
     def test_gegenbauer_closed_form_at_a_high_degree(self, params):
-        # The sweep misses this bound by up to 12x (2.3e-13 at alpha = 1/2).
         c = jacobi_fourier_row(params.alpha, params.beta, 2048)
         ref = gegenbauer_coefficients(params.alpha, 2048)
         assert np.max(np.abs(c - ref)) <= 2e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("params", CATALOG_PARAMS, ids=str)
-    def test_row_agrees_with_the_sweep(self, params):
-        degrees = (0, 1, 2, 3, 64, 300, 2048)
-        swept = {n: c for n, c in jacobi_fourier_rows(params.alpha, params.beta, max(degrees)) if n in degrees}
-        for n in degrees:
+    def test_row_agrees_with_the_exact_row(self, params):
+        for n in (0, 1, 2, 3, 64, 300, 2048):
             c = jacobi_fourier_row(params.alpha, params.beta, n)
             assert c.shape == (n + 1,)
-            assert np.max(np.abs(c - swept[n])) <= 1e-12 * np.max(np.abs(c)), n
+            ref = exact.fourier_row_float(params.alpha, params.beta, n)
+            assert np.max(np.abs(c - ref)) <= 1e-12 * np.max(np.abs(c)), n
 
     def test_large_parameters_stay_finite_and_mirror(self):
         # P^(a,b)(cos t) = (-1)^n P^(b,a)(cos(pi - t)): entry m flips by (-1)^(n+m).
@@ -258,13 +253,86 @@ class TestFourierRows:
         assert np.all(np.isfinite(row)) and np.all(np.isfinite(mirrored))
         signs = (-1.0) ** (n + np.arange(n + 1))
         assert np.array_equal(mirrored, signs * row)
-        assert np.max(np.abs(row - sweep_row(50, 0, n))) <= 1e-12 * np.max(np.abs(row))
+        assert np.max(np.abs(row - exact.fourier_row_float(50, 0, n))) <= 1e-12 * np.max(np.abs(row))
 
-    @ENGINES
+    @pytest.mark.parametrize("engine", [jacobi_fourier_row], ids=["row"])
     @pytest.mark.parametrize("alpha, beta, n", [(-1.0, 0.0, 4), (0.0, -1.5, 4), (0.5, 0.5, -1)])
     def test_rejections(self, engine, alpha, beta, n):
         with pytest.raises(ValueError):
             engine(alpha, beta, n)
+
+
+class TestBatchedFourierRows:
+    @pytest.mark.parametrize("params", CATALOG_PARAMS + EXTRA_PARAMS, ids=str)
+    def test_columns_equal_single_rows_bit_for_bit(self, params):
+        degrees = [*range(65), 300, 2048]
+        rows = list(jacobi_fourier_rows(params.alpha, params.beta, degrees))
+        assert [n for n, _ in rows] == degrees
+        for n, c in rows:
+            assert c.tobytes() == jacobi_fourier_row(params.alpha, params.beta, n).tobytes(), n
+
+    @pytest.mark.parametrize(
+        "degrees, distinct",
+        [
+            ([40, 3, 17, 3, 0, 300, 17], [0, 3, 17, 40, 300]),
+            (range(0, 421, 2), list(range(0, 421, 2))),
+            ([5, 5, 5], [5]),
+        ],
+        ids=["gaps-unsorted-duplicates", "even", "one-degree-thrice"],
+    )
+    @pytest.mark.parametrize("alpha, beta", [(3, 1), (0, 0.5)])
+    def test_any_degree_set_gives_its_distinct_degrees_in_order(self, degrees, distinct, alpha, beta):
+        rows = list(jacobi_fourier_rows(alpha, beta, degrees))
+        assert [n for n, _ in rows] == distinct
+        for n, c in rows:
+            assert c.tobytes() == jacobi_fourier_row(alpha, beta, n).tobytes(), n
+
+    def test_no_degrees_yield_nothing(self):
+        assert list(jacobi_fourier_rows(1.5, 1.5, [])) == []
+
+    @pytest.mark.parametrize("alpha, beta, degrees", [(-1.0, 0.0, [4]), (0.0, -1.5, []), (0.5, 0.5, [3, -1])])
+    def test_rejections(self, alpha, beta, degrees):
+        with pytest.raises(ValueError):
+            list(jacobi_fourier_rows(alpha, beta, degrees))
+
+    @pytest.mark.parametrize("alpha, beta", [(7, 3), (0.5, 1.5)])
+    def test_small_blocks_give_the_single_block_bits(self, monkeypatch, alpha, beta):
+        # At 400 entries degrees 0..18 fill the first block, later blocks
+        # hold fewer columns, and degree 420 alone is over the budget.
+        degrees = [*range(0, 60), 150, 198, 199, 200, 420]
+        whole = list(jacobi_fourier_rows(alpha, beta, degrees))
+        monkeypatch.setattr(crossflat.special, "_FOURIER_BLOCK", 400)
+        blocked = list(jacobi_fourier_rows(alpha, beta, degrees))
+        assert [n for n, _ in blocked] == [n for n, _ in whole]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(blocked, whole))
+
+
+class TestExactRows:
+    """The reference rows of tests/exact.py, checked without the frequency
+    recurrence they come from."""
+
+    POINTS = (Fraction(0), Fraction(1, 3), Fraction(-5, 7), Fraction(1), Fraction(-1))
+
+    @pytest.mark.parametrize("params", CATALOG_PARAMS + EXTRA_PARAMS, ids=str)
+    def test_chebyshev_sum_is_the_three_term_value(self, params):
+        a, b = Fraction(params.alpha), Fraction(params.beta)
+        for n in (0, 1, 2, 3, 17, 40):
+            c = exact.fourier_row(a, b, n)
+            for x in self.POINTS:
+                assert exact.chebyshev_sum(c, x) == exact.jacobi_value(a, b, n, x), (n, x)
+
+    @pytest.mark.parametrize("params", CATALOG_PARAMS + EXTRA_PARAMS, ids=str)
+    def test_alternating_sum_is_the_value_at_minus_one(self, params):
+        a, b = Fraction(params.alpha), Fraction(params.beta)
+        for n in (0, 1, 5, 64, 300):
+            c = exact.fourier_row(a, b, n)
+            alternating = c[0] + 2 * sum((-1) ** m * c[m] for m in range(1, n + 1))
+            assert alternating == (-1) ** n * exact.binomial(b, n), n
+
+    def test_three_term_value_at_a_high_degree(self):
+        c = exact.fourier_row(7, 3, 300)
+        x = Fraction(1, 3)
+        assert exact.chebyshev_sum(c, x) == exact.jacobi_value(7, 3, 300, x)
 
 
 class TestChebyshevHalfCase:

@@ -20,7 +20,6 @@ from crossflat.torus import (
     envelope_A_tilde,
     fit_exponent,
     fourier_multiplier,
-    kernel_coefficients,
     kernel_lp_norm,
     kernel_samples,
     lp_norm_periodic,
@@ -675,30 +674,6 @@ class TestEvenPIterationGrid:
         # share with even p.
         bracket = opnorm_bracket(JacobiParams.of(alpha, beta), n, p, seed=7)
         assert (bracket.lower.hex(), bracket.upper.hex()) == (lower, upper)
-
-
-class TestKernelCoefficients:
-    @pytest.mark.parametrize("alpha, beta", [(0, 0), (0.5, 0.5), (1, 0), (3, 1)])
-    def test_ladder_rows_equal_single_degree_rows_bit_for_bit(self, alpha, beta):
-        params = JacobiParams.of(alpha, beta)
-        degrees = [0, 1, 2, 5, 64, 100, 257]
-        rows = kernel_coefficients(params, degrees)
-        assert sorted(rows) == degrees
-        for n in degrees:
-            assert rows[n].tobytes() == jacobi_fourier_row(params.alpha, params.beta, n).tobytes()
-
-    def test_given_rows_give_the_same_bits(self):
-        rows = kernel_coefficients(HALF, [16, 40])
-        grid = PeriodicGrid.for_degree(40)
-        given = kernel_samples(HALF, 40, grid, coefficients=rows[40])
-        assert given.tobytes() == kernel_samples(HALF, 40, grid).tobytes()
-        for p in (2.0, 6.0):
-            assert opnorm_bracket(HALF, 16, p, coefficients=rows[16]) == opnorm_bracket(HALF, 16, p)
-
-    def test_a_row_of_the_wrong_degree_is_rejected(self):
-        rows = kernel_coefficients(HALF, [16, 40])
-        with pytest.raises(ValueError, match="41 coefficients"):
-            kernel_samples(HALF, 40, PeriodicGrid.for_degree(40), coefficients=rows[16])
 
 
 class TestTensor:

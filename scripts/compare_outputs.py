@@ -6,8 +6,9 @@
 <other-src> is the `src` directory of another checkout, typically the parent
 commit.  Every bundled config in configs/, every config of every benchmark
 workload (perfbench/workloads.py) for seeds 101-105, a few `opnorm` probes
-at odd and non-integer p, and two `fourier` probes up to degree 2048
-(PROBES; no bundled or workload config runs those p or degrees) run through
+at odd and non-integer p, two `fourier` probes up to degree 2048, and two
+`sharpness` probes, a non-integer matrix on the full torus and a box at
+p = 40 (PROBES; no bundled or workload config runs those) run through
 `python -m crossflat` once with each tree's `src` on PYTHONPATH, at
 `--threads 1` and at `--threads 2`.  The two trees' CSV and
 summary bytes, exit codes and stderr must match.  Prints one line per run
@@ -47,15 +48,26 @@ def _fourier(kind: str, dimension: int, n_max: int) -> dict:
     return {"command": "fourier", "parameters": {"space": {"kind": kind, "dimension": dimension}, "n_max": n_max}}
 
 
+def _sharpness(matrix: list, box: list | None, levels: list[int], p_values: list[float]) -> dict:
+    parameters = {"factors": {"space": {"kind": "sphere", "dimension": 3}, "copies": 5}, "matrix": matrix,
+                  "levels": levels, "p_values": p_values}
+    return {"command": "sharpness", "parameters": parameters if box is None else {**parameters, "box": box}}
+
+
 # Kept out of configs/, whose opnorm configs a test runs bracket by bracket.
 # The fourier probes reach degrees that span several jacobi_fourier_rows
-# blocks, with alpha = beta (S^3) and alpha != beta (OP^16).
+# blocks, with alpha = beta (S^3) and alpha != beta (OP^16).  The sharpness
+# probes take the direct rule on the full torus (a non-integer matrix) and
+# a box at p = 40, where max|f|^p overflows float64.
 PROBES = [
     ("probe-opnorm-p3", _opnorm(1, 0, 3, [64, 128, 256, 512])),
     ("probe-opnorm-p6.5", _opnorm(0.5, 0.5, 6.5, [64, 128, 256, 512])),
     ("probe-opnorm-p99", _opnorm(3, 1, 99, [64, 128, 256])),
     ("probe-fourier-s3", _fourier("sphere", 3, 2048)),
     ("probe-fourier-op16", _fourier("octonionic_plane", 16, 2048)),
+    ("probe-sharpness-torus", _sharpness([[1, 0], [1, 1], [0, 0.5], [0, 0], [0, 0]], None, [315, 495, 840], [2, 6])),
+    ("probe-sharpness-p40", _sharpness([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], [[-0.25, 0.25]] * 2,
+                                       [3323, 3585, 4323], [2, 40])),
 ]
 
 

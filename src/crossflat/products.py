@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .spaces import CrossSpace, spherical_table, weyl_dimension
-from .torus import ExponentFit, fit_exponent
+from .torus import ExponentFit, _grid_lp, fit_exponent
 
 __all__ = [
     "ResolutionError",
@@ -302,12 +302,11 @@ def _member_amplitudes(manifold: ProductManifold, shell: LatticeShell) -> np.nda
 @dataclass(frozen=True)
 class _Layout:
     """Where a factor's 1-D table row lies on a grid: grid point u reads
-    element start + sum_j steps[j] u_j of the row repeated `tiles` times."""
+    element start + sum_j steps[j] u_j of the row."""
 
     shape: tuple[int, ...]
     steps: tuple[int, ...]
     start: int = 0
-    tiles: int = 1
 
     @classmethod
     def reshape(cls, shape: tuple[int, ...]) -> "_Layout":
@@ -315,8 +314,6 @@ class _Layout:
         return cls(shape, tuple(math.prod(shape[j + 1:]) for j in range(len(shape))))
 
     def view(self, row: np.ndarray) -> np.ndarray:
-        if self.tiles > 1:
-            row = np.tile(row, self.tiles)
         strides = tuple(step * row.itemsize for step in self.steps)
         return as_strided(row[self.start:], self.shape, strides, writeable=False)
 
@@ -429,13 +426,6 @@ class FlatSubmanifold:
         return float(math.sqrt(np.linalg.det(a.T @ a)))
 
 
-def _lp_norm(f: np.ndarray, p, cell: float, density: float) -> float:
-    # Midpoint-rule L^p norm of grid values f, or their sup for p = inf.
-    if p == math.inf:
-        return float(np.max(np.abs(f)))
-    return float((np.sum(np.abs(f) ** p) * cell * density) ** (1.0 / p))
-
-
 _LATTICE_THRESHOLD = 200_000
 
 
@@ -444,18 +434,21 @@ def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wave
     _Layout that places them on the quadrature grid along sub, for
     _extremizer_grid, and the grid's cell volume.
 
+    The rule depends on the domain and the matrix.  An integer matrix on
+    the full torus takes the lattice rule at any size; so does one on a box
+    whose direct grid would pass _LATTICE_THRESHOLD points.  Every other
+    flat takes the direct rule.
+
     The direct rule takes the midpoints of a tensor grid with at least
     points_per_wavelength samples per wavelength of the highest frequency
     on each parameter axis.  Factor i's angle depends only on the axes its
     matrix row uses: on the sparse grid a one-axis row needs a
     one-dimensional table and an all-zero row a single point, each read
-    through a reshape.  When that grid would pass _LATTICE_THRESHOLD points
-    and the matrix is integer, the lattice rule takes one common step h on
-    every axis instead, which puts each factor's angles on a
-    one-dimensional lattice; its box snaps up to whole grid cells.  There
-    factor i's table index is affine in the grid point u, row . u - t_lo
-    on a box and (row . u) mod M on the full torus, so a strided view reads
-    it.
+    through a reshape.  The lattice rule takes one common step h on every
+    axis instead, which puts each factor's angles on a one-dimensional
+    lattice; a box snaps up to whole grid cells, and the full torus, a
+    whole number of them already, is unchanged.  Factor i's table index is
+    then row . u - t_lo at grid point u, affine, so a strided view reads it.
     """
     a = sub.matrix_array
     freqs = np.abs(a).T @ np.max(np.array(shell.members), axis=0)  # per parameter axis
@@ -466,7 +459,7 @@ def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wave
         for f, length in zip(freqs, lengths)
     ]
     total = int(np.prod(sizes))
-    if total <= _LATTICE_THRESHOLD or not np.all(a == np.round(a)):
+    if not np.all(a == np.round(a)) or (sub.box is not None and total <= _LATTICE_THRESHOLD):
         if total > 10 * _LATTICE_THRESHOLD:
             raise ResolutionError(f"direct grid of {total} points is too large and the matrix is not integer")
         axes = [lo + (np.arange(m) + 0.5) * (length / m) for (lo, _), length, m in zip(box, lengths, sizes)]
@@ -486,20 +479,10 @@ def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wave
     for row, b in zip(a.astype(int).tolist(), sub.offset):
         shape = tuple(m if r else 1 for r, m in zip(row, sizes))
         base = b + (h / 2.0) * float(np.sum(row)) + float(np.dot(row, [lo for lo, _ in box]))
-        if sub.box is None:
-            # The full torus wraps: the table holds one period of M angles,
-            # tiled sum|row_j| + 1 times.  row . u runs from -(M-1) times the
-            # negative entries' sum to (M-1) times the positive ones', so
-            # starting at M times the former keeps every index in the tiles.
-            period = sizes[0] if any(row) else 1
-            below = sum(-r for r in row if r < 0)
-            points.append(base + h * np.arange(period))
-            layouts.append(_Layout(shape, tuple(row), period * below, sum(map(abs, row)) + 1))
-        else:
-            t_lo = sum(r * (m - 1) for r, m in zip(row, sizes) if r < 0)
-            t_hi = sum(r * (m - 1) for r, m in zip(row, sizes) if r > 0)
-            points.append(base + h * np.arange(t_lo, t_hi + 1))
-            layouts.append(_Layout(shape, tuple(row), -t_lo))
+        t_lo = sum(r * (m - 1) for r, m in zip(row, sizes) if r < 0)
+        t_hi = sum(r * (m - 1) for r, m in zip(row, sizes) if r > 0)
+        points.append(base + h * np.arange(t_lo, t_hi + 1))
+        layouts.append(_Layout(shape, tuple(row), -t_lo))
     return points, layouts, h ** sub.k
 
 
@@ -514,10 +497,11 @@ def restriction_lp_norm(
 
     Tensor midpoint quadrature with at least points_per_wavelength samples
     per wavelength of the highest kernel frequency on each parameter axis;
-    k = 0 degenerates to a point evaluation.  Large integer-matrix jobs go
-    through the lattice lookup rule, whose box snaps up to whole grid cells.
-    The grid does not depend on p: given a sequence of exponents, f is
-    evaluated once and the list of their norms is returned.
+    k = 0 degenerates to a point evaluation.  An integer matrix on the full
+    torus, or on a box too large for the direct grid, goes through the
+    lattice lookup rule, which snaps a box up to whole grid cells (see
+    _restriction_grid).  The grid does not depend on p: given a sequence of
+    exponents, f is evaluated once and the list of their norms is returned.
     """
     scalar = np.ndim(p) == 0
     p_values = [p] if scalar else list(p)
@@ -536,8 +520,8 @@ def restriction_lp_norm(
         )
     points, layouts, cell = _restriction_grid(shell, sub, points_per_wavelength)
     f = _extremizer_grid(manifold, shell, _member_amplitudes(manifold, shell), points, layouts)
-    density = sub.density
-    norms = [_lp_norm(f, q, cell, density) for q in p_values]
+    weight = cell * sub.density
+    norms = [_grid_lp(f, q, weight) for q in p_values]
     return norms[0] if scalar else norms
 
 

@@ -198,6 +198,10 @@ class NormBracket:
 
 
 def _grid_lp(f: np.ndarray, p: float, weight: float) -> float:
+    # Rectangle-rule L^p norm of grid values f whose cells each weigh
+    # `weight`, or their sup for p = inf.  Circle norms here and the
+    # restriction norms of products (weight: cell volume times the
+    # submanifold's area density) both take it.
     if p == math.inf:
         return float(np.max(np.abs(f)))
     a = np.abs(f)

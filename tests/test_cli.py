@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -483,6 +484,24 @@ class TestRun:
         assert (tmp_path / "a" / "sharpness.csv").read_bytes() == (
             tmp_path / "b" / "sharpness.csv"
         ).read_bytes()
+
+    def test_sharpness_at_a_large_p_keeps_the_exit_contract(self, tmp_path):
+        # max|f|^40 overflows float64 on this box: the norm must take the max
+        # out of the sum, with no overflow warning and no infinite ratio.
+        cfg = {
+            "command": "sharpness",
+            "parameters": {
+                "factors": S3_FIFTH,
+                "matrix": [[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]],
+                "box": [[-0.25, 0.25], [-0.25, 0.25]],
+                "levels": [3323, 3585, 4323],
+                "p_values": [2, 40],
+            },
+        }
+        assert validate(cfg) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cfg, out_dir=str(tmp_path)) in (0, 1)
 
     def test_jacobi_half_case_passes(self, tmp_path):
         cfg = {

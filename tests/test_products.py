@@ -280,14 +280,15 @@ class TestRestrictionNorm:
                 False,
             ),
             ([[1, 0], [2, -1], [0, 1], [0, 0]], [0.1, 0.0, -0.3, 0.2], None, True),
+            ([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0], [-1.0, 0.0]], [0.1, -0.2, 0.3, 0.05], None, False),
             ([[] for _ in range(4)], [0.1, 0.2, 0.3, 0.4], None, False),
         ],
-        ids=["direct", "lattice", "point"],
+        ids=["direct", "lattice", "direct-torus", "point"],
     )
     def test_one_grid_serves_every_p(self, monkeypatch, matrix, offset, box, lattice):
-        # the norms of several p from one evaluation of f equal one call per p, to the bit
-        if lattice:
-            monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+        # the norms of several p from one evaluation of f equal one call per p, to the bit;
+        # on the full torus an integer matrix takes the lattice rule far below the
+        # threshold, and a non-integer one the direct rule
         grids = []
         build = products._restriction_grid
         monkeypatch.setattr(products, "_restriction_grid", lambda *args: grids.append(build(*args)) or grids[-1])
@@ -296,6 +297,8 @@ class TestRestrictionNorm:
         ps = [2.0, 3.5, 6.0, math.inf]
         together = restriction_lp_norm(MIXED_RANK4, shell, sub, ps)
         assert len(grids) == (sub.k > 0)
+        sizes = [math.prod(np.broadcast_shapes(*(lay.shape for lay in grid[1]))) for grid in grids]
+        assert all(size < products._LATTICE_THRESHOLD // 10 for size in sizes)
         # only the lattice rule reads one table entry at several grid points
         assert any(len(angles) < math.prod(lay.shape) for grid in grids for angles, lay in zip(*grid[:2])) == lattice
         assert together == [restriction_lp_norm(MIXED_RANK4, shell, sub, p) for p in ps]
@@ -317,18 +320,42 @@ class TestRestrictionNorm:
         lattice = restriction_lp_norm(S3_FIFTH, shell, sub, 2.0, 8.0)
         assert lattice == pytest.approx(direct, rel=2e-3)
 
-    def test_lattice_full_torus_matches_general(self, monkeypatch):
-        # both quadratures are exact for p = 2 on the full torus, so the two
-        # rules must agree to roundoff
+    def test_lattice_full_torus_matches_general(self):
+        # both quadratures are exact for p = 2 on the full torus, so the
+        # lattice rule must agree to roundoff with the direct rule's
+        # per-axis midpoint grid, evaluated point by point
         shell = enumerate_shell(S3_FIFTH, 495)
         sub = FlatSubmanifold.of(
             [[1, 0], [1, 1], [0, 1], [0, 0], [1, 1]], [0.1, 0.0, 0.0, 0.0, 0.2]
         )
-        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 10**9)
-        direct = restriction_lp_norm(S3_FIFTH, shell, sub, 2.0)
-        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+        freqs = np.abs(sub.matrix_array).T @ np.max(np.array(shell.members), axis=0)
+        sizes = [max(8, math.ceil(8.0 * f)) for f in freqs]
+        axes = [(np.arange(m) + 0.5) * (2 * math.pi / m) for m in sizes]
+        cell = math.prod(2 * math.pi / m for m in sizes)
+        direct = dense_norm(S3_FIFTH, shell, sub, 2.0, axes, cell)
         lattice = restriction_lp_norm(S3_FIFTH, shell, sub, 2.0)
         assert lattice == pytest.approx(direct, rel=1e-10)
+
+    def test_box_norm_past_float64_overflow(self):
+        # max|f|^64 overflows float64 here, so the max comes out of the sum
+        shell = enumerate_shell(S3_FIFTH, 1998)
+        sub = FlatSubmanifold.of(
+            [[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], [0.0] * 5, box=[(-0.25, 0.25)] * 2
+        )
+        p = 64.0
+        freqs = np.abs(sub.matrix_array).T @ np.max(np.array(shell.members), axis=0)
+        sizes = [max(8, math.ceil(8.0 * f * 0.5 / (2 * math.pi))) for f in freqs]
+        assert math.prod(sizes) <= products._LATTICE_THRESHOLD
+        axes = [-0.25 + (np.arange(m) + 0.5) * (0.5 / m) for m in sizes]
+        u = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+        f = np.abs(dense_extremizer(S3_FIFTH, shell, list(sub.matrix_array @ u)))
+        top = float(np.max(f))
+        assert math.log(top) * p > math.log(np.finfo(float).max)
+        cell = math.prod(0.5 / m for m in sizes)
+        expected = top * float(np.sum((f / top) ** p) * cell * sub.density) ** (1 / p)
+        norm = restriction_lp_norm(S3_FIFTH, shell, sub, p)
+        assert math.isfinite(norm)
+        assert norm == pytest.approx(expected, rel=1e-12)
 
     def test_under_resolution_rejected(self):
         shell = enumerate_shell(S3_FIFTH, 40)
@@ -489,9 +516,9 @@ class TestGridViews:
         [
             # sum |row_j| up to 3 with negative entries, and an all-zero row
             ([[2, -1], [1, 0], [0, 1], [0, 0]], None),
-            # all-negative rows: the view starts in the last copy of the row
+            # all-negative rows: the view starts at the end of the row
             ([[-1, 0], [0, -2], [-1, -1], [1, 1]], None),
-            # even entries on an even period skip half the residues
+            # even entries skip every other angle of the table
             ([[2, 0], [0, 2], [1, 1], [0, 0]], None),
             ([[1, 0, 0], [1, -1, 0], [0, 2, -1], [0, 0, 1]], None),
             ([[2, -1], [1, 0], [0, 1], [0, 0]], [(-0.25, 0.25), (0.0, 0.6)]),
@@ -508,8 +535,6 @@ class TestGridViews:
         index = []
         for row in sub.matrix_array.astype(int):
             t = sum(r * axis for r, axis in zip(row, u))
-            if box is None:
-                t = t % sizes[0]
             index.append(t - t.min())
         amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
         f = products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts)

@@ -6,12 +6,12 @@
 <other-src> is the `src` directory of another checkout, typically the parent
 commit.  Every bundled config in configs/, every config of every benchmark
 workload (perfbench/workloads.py) for seeds 101-105, a few `opnorm` probes
-at odd and non-integer p, two `fourier` probes up to degree 2048, and two
-`sharpness` probes, a non-integer matrix on the full torus and a box at
-p = 40 (PROBES; no bundled or workload config runs those) run through
-`python -m crossflat` once with each tree's `src` on PYTHONPATH, at
-`--threads 1` and at `--threads 2`.  The two trees' CSV and
-summary bytes, exit codes and stderr must match.  Prints one line per run
+at odd and non-integer p, two `fourier` probes up to degree 2048, and three
+`sharpness` probes, a non-integer matrix on the full torus, a box at p = 40
+and a k = 3 flat on the full torus (PROBES; no bundled or workload config
+runs those) run through `python -m crossflat` once with each tree's `src`
+on PYTHONPATH, at `--threads 1` and at `--threads 2`.  The two trees' CSV
+and summary bytes, exit codes and stderr must match.  Prints one line per run
 that differs, followed, when its CSV or summary differs, by the largest
 relative and the largest absolute difference of each numeric CSV column and
 each numeric summary field that moved (a value near 0 can move far in
@@ -57,8 +57,10 @@ def _sharpness(matrix: list, box: list | None, levels: list[int], p_values: list
 # Kept out of configs/, whose opnorm configs a test runs bracket by bracket.
 # The fourier probes reach degrees that span several jacobi_fourier_rows
 # blocks, with alpha = beta (S^3) and alpha != beta (OP^16).  The sharpness
-# probes take the direct rule on the full torus (a non-integer matrix) and
-# a box at p = 40, where max|f|^p overflows float64.
+# probes take the direct rule on the full torus (a non-integer matrix), a
+# box at p = 40, where max|f|^p overflows float64, and a k = 3 integer
+# matrix on the full torus, whose top level's 192^3 lattice grid has rows of
+# 192^2 points, each longer than one extremizer grid block.
 PROBES = [
     ("probe-opnorm-p3", _opnorm(1, 0, 3, [64, 128, 256, 512])),
     ("probe-opnorm-p6.5", _opnorm(0.5, 0.5, 6.5, [64, 128, 256, 512])),
@@ -68,6 +70,8 @@ PROBES = [
     ("probe-sharpness-torus", _sharpness([[1, 0], [1, 1], [0, 0.5], [0, 0], [0, 0]], None, [315, 495, 840], [2, 6])),
     ("probe-sharpness-p40", _sharpness([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], [[-0.25, 0.25]] * 2,
                                        [3323, 3585, 4323], [2, 40])),
+    ("probe-sharpness-k3", _sharpness([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]], None,
+                                      [315, 400, 495], [2, 6])),
 ]
 
 

@@ -197,21 +197,45 @@ class NormBracket:
             raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
 
 
+def _power_sum(a: np.ndarray, p: float, weight: float) -> float:
+    # sum of weight * a^p over magnitudes a, or their max for p = inf.  Even
+    # p below 2**53 take a^p by left-to-right binary powering of a, about
+    # 2 log2(p) passes; other p, and every double from 2**53 on (all of them
+    # even), take one pow pass.  A power or sum past float64 comes out inf
+    # without a warning.
+    if p == math.inf:
+        return float(np.max(a))
+    with np.errstate(over="ignore"):
+        if p % 2 or p >= 2.0**53:
+            out = a ** p
+        else:
+            out = np.multiply(a, a)
+            for i, bit in enumerate(bin(int(p))[3:]):
+                if i:
+                    out *= out
+                if bit == "1":
+                    out *= a
+        out *= weight
+        return float(np.sum(out))
+
+
 def _grid_lp(f: np.ndarray, p: float, weight: float) -> float:
     # Rectangle-rule L^p norm of grid values f whose cells each weigh
-    # `weight`, or their sup for p = inf.  Circle norms here and the
-    # restriction norms of products (weight: cell volume times the
-    # submanifold's area density) both take it.
-    if p == math.inf:
-        return float(np.max(np.abs(f)))
+    # `weight`, or their sup for p = inf.  Circle norms here take it;
+    # restriction norms in products add _power_sum over blocks of their
+    # grid, and take this rule on the whole grid when that sum overflows.
+    # The root is numpy's: for p < 1 a root past float64 is inf, where a
+    # float's ** would raise.
     a = np.abs(f)
+    if p == math.inf:
+        return _power_sum(a, p, weight)
     with np.errstate(over="ignore"):
-        norm = float(np.sum(a ** p * weight) ** (1.0 / p))
+        norm = float(np.float64(_power_sum(a, p, weight)) ** (1.0 / p))
     if not math.isfinite(norm) and np.all(np.isfinite(a)):
         # |f|^p overflowed: the max comes out.  A sum that did not overflow
         # keeps its bits.
         top = float(np.max(a))
-        norm = top * float(np.sum((a / top) ** p * weight) ** (1.0 / p))
+        norm = top * float(np.float64(_power_sum(a / top, p, weight)) ** (1.0 / p))
     return norm
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,7 @@ from crossflat.spaces import (
     spherical_table,
     weyl_dimension,
 )
+from crossflat.torus import _grid_lp, _power_sum
 
 S3_FIFTH = ProductManifold.of(*[sphere(3)] * 5)
 MIXED = ProductManifold.of(sphere(3), sphere(5))
@@ -357,6 +359,29 @@ class TestRestrictionNorm:
         assert math.isfinite(norm)
         assert norm == pytest.approx(expected, rel=1e-12)
 
+    def test_block_past_float64_overflow_takes_the_whole_grid_rule(self, monkeypatch):
+        # the p = 64 shell above, in blocks of one line: at p = 44 only the
+        # lines near max|f| overflow, at p = 64 every line does; either way
+        # the norm is the whole grid's rule, with no warning
+        shell = enumerate_shell(S3_FIFTH, 1998)
+        sub = FlatSubmanifold.of(
+            [[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], [0.0] * 5, box=[(-0.25, 0.25)] * 2
+        )
+        points, layouts, cell = products._restriction_grid(shell, sub, 8.0)
+        monkeypatch.setattr(products, "_GRID_BLOCK", 8 * np.broadcast_shapes(*(lay.shape for lay in layouts))[-1])
+        amps = products._member_amplitudes(S3_FIFTH, shell)
+        blocks = list(products._extremizer_grid(S3_FIFTH, shell, amps, points, layouts))
+        f, weight = blocks[-1][0], cell * sub.density
+        overflowed = {
+            p: [math.isinf(_power_sum(np.abs(block), p, weight)) for _, block in blocks] for p in (44.0, 64.0)
+        }
+        assert 0 < sum(overflowed[44.0]) < len(blocks) and all(overflowed[64.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = restriction_lp_norm(S3_FIFTH, shell, sub, [2.0, 44.0, 64.0])
+        assert all(math.isfinite(norm) for norm in norms)
+        assert norms[1:] == [_grid_lp(f, 44.0, weight), _grid_lp(f, 64.0, weight)]
+
     def test_under_resolution_rejected(self):
         shell = enumerate_shell(S3_FIFTH, 40)
         sub = FlatSubmanifold.of([[1.0]] * 5, [0.0] * 5)
@@ -480,19 +505,46 @@ class TestExtremizerOracle:
 
 def gathered_extremizer(manifold, shell, points, index):
     """f on a grid from each factor's table on points[i], gathered through
-    the integer arrays index[i]; products in the evaluator's order."""
+    the integer arrays index[i]; products in the evaluator's order: amp
+    times the factors whose index is constant, in factor order, times the
+    factor whose index varies over the fewest grid points (the first of
+    them), times the others in factor order."""
     amps = products._member_amplitudes(manifold, shell)
     values = [
         {n: row[ix] for n, row in spherical_table(space, {m[i] for m in shell.members}, angles).items()}
         for i, (space, angles, ix) in enumerate(zip(manifold.factors, points, index))
     ]
+
+    def spread(ix):
+        # the number of grid points over which ix varies
+        return math.prod(m for j, m in enumerate(np.shape(ix)) if np.any(np.diff(ix, axis=j)))
+
+    constant = [i for i, ix in enumerate(index) if spread(ix) == 1]
+    varying = [i for i, ix in enumerate(index) if spread(ix) > 1]
+    first = min(varying, key=lambda i: spread(index[i]))
+    order = [first] + [i for i in varying if i != first]
     f = np.zeros(np.broadcast_shapes(*(np.shape(ix) for ix in index)))
     for member, amp in zip(shell.members, amps):
-        prod = values[0][member[0]] * values[1][member[1]]
-        for i in range(2, len(member)):
+        coef = amp
+        for i in constant:
+            coef = coef * values[i][member[i]]
+        prod = values[first][member[first]] * coef
+        for i in order[1:]:
             prod = prod * values[i][member[i]]
-        f += prod * amp
+        f += prod
     return f
+
+
+def lattice_index(sub, layouts):
+    """Each factor's table index row . u - t_lo at every point u of the
+    lattice rule's grid, as a full integer array."""
+    sizes = np.broadcast_shapes(*(layout.shape for layout in layouts))
+    u = np.meshgrid(*[np.arange(m) for m in sizes], indexing="ij")
+    index = []
+    for row in sub.matrix_array.astype(int):
+        t = sum(r * axis for r, axis in zip(row, u))
+        index.append(t - t.min())
+    return index
 
 
 def integer_arrays(value) -> int:
@@ -530,15 +582,40 @@ class TestGridViews:
         sub = FlatSubmanifold.of(matrix, [0.1, 0.0, -0.3, 0.2], box)
         points, layouts, _ = products._restriction_grid(self.SHELL, sub, 4.0)
         assert integer_arrays((points, layouts)) == 0
-        sizes = np.broadcast_shapes(*(layout.shape for layout in layouts))
-        u = np.meshgrid(*[np.arange(m) for m in sizes], indexing="ij")
-        index = []
-        for row in sub.matrix_array.astype(int):
-            t = sum(r * axis for r, axis in zip(row, u))
-            index.append(t - t.min())
         amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
-        f = products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts)
-        assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, index))
+        *_, (f, _) = products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts)
+        assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, lattice_index(sub, layouts)))
+
+    @pytest.mark.parametrize(
+        "matrix", [[[2, -1], [1, 0], [0, 1], [0, 0]], [[1, 0, 0], [1, -1, 0], [0, 2, -1], [0, 0, 1]]]
+    )
+    def test_blocks_match_the_gather(self, monkeypatch, matrix):
+        # blocks of seven lines of the last axis: several per grid, the last
+        # one short, and on the k = 3 grid several per row of the first axis
+        sub = FlatSubmanifold.of(matrix, [0.1, 0.0, -0.3, 0.2])
+        points, layouts, _ = products._restriction_grid(self.SHELL, sub, 4.0)
+        shape = np.broadcast_shapes(*(layout.shape for layout in layouts))
+        monkeypatch.setattr(products, "_GRID_BLOCK", 8 * 7 * shape[-1])
+        sizes = [np.empty(shape)[key].size for key in products._grid_blocks(shape)]
+        assert len(sizes) > math.prod(shape[:-2]) and min(sizes) < max(sizes) and sum(sizes) == math.prod(shape)
+        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
+        blocks = list(products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts))
+        assert len(blocks) == len(sizes)
+        f = blocks[-1][0]
+        assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, lattice_index(sub, layouts)))
+
+    # the grid is 60 x 60: one block, and blocks of seven rows with a short last one
+    @pytest.mark.parametrize("block", [products._GRID_BLOCK, 8 * 7 * 60])
+    def test_block_power_sums_match_the_whole_grid_rule(self, monkeypatch, block):
+        monkeypatch.setattr(products, "_GRID_BLOCK", block)
+        sub = FlatSubmanifold.of([[2, -1], [1, 0], [0, 1], [0, 0]], [0.1, 0.0, -0.3, 0.2])
+        points, layouts, cell = products._restriction_grid(self.SHELL, sub, 4.0)
+        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
+        *_, (f, _) = products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts)
+        ps = [2.0, 3.0, 6.5, 12.0, math.inf]
+        norms = restriction_lp_norm(MIXED_RANK4, self.SHELL, sub, ps, 4.0)
+        for p, norm in zip(ps, norms):
+            assert norm == pytest.approx(_grid_lp(f, p, cell * sub.density), rel=1e-15, abs=0)
 
     def test_direct_rule(self):
         sub = FlatSubmanifold.of(
@@ -548,7 +625,7 @@ class TestGridViews:
         assert integer_arrays((points, layouts)) == 0
         index = [np.arange(len(angles)).reshape(layout.shape) for angles, layout in zip(points, layouts)]
         amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
-        f = products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts)
+        *_, (f, _) = products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts)
         assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, index))
 
     def test_no_caller_passes_integer_arrays(self, monkeypatch):

@@ -88,6 +88,13 @@ class TestLpNorm:
         plain = lp_norm_periodic(g, f / scale, 50)
         assert lp_norm_periodic(g, f, 50) == pytest.approx(scale * plain, rel=1e-14)
 
+    @pytest.mark.parametrize("p", [2, 4, 6, 12, 64, 100])
+    def test_even_powers_by_multiplication_match_pow(self, p):
+        g = PeriodicGrid(4096)
+        f = kernel_samples(JacobiParams.of(1, 0), 300, g)
+        expected = float(np.sum(np.abs(f) ** float(p) * g.weight)) ** (1 / p)
+        assert lp_norm_periodic(g, f, p) == pytest.approx(expected, rel=1e-15, abs=0)
+
     def test_infinity_norm(self):
         g = PeriodicGrid(32)
         f = np.sin(g.thetas)

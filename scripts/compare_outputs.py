@@ -6,10 +6,11 @@
 <other-src> is the `src` directory of another checkout, typically the parent
 commit.  Every bundled config in configs/, every config of every benchmark
 workload (perfbench/workloads.py) for seeds 101-105, a few `opnorm` probes
-at odd and non-integer p, two `fourier` probes up to degree 2048, and three
+at odd and non-integer p, two `fourier` probes up to degree 2048, three
 `sharpness` probes, a non-integer matrix on the full torus, a box at p = 40
-and a k = 3 flat on the full torus (PROBES; no bundled or workload config
-runs those) run through `python -m crossflat` once with each tree's `src`
+and a k = 3 flat on the full torus, a `dimension` probe to degree 1000 and a
+`jacobi` probe to degree 4096 (PROBES; no bundled or workload config runs
+those) run through `python -m crossflat` once with each tree's `src`
 on PYTHONPATH, at `--threads 1` and at `--threads 2`.  The two trees' CSV
 and summary bytes, exit codes and stderr must match.  Prints one line per run
 that differs, followed, when its CSV or summary differs, by the largest
@@ -60,7 +61,10 @@ def _sharpness(matrix: list, box: list | None, levels: list[int], p_values: list
 # probes take the direct rule on the full torus (a non-integer matrix), a
 # box at p = 40, where max|f|^p overflows float64, and a k = 3 integer
 # matrix on the full torus, whose top level's 192^3 lattice grid has rows of
-# 192^2 points, each longer than one extremizer grid block.
+# 192^2 points, each longer than one extremizer grid block.  The dimension
+# probe runs the exact Weyl dimensions far past the workloads' degree 300,
+# and the jacobi probe takes the recurrence's mixed-sign path at alpha != beta
+# to twice the workloads' degree.
 PROBES = [
     ("probe-opnorm-p3", _opnorm(1, 0, 3, [64, 128, 256, 512])),
     ("probe-opnorm-p6.5", _opnorm(0.5, 0.5, 6.5, [64, 128, 256, 512])),
@@ -72,6 +76,9 @@ PROBES = [
                                        [3323, 3585, 4323], [2, 40])),
     ("probe-sharpness-k3", _sharpness([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]], None,
                                       [315, 400, 495], [2, 6])),
+    ("probe-dimension-op16", {"command": "dimension",
+                              "parameters": {"space": {"kind": "octonionic_plane", "dimension": 16}, "n_max": 1000}}),
+    ("probe-jacobi-3-1", {"command": "jacobi", "parameters": {"alpha": 3, "beta": 1, "n_max": 4096}}),
 ]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import products, spaces, torus
 from .products import ResolutionError
-from .special import JacobiParams
+from .special import JacobiParams, jacobi_binomial
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "CROSSFLAT_OUT"
@@ -32,6 +32,8 @@ _DOUBLING_64_4096 = [64, 128, 256, 512, 1024, 2048, 4096]
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # most cells; np.float64 gives the same text as float(value)
+        return f"{value:.17g}"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -57,7 +59,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -241,12 +243,16 @@ def _parse_jacobi(r: _Parameters):
         binomials = _binomial_row(jp.alpha, n_max).tolist()
         for (n, row), (_, swapped) in sweeps:
             norm_dev = abs(row[k] / binomials[n] - 1.0)
-            reference = (-1.0) ** n * swapped
-            refl_dev = float(np.max(np.abs(row[:k] - reference) / np.maximum(1.0, np.abs(reference))))
+            # row minus the reference (-1)^n swapped, the sign folded into
+            # the operation: the same values as forming the reference first.
+            dev = row[:k] - swapped if n % 2 == 0 else row[:k] + swapped
+            np.abs(dev, out=dev)
+            dev /= np.maximum(np.abs(swapped), 1.0)
+            refl_dev = float(dev.max())
             closed_dev = 0.0
             if half:
                 cf = chebyshev_half_case(n, theta)
-                closed_dev = float(np.max(np.abs(row[k + 1 :] - cf) / np.maximum(1.0, np.abs(cf))))
+                closed_dev = float((np.abs(row[k + 1 :] - cf) / np.maximum(1.0, np.abs(cf))).max())
             rows.append((n, norm_dev, refl_dev, closed_dev))
             worst["normalization"] = max(worst["normalization"], norm_dev)
             worst["reflection"] = max(worst["reflection"], refl_dev)
@@ -271,6 +277,13 @@ def _parse_jacobi(r: _Parameters):
 def _parse_kernel_norms(r: _Parameters):
     jp, n_values, slope_tol = _parse_circle_kernel(r)
     q_values = r.numbers("q_values", [2.0], _POSITIVE)
+    if None not in (jp, n_values, q_values):
+        # |P_n| <= max(P_n(1), |P_n(-1)|), so the norm is at most (2 pi)^(1/q)
+        # times that; the smallest q must keep this bound inside float64.
+        top, q = n_values[-1], min(q_values)
+        sup = max(jacobi_binomial(jp.alpha, top), jacobi_binomial(jp.beta, top))
+        if math.log(2.0 * math.pi) / q + math.log(sup) >= math.log(sys.float_info.max):
+            r.fail("q_values", f"q = {q:g} puts the bound (2 pi)^(1/q) max|P_n| at n = {top} past float64")
 
     def handler(seed, threads):
         header = ["alpha", "beta", "n", "q", "norm", "envelope", "ratio"]
@@ -305,6 +318,8 @@ def _parse_kernel_norms(r: _Parameters):
 def _parse_opnorm(r: _Parameters):
     jp, n_values, slope_tol = _parse_circle_kernel(r)
     p = r.number("p", rule=_FINITE_EXPONENT)
+    if p is not None and n_values is not None:
+        r.build("p", torus._check_iteration_grid, p, n_values[-1])
     budget = r.integer("iteration_budget", 200)
 
     def handler(seed, threads):
@@ -348,8 +363,10 @@ def _parse_fourier(r: _Parameters):
         rows = []
         passed = True
         for n, exp in spaces.fourier_expansions(space, space.degrees(n_max)):
-            c = exp.coefficients()
-            lo, hi, total = float(np.min(c)), float(np.max(c)), float(np.sum(c))
+            # The one-sided row holds every coefficient's value; the sum
+            # counts c_1..c_n twice.
+            c = exp.row
+            lo, hi, total = float(c.min()), float(c.max()), float(c[0] + 2.0 * c[1:].sum())
             rows.append((n, lo, hi, total))
             passed = passed and lo >= -neg_tol * hi and abs(total - 1.0) <= sum_tol
         summary = {"negativity_tolerance": neg_tol, "sum_tolerance": sum_tol}
@@ -374,8 +391,9 @@ def _parse_dimension(r: _Parameters):
         header = ["n", "dimension", "nearest_integer", "integer_rel_dev"]
         rows = []
         int_ok = True
+        exact = spaces.weyl_dimensions(space, n_values[-1])
         for n, k in zip(n_values, spaces.rep_dimensions(space, n_values)):
-            nearest = int(spaces.weyl_dimension(space, n))
+            nearest = int(exact[n])
             dev = abs(k - nearest) / max(k, 1.0)
             rows.append((n, k, nearest, dev))
             int_ok = int_ok and dev <= integer_tol

@@ -19,9 +19,8 @@ import numpy as np
 
 from .special import (
     JacobiParams,
-    _binomial_row,
+    _fourier_columns,
     jacobi_binomial,
-    jacobi_fourier_rows,
     jacobi_recurrence_rows,
     jacobi_theta_derivative,
 )
@@ -45,6 +44,7 @@ __all__ = [
     "rep_dimension",
     "rep_dimensions",
     "weyl_dimension",
+    "weyl_dimensions",
     "spherical_gram",
     "laplace_eigenvalue",
     "spherical_theta_derivative",
@@ -212,15 +212,13 @@ def spherical_table(space: CrossSpace, degrees, theta) -> dict[int, np.ndarray]:
 
 def _spherical_rows(space: CrossSpace, degrees, x):
     """Yield (n, Phi_n(x)) for the wanted degrees, in increasing order, from
-    one recurrence sweep and one running product of binomial(n + alpha, n)."""
+    one sweep of the normalized recurrence."""
     wanted = set(int(n) for n in degrees)
     if not wanted:
         return
-    top = max(wanted)
-    binomials = _binomial_row(space.params.alpha, top).tolist()
-    for n, row in jacobi_recurrence_rows(space.params.alpha, space.params.beta, top, x):
+    for n, row in jacobi_recurrence_rows(space.params.alpha, space.params.beta, max(wanted), x, normalized=True):
         if n in wanted:
-            yield n, row / binomials[n]
+            yield n, row
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,10 +258,16 @@ def fourier_expansion(space: CrossSpace, n: int) -> FourierExpansion:
 
 def fourier_expansions(space: CrossSpace, degrees):
     """Yield (n, fourier_expansion(space, n)) for each distinct degree, in
-    increasing order, from one batched run of the frequency recurrence."""
-    for n, c in jacobi_fourier_rows(space.params.alpha, space.params.beta, degrees):
-        # Divide by the row's own value at theta = 0, so that Phi_n(0) = 1
-        # as in spherical_eval.
+    increasing order, from one batched run of the frequency recurrence.
+
+    Each unscaled row is divided once by its own value at theta = 0, so that
+    Phi_n(0) = 1 as in spherical_eval; alpha >= beta in the catalog, so no
+    row needs the mirror of jacobi_fourier_rows.
+    """
+    wanted = sorted(set(int(n) for n in degrees))
+    if wanted and wanted[0] < 0:
+        raise ValueError("degree must be nonnegative")
+    for n, c in _fourier_columns(space.params.alpha, space.params.beta, wanted):
         yield n, FourierExpansion(c / (c[0] + 2.0 * np.sum(c[1:])))
 
 
@@ -364,6 +368,21 @@ def weyl_dimension(space: CrossSpace, n: int) -> Fraction:
         num *= (rho + j) * (twice_a + 2 + 2 * j)
         den *= (twice_b + 2 + 2 * j) * (j + 1)
     return Fraction(num, den)
+
+
+def weyl_dimensions(space: CrossSpace, n_max: int) -> list[Fraction]:
+    """[weyl_dimension(space, n) for n = 0..n_max], from one running product
+    of the ratios (rho + j)(alpha + 1 + j) / ((beta + 1 + j)(j + 1))."""
+    if n_max < 0:
+        raise ValueError("degree must be nonnegative")
+    twice_a, twice_b = space.params.twice_alpha, space.params.twice_beta
+    rho = space.eigenvalue_shift
+    product = Fraction(1, rho)
+    out = []
+    for n in range(n_max + 1):
+        out.append(product * (2 * n + rho))
+        product *= Fraction((rho + n) * (twice_a + 2 + 2 * n), (twice_b + 2 + 2 * n) * (n + 1))
+    return out
 
 
 def spherical_gram(space: CrossSpace, n_max: int) -> np.ndarray:

@@ -151,49 +151,78 @@ def _normalized_coefficients(a: float, b: float, n_max: int) -> tuple[np.ndarray
     return np.append([0.0, 0.0], beta), np.append([0.0, (a + b + 2.0) / (a + 1.0)], gamma)
 
 
-def _reinsch_rows(a: float, b: float, n_max: int, s: np.ndarray, sign: float):
-    """Yield sign^n P_n^{(a,b)}(1 - 2s) for n = 0..n_max: Reinsch's loop on
-    q_n = P_n / P_n(1), with d_n = q_n - q_{n-1}."""
-    betas, gammas = _normalized_coefficients(a, b, n_max)
-    scale = _binomial_row(a, n_max) * sign ** np.arange(n_max + 1)
-    q, d, sq = np.ones_like(s), np.zeros_like(s), np.empty_like(s)
-    for n, (beta_n, gamma_n, scale_n) in enumerate(zip(betas.tolist(), gammas.tolist(), scale.tolist())):
-        if n:
-            d *= beta_n
-            np.multiply(s, q, out=sq)
-            sq *= gamma_n
-            d -= sq
-            q += d
-        yield np.multiply(q, scale_n, out=np.empty_like(q))
-
-
-def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x):
-    """Yield (n, values) for P_n^{(alpha,beta)} at the points x, n = 0..n_max.
+def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x, normalized: bool = False):
+    """Yield (n, values) for P_n^{(alpha,beta)} at the points x, n = 0..n_max,
+    or for q_n = P_n / P_n(1) when normalized.
 
     This is the raw engine: it takes plain floats and emits one degree per
     step so callers can scan large degree ranges in O(1) memory.  It runs
     Reinsch's difference form of the three-term recurrence in float64 on
-    q_n = P_n / P_n(1) in s = (1 - x)/2, which keeps the digits that the
-    plain recurrence loses near x = 1; points with x < 0 go through
+    q_n in s = (1 - x)/2, d_n = q_n - q_{n-1}, which keeps the digits that
+    the plain recurrence loses near x = 1; points with x < 0 go through
     P^{(alpha,beta)}(-x) = (-1)^n P^{(beta,alpha)}(x), so s <= 1/2 always.
-    Each point is carried on its own, and the values are q_n * P_n(1).
+    The points are laid out once in two blocks, one per sign, and one loop
+    runs both halves, each with its own coefficients; a row goes back to the
+    caller's order by one gather, and needs none when the caller's points
+    already come in two such blocks.  Each point is carried on its own.
+    The values are q_n * P_n(1) for x >= 0 and q_n^{(beta,alpha)} times
+    (-1)^n binomial(n + beta, n) for x < 0, the latter divided by
+    binomial(n + alpha, n) when normalized, so a normalized row is exactly
+    1 at x = 1.
     """
     _check_recurrence(alpha, beta, n_max)
     negative, s = _check_x(x)
     a, b = float(alpha), float(beta)
-    if not np.any(negative):
-        yield from enumerate(_reinsch_rows(a, b, n_max, s, 1.0))
-        return
-    # One sub-sweep per sign, scattered into each row through index arrays:
-    # a boolean-mask scatter costs about 8x more on a shuffled sign pattern.
-    shape, s = s.shape, s.ravel()
-    upper, lower = np.flatnonzero(~negative), np.flatnonzero(negative)
-    sweeps = zip(_reinsch_rows(a, b, n_max, s[upper], 1.0), _reinsch_rows(b, a, n_max, s[lower], -1.0))
-    for n, (up, down) in enumerate(sweeps):
-        row = np.empty(len(s))
-        row[upper] = up
-        row[lower] = down
-        yield n, row.reshape(shape)
+    shape, s, negative = s.shape, s.ravel(), negative.ravel()
+    size, lows = len(s), int(np.count_nonzero(negative))
+    upper, lower = slice(0, size - lows), slice(size - lows, size)
+    gather = None
+    if negative[:lows].all():
+        upper, lower = slice(lows, size), slice(0, lows)
+    elif negative[upper].any():
+        order = np.argsort(negative, kind="stable")
+        s = s[order]
+        gather = np.empty_like(order)
+        gather[order] = np.arange(size)
+    binomials = _binomial_row(a, n_max)
+    reflected = _binomial_row(b, n_max) * (-1.0) ** np.arange(n_max + 1)
+    if normalized:
+        reflected /= binomials
+    q, d, sq = np.ones_like(s), np.zeros_like(s), np.empty_like(s)
+    # Each half: its part of the points, its view of q and its scale per
+    # degree (None: the row is q_n).  Each half off the poles also runs the
+    # loop on its views, with its own coefficients; at s = 0 every step
+    # leaves q_n = 1 and d_n = 0 exactly, so a half held there runs none.
+    halves, steps = [], []
+    for part, (c, e), scale in ((upper, (a, b), None if normalized else binomials), (lower, (b, a), reflected)):
+        if part.start < part.stop:
+            halves.append((part, q[part], None if scale is None else scale.tolist()))
+            if s[part].any():
+                betas, gammas = _normalized_coefficients(c, e, n_max)
+                steps.append((q[part], d[part], sq[part], s[part], betas.tolist(), gammas.tolist()))
+    reshape = shape != s.shape
+    buffer = None if gather is None else np.empty_like(s)
+    for n in range(n_max + 1):
+        if n:
+            for q_h, d_h, sq_h, s_h, betas, gammas in steps:
+                d_h *= betas[n]
+                np.multiply(s_h, q_h, out=sq_h)
+                sq_h *= gammas[n]
+                d_h -= sq_h
+                q_h += d_h
+        if len(halves) == 1:
+            scale = halves[0][2]
+            row = q.copy() if scale is None else q * scale[n]
+        else:
+            row = np.empty_like(s) if buffer is None else buffer
+            for part, q_h, scale in halves:
+                if scale is None:
+                    row[part] = q_h
+                else:
+                    np.multiply(q_h, scale[n], out=row[part])
+            if gather is not None:
+                row = row.take(gather)
+        yield n, row.reshape(shape) if reshape else row
 
 
 def jacobi_fourier_row(alpha: float, beta: float, n: int) -> np.ndarray:
@@ -233,13 +262,9 @@ def jacobi_fourier_rows(alpha: float, beta: float, degrees):
     """Yield (n, jacobi_fourier_row(alpha, beta, n)) for each distinct n in
     degrees, in increasing order, equal to it bit for bit.
 
-    The degrees run through that recurrence together, in blocks of
-    ascending degrees of at most _FOURIER_BLOCK entries each (a degree too
-    large for that is a block of its own).  A block holds frequency k in
-    row k and one degree per column, the degrees decreasing, so the degrees
-    n >= k are a prefix of row k: one numpy step per frequency writes them
-    all, each entry by the scalar pass's operations in its order, the
-    mirror for beta > alpha included.
+    The degrees run through that recurrence together (_fourier_columns),
+    and each column is scaled once, then mirrored for beta > alpha, by the
+    scalar pass's operations.
     """
     wanted = sorted(set(int(n) for n in degrees))
     _check_recurrence(alpha, beta, wanted[0] if wanted else 0)
@@ -250,6 +275,25 @@ def jacobi_fourier_rows(alpha: float, beta: float, degrees):
     if mirror:
         a, b = b, a
     binomials = _binomial_row(a, wanted[-1])
+    for n, column in _fourier_columns(a, b, wanted):
+        c = column * (binomials[n] / (column[0] + 2.0 * np.sum(column[1:])))
+        if mirror:
+            c[(n + 1) % 2 :: 2] *= -1.0
+        yield n, c
+
+
+def _fourier_columns(a: float, b: float, wanted: list[int]):
+    """Yield (n, c) for each n of the increasing list wanted: the row of
+    jacobi_fourier_row(a, b, n), a >= b, before its scaling, as a read-only
+    view.
+
+    The degrees run in blocks of ascending degrees of at most _FOURIER_BLOCK
+    entries each (a degree too large for that is a block of its own).  A
+    block holds frequency k in row k and one degree per column, the degrees
+    decreasing, so the degrees n >= k are a prefix of row k: one numpy step
+    per frequency writes them all, each entry by the scalar pass's
+    operations in its order.
+    """
     start = 0
     while start < len(wanted):
         stop = start + 1
@@ -257,13 +301,9 @@ def jacobi_fourier_rows(alpha: float, beta: float, degrees):
             stop += 1
         block = wanted[start:stop][::-1]
         table = _fourier_block(a + b + 1.0, 2.0 * (a - b), block)
+        table.flags.writeable = False
         for j in range(len(block) - 1, -1, -1):
-            n = block[j]
-            c = table[: n + 1, j].copy()
-            c *= binomials[n] / (c[0] + 2.0 * np.sum(c[1:]))
-            if mirror:
-                c[(n + 1) % 2 :: 2] *= -1.0
-            yield n, c
+            yield block[j], table[: block[j] + 1, j]
         start = stop
 
 

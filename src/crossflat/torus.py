@@ -58,6 +58,11 @@ UPPER_EXACT_MULTIPLIER = "exact_multiplier"
 # The power iteration, free to choose its grid, keeps to these radices.
 _FAST_PRIMES = (2, 3, 5)
 
+# The most points an even-p iteration grid may take: its table of 5-smooth
+# lengths and each of its rows grow with p n.  The direct restriction grid
+# in products has the same cap.
+_MAX_ITERATION_POINTS = 2_000_000
+
 
 @lru_cache(maxsize=None)
 def _smooth_numbers(limit: int, primes: tuple[int, ...]) -> list[int]:
@@ -225,17 +230,17 @@ def _grid_lp(f: np.ndarray, p: float, weight: float) -> float:
     # restriction norms in products add _power_sum over blocks of their
     # grid, and take this rule on the whole grid when that sum overflows.
     # The root is numpy's: for p < 1 a root past float64 is inf, where a
-    # float's ** would raise.
+    # float's ** would raise, and neither root warns.
     a = np.abs(f)
     if p == math.inf:
         return _power_sum(a, p, weight)
     with np.errstate(over="ignore"):
         norm = float(np.float64(_power_sum(a, p, weight)) ** (1.0 / p))
-    if not math.isfinite(norm) and np.all(np.isfinite(a)):
-        # |f|^p overflowed: the max comes out.  A sum that did not overflow
-        # keeps its bits.
-        top = float(np.max(a))
-        norm = top * float(np.float64(_power_sum(a / top, p, weight)) ** (1.0 / p))
+        if not math.isfinite(norm) and np.all(np.isfinite(a)):
+            # |f|^p overflowed: the max comes out.  A sum that did not
+            # overflow keeps its bits.
+            top = float(np.max(a))
+            norm = top * float(np.float64(_power_sum(a / top, p, weight)) ** (1.0 / p))
     return norm
 
 
@@ -349,6 +354,16 @@ def _check_exponent(p: float) -> None:
         raise ValueError(f"bracket requires a finite p >= 2, got p = {p}")
 
 
+def _check_iteration_grid(p: float, n: int) -> None:
+    """Reject an even p whose iteration grid at degree n, more than p n
+    points, would pass _MAX_ITERATION_POINTS."""
+    if p % 2 == 0 and p * n + 1 > _MAX_ITERATION_POINTS:
+        raise ValueError(
+            f"an even p iterates on more than p n = {p * n:.6g} points at n = {n}; "
+            f"at most {_MAX_ITERATION_POINTS} are allowed"
+        )
+
+
 def _upper_bound(c: np.ndarray, p: float) -> tuple[float, str]:
     """A bracket's upper bound and its method: the exact multiplier at
     p = 2, else Young's bound from the kernel samples on the default grid."""
@@ -375,7 +390,8 @@ def opnorm_bracket(
     _PLATEAU_SWEEPS sweeps in a row gain no more than 1e-13 relative, or
     iteration_budget sweeps have run.  A candidate's ratio counts from its
     second sweep on.  For even p the candidates iterate on the smallest
-    5-smooth grid with more than p n points (at least 8): from the second
+    5-smooth grid with more than p n points (at least 8; more than
+    _MAX_ITERATION_POINTS raise ValueError): from the second
     sweep on each iterate is h^(p-1) with h of degree <= n, the rectangle
     rule sums both norms of its ratio exactly there, and the lower bound is
     a true one up to rounding.  Other p iterate on PeriodicGrid.for_degree(n),
@@ -386,6 +402,7 @@ def opnorm_bracket(
     value is within 1e-12 relative of the best.
     """
     _check_exponent(p)
+    _check_iteration_grid(p, n)
     c = jacobi_fourier_row(params.alpha, params.beta, n)
     upper, method = _upper_bound(c, p)
     top_m = int(np.argmax(np.abs(c)))

@@ -97,10 +97,11 @@ def _record_coefficient_rows(monkeypatch) -> list[int]:
     )
 
     def no_batch(*args):
-        raise AssertionError(f"jacobi_fourier_rows{args} called")
+        raise AssertionError(f"batched Fourier rows {args} called")
 
+    monkeypatch.setattr(crossflat.special, "jacobi_fourier_rows", no_batch)
     for module in (crossflat.special, crossflat.spaces):
-        monkeypatch.setattr(module, "jacobi_fourier_rows", no_batch)
+        monkeypatch.setattr(module, "_fourier_columns", no_batch)
     return degrees
 
 
@@ -633,6 +634,40 @@ class TestRun:
         norms = [float(r[header.index("norm")]) for r in rows]
         assert len(norms) == 6 and all(math.isfinite(v) and v > 0 for v in norms)
 
+    @pytest.mark.parametrize("p, n_values, ok", [
+        (1e300, None, False),  # its 5-smooth table would exhaust memory
+        (7814, [64, 128, 256], False),  # 7814 * 256 + 1 > 2,000,000
+        (7812, [64, 128, 256], True),
+        (7813, [64, 128, 256], True),  # odd p iterate on the default grid
+    ])
+    def test_opnorm_check_bounds_the_even_p_iteration_grid(self, tmp_path, capsys, p, n_values, ok):
+        # Through --check only: an accepted p this large would run for long.
+        params = {"alpha": 1, "beta": 0, "p": p, **({"n_values": n_values} if n_values else {})}
+        path = write_config(tmp_path, {"command": "opnorm", "seed": 7, "parameters": params})
+        assert main(["--config", path, "--check"]) == (0 if ok else 2)
+        err = capsys.readouterr().err
+        assert err == "" if ok else err.startswith("parameters.p: an even p iterates on more than")
+
+    def test_opnorm_run_rejects_an_oversized_even_p_before_any_work(self, tmp_path, capsys):
+        cfg = {"command": "opnorm", "seed": 7, "parameters": {"alpha": 1, "beta": 0, "p": 1e300}}
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("config error: parameters.p: an even p iterates")
+        assert not (tmp_path / "opnorm.csv").exists()
+
+    @pytest.mark.parametrize("q, ok", [(0.001, False), (0.003, True)])
+    def test_kernel_norms_rejects_a_q_whose_norm_passes_float64(self, tmp_path, capsys, q, ok):
+        # With n up to 2048 at (1, 1), log(2 pi)/q + log(2049) passes
+        # log(DBL_MAX) = 709.8 at q = 0.001 (1845) but not at 0.003 (620).
+        cfg = json.loads(open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                           "kernel_norms_gegenbauer.json")).read())
+        cfg["parameters"]["q_values"] = [2, q]
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--check"]) == (0 if ok else 2)
+        if not ok:
+            assert capsys.readouterr().err.startswith("parameters.q_values: q = 0.001 puts the bound")
+            assert run(cfg, out_dir=str(tmp_path)) == 2
+            assert capsys.readouterr().err.startswith("config error: parameters.q_values: q = 0.001")
+
     def test_opnorm_reports_unrefined_degrees(self, tmp_path, monkeypatch):
         bracket = crossflat.torus.opnorm_bracket
         cfg = {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "p": 4, "iteration_budget": 5}}
@@ -647,6 +682,19 @@ class TestRun:
         assert [s["summary"]["unrefined_degrees"] for s in summaries] == [[], [32]]
         # The CSV does not carry the flag.
         assert (tmp_path / "a" / "opnorm.csv").read_bytes() == (tmp_path / "b" / "opnorm.csv").read_bytes()
+
+    @pytest.mark.parametrize("space", [S3, {"kind": "octonionic_plane", "dimension": 16}], ids=["S3", "OP16"])
+    def test_fourier_extremes_are_those_of_the_two_sided_coefficients(self, tmp_path, space):
+        # The handler reads them off the one-sided row.
+        assert run({"command": "fourier", "parameters": {"space": space, "n_max": 90}}, out_dir=str(tmp_path)) == 0
+        header, rows = read_csv(tmp_path / "fourier.csv")
+        expansions = crossflat.spaces.fourier_expansions(crossflat.spaces.space_from_dict(space), range(91))
+        for row, (n, exp) in zip(rows, expansions):
+            c = exp.coefficients()
+            assert int(row[0]) == n
+            assert float(row[header.index("min_coefficient")]) == float(np.min(c))
+            assert float(row[header.index("max_coefficient")]) == float(np.max(c))
+            assert float(row[header.index("coefficient_sum")]) == pytest.approx(1.0, abs=1e-13)
 
     def test_fourier_positivity(self, tmp_path):
         cfg = {

@@ -306,6 +306,13 @@ class TestRepDimensions:
             exact = [float(spaces.weyl_dimension(space, n)) for n in degrees]
             assert max(abs(k / e - 1.0) for k, e in zip(table, exact)) <= 2e-13, degrees
 
+    @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label())
+    def test_running_product_equals_each_weyl_dimension(self, space):
+        table = spaces.weyl_dimensions(space, 300)
+        assert len(table) == 301
+        assert all(k == spaces.weyl_dimension(space, n) for n, k in enumerate(table))
+        assert spaces.weyl_dimensions(space, 0) == [spaces.weyl_dimension(space, 0)] == [1]
+
     def test_runs_without_per_degree_binomials(self, monkeypatch):
         # each sweep reads its normalizations off one running product
         def refuse(*args):

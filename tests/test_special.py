@@ -180,6 +180,49 @@ class TestRecurrenceEngine:
             assert row.tobytes() == expected.tobytes(), n
 
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            -np.linspace(0.05, 1.0, 7),
+            np.concatenate((-np.linspace(0.05, 1.0, 5), [1.0, 0.0, -0.0, 0.3])),
+            np.concatenate(([0.7, 1.0, -0.0], -np.linspace(0.05, 1.0, 5))),
+            np.concatenate((-np.linspace(0.05, 1.0, 5), [1.0])),
+            np.array([1.0, -1.0, 1.0]),
+            np.array(-0.4),
+            np.array(0.4),
+            np.array([]),
+        ],
+        ids=["all-negative", "negative-first", "nonnegative-first", "pole-block", "poles-only",
+             "0-d negative", "0-d", "empty"],
+    )
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_every_layout_matches_single_points(self, x, normalized):
+        a, b = 3.0, 1.0
+        singles = [list(jacobi_recurrence_rows(a, b, 40, point, normalized)) for point in x.ravel()]
+        rows = list(jacobi_recurrence_rows(a, b, 40, x, normalized))
+        assert [n for n, _ in rows] == list(range(41))
+        for n, row in rows:
+            expected = np.array([single[n][1] for single in singles]).reshape(x.shape)
+            assert row.shape == x.shape and row.dtype == np.float64
+            assert row.tobytes() == expected.tobytes(), n
+
+    @pytest.mark.parametrize("params", CATALOG_PARAMS, ids=str)
+    def test_normalized_rows_are_the_rows_over_the_binomial(self, params):
+        # q_n carries one rounding fewer than P_n / P_n(1) for x >= 0 and
+        # the same number for x < 0, so the two agree within 2 ulp.
+        near_one = np.longdouble(1) - np.array([1e-3, 1e-9, 3e-12], dtype=np.longdouble)
+        rng = np.random.default_rng(11)
+        x = np.concatenate((near_one, -near_one, [1.0, -1.0, 0.0, -0.0], rng.uniform(-1, 1, 24)))
+        a, b = params.alpha, params.beta
+        binomials = _binomial_row(a, 300)
+        pairs = zip(jacobi_recurrence_rows(a, b, 300, x), jacobi_recurrence_rows(a, b, 300, x, normalized=True))
+        for (n, row), (m, q) in pairs:
+            reference = row / binomials[n]
+            assert m == n and q.dtype == np.float64
+            assert np.all(np.abs(q - reference) <= 2 * np.finfo(float).eps * np.abs(reference)), n
+            assert q[6] == 1.0
+
+
 def gegenbauer_coefficients(alpha: float, n: int) -> np.ndarray:
     # P_n^(a,a) = (a+1)_n / (2a+1)_n C_n^l with l = a + 1/2, and
     # C_n^l(cos t) = sum_k (l)_k (l)_{n-k} / (k! (n-k)!) e^{i(n-2k)t}  (Szego 4.9).

@@ -88,6 +88,13 @@ class TestLpNorm:
         plain = lp_norm_periodic(g, f / scale, 50)
         assert lp_norm_periodic(g, f, 50) == pytest.approx(scale * plain, rel=1e-14)
 
+    def test_a_root_past_the_float_range_is_inf_without_a_warning(self):
+        # The sum is 8 with or without the max factored out, and 8^1000
+        # passes float64 both times.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _grid_lp(np.ones(8), 0.001, 1.0) == math.inf
+
     @pytest.mark.parametrize("p", [2, 4, 6, 12, 64, 100])
     def test_even_powers_by_multiplication_match_pow(self, p):
         g = PeriodicGrid(4096)
@@ -251,6 +258,12 @@ class TestBracket:
     def test_rejects_non_finite_p(self, p):
         with pytest.raises(ValueError, match="finite p >= 2"):
             opnorm_bracket(HALF, 4, p)
+
+    @pytest.mark.parametrize("p", [1e300, 31252.0])
+    def test_rejects_an_even_p_whose_grid_passes_the_cap(self, p):
+        # 31252 * 64 + 1 > 2,000,000; both are refused before any work.
+        with pytest.raises(ValueError, match="an even p iterates on more than"):
+            opnorm_bracket(HALF, 64, p)
 
     @given(
         st.sampled_from([JacobiParams.of(0.5, 0.5), JacobiParams.of(1, 0), JacobiParams.of(2, 2)]),

@@ -6,9 +6,10 @@
 <other-src> is the `src` directory of another checkout, typically the parent
 commit.  Every bundled config in configs/, every config of every benchmark
 workload (perfbench/workloads.py) for seeds 101-105, a few `opnorm` probes
-at odd and non-integer p, two `fourier` probes up to degree 2048, three
-`sharpness` probes, a non-integer matrix on the full torus, a box at p = 40
-and a k = 3 flat on the full torus, a `dimension` probe to degree 1000 and a
+at odd and non-integer p, two `fourier` probes up to degree 2048, five
+`sharpness` probes, a non-integer matrix on the full torus, a box at p = 40,
+a k = 3 flat on the full torus, a point (k = 0) and a product whose last
+factor takes even degrees only, a `dimension` probe to degree 1000 and a
 `jacobi` probe to degree 4096 (PROBES; no bundled or workload config runs
 those) run through `python -m crossflat` once with each tree's `src`
 on PYTHONPATH, at `--threads 1` and at `--threads 2`.  The two trees' CSV
@@ -49,10 +50,12 @@ def _fourier(kind: str, dimension: int, n_max: int) -> dict:
     return {"command": "fourier", "parameters": {"space": {"kind": kind, "dimension": dimension}, "n_max": n_max}}
 
 
-def _sharpness(matrix: list, box: list | None, levels: list[int], p_values: list[float]) -> dict:
+def _sharpness(matrix: list, box: list | None, levels: list[int], p_values: list[float],
+               offset: list[float] | None = None) -> dict:
     parameters = {"factors": {"space": {"kind": "sphere", "dimension": 3}, "copies": 5}, "matrix": matrix,
                   "levels": levels, "p_values": p_values}
-    return {"command": "sharpness", "parameters": parameters if box is None else {**parameters, "box": box}}
+    optional = {key: value for key, value in (("box", box), ("offset", offset)) if value is not None}
+    return {"command": "sharpness", "parameters": {**parameters, **optional}}
 
 
 # Kept out of configs/, whose opnorm configs a test runs bracket by bracket.
@@ -61,7 +64,10 @@ def _sharpness(matrix: list, box: list | None, levels: list[int], p_values: list
 # probes take the direct rule on the full torus (a non-integer matrix), a
 # box at p = 40, where max|f|^p overflows float64, and a k = 3 integer
 # matrix on the full torus, whose top level's 192^3 lattice grid has rows of
-# 192^2 points, each longer than one extremizer grid block.  The dimension
+# 192^2 points, each longer than one extremizer grid block; a zero-column
+# matrix, a point of the flat, whose restriction is a point value; and
+# S^2 x S^3 x RP^3 from level_min/level_max, whose shell counts take the
+# last factor's even degrees in steps of 2.  The dimension
 # probe runs the exact Weyl dimensions far past the workloads' degree 300,
 # and the jacobi probe takes the recurrence's mixed-sign path at alpha != beta
 # to twice the workloads' degree.
@@ -76,6 +82,12 @@ PROBES = [
                                        [3323, 3585, 4323], [2, 40])),
     ("probe-sharpness-k3", _sharpness([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]], None,
                                       [315, 400, 495], [2, 6])),
+    ("probe-sharpness-point", _sharpness([[]] * 5, None, [315, 495, 840, 1275], [2, 6], [0.01, 0, -0.02, 0, 0.03])),
+    ("probe-sharpness-even-last", {"command": "sharpness", "parameters": {
+        "factors": [{"kind": "sphere", "dimension": 2}, {"kind": "sphere", "dimension": 3},
+                    {"kind": "sphere", "dimension": 3, "even_degrees_only": True}],
+        "matrix": [[1, 0], [1, 1], [0, 1]], "level_min": 300, "level_max": 3000, "level_count": 6,
+        "p_values": [2, 6]}}),
     ("probe-dimension-op16", {"command": "dimension",
                               "parameters": {"space": {"kind": "octonionic_plane", "dimension": 16}, "n_max": 1000}}),
     ("probe-jacobi-3-1", {"command": "jacobi", "parameters": {"alpha": 3, "beta": 1, "n_max": 4096}}),

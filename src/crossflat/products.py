@@ -238,11 +238,26 @@ def count_unconstrained(manifold: ProductManifold, level_max: int) -> np.ndarray
 def count_constrained(manifold: ProductManifold, level_max: int) -> np.ndarray:
     """Counts of ordering-constrained shell tuples for every level 0..level_max.
 
-    One sweep over all admissible tuples with total eigenvalue at most
-    level_max; matches len(enumerate_shell(..., True)) levelwise.
+    One sweep over the first r - 1 degrees of every admissible tuple with
+    total eigenvalue at most level_max; each admissible last degree n then
+    adds a histogram of the levels of the rows that admit it, shifted by
+    n's eigenvalue.  A row's lowest last degree, ceil(n_1 / 2), grows with
+    its first degree, so the rows come sorted by it and the rows that admit
+    n lie in a prefix.  Matches len(enumerate_shell(..., True)) levelwise.
     """
-    _, levels = _sweep(manifold.factors, level_max, True, every_column=False)
-    return np.bincount(levels, minlength=level_max + 1)
+    last = manifold.factors[-1]
+    shift = last.eigenvalue_shift
+    columns, used = _sweep(manifold.factors[:-1], level_max, True, every_column=False)
+    lo, hi, step = _degree_range(last, manifold.rank - 1, columns, used, level_max, True)
+    keep = lo <= hi
+    lo, hi, used = lo[keep], hi[keep], used[keep]
+    counts = np.zeros(level_max + 1, dtype=np.int64)
+    if len(used):
+        degrees = range(int(lo[0]), int(hi.max()) + 1, step)
+        for n, stop in zip(degrees, np.searchsorted(lo, degrees, side="right").tolist()):
+            admitted = used[:stop][n <= hi[:stop]]
+            counts += np.bincount(admitted + (n * n + shift * n), minlength=level_max + 1)
+    return counts
 
 
 def trend_levels(
@@ -293,13 +308,65 @@ def _sqrt_dim(space: CrossSpace, n: int) -> float:
     return math.sqrt(weyl_dimension(space, n))
 
 
+def _degree_columns(manifold: ProductManifold, shell: LatticeShell) -> np.ndarray:
+    # The shell's members as one int64 degree column per factor.
+    return np.array(shell.members, dtype=np.int64).reshape(len(shell), manifold.rank).T
+
+
+def _by_degree(values: dict, column: np.ndarray) -> np.ndarray:
+    # values[n] for every degree n of the column, read through one array
+    lookup = np.zeros((max(values, default=0) + 1, *np.shape(next(iter(values.values()), 0.0))))
+    for n, value in values.items():
+        lookup[n] = value
+    return lookup[column]
+
+
 def _member_amplitudes(manifold: ProductManifold, shell: LatticeShell) -> np.ndarray:
-    return np.array(
+    """prod_i sqrt(k_i(n_i)) of each member, multiplied in factor order.
+
+    Built one factor column at a time, from one _sqrt_dim lookup per
+    distinct degree of the factor: the same products as an np.prod over
+    each member's factors, which multiplies left to right.
+    """
+    amps = np.ones(len(shell))
+    for space, column in zip(manifold.factors, _degree_columns(manifold, shell)):
+        amps = amps * _by_degree({n: _sqrt_dim(space, n) for n in set(column.tolist())}, column)
+    return amps
+
+
+def _shell_tables(manifold: ProductManifold, shell: LatticeShell, point_sets) -> list[list[dict]]:
+    """Each factor's spherical table on each of its angle sets.
+
+    point_sets[j][i] holds factor i's angles in set j; tables[j][i] maps each
+    degree of factor i in the shell to its row on those angles.  A space
+    takes one spherical_table call for all its factors and sets: their
+    distinct angle arrays, concatenated, for the union of their degrees,
+    and each set's rows are slices of it.  Every point runs its own
+    elementwise recurrence, so a row depends on neither the other points
+    nor the top degree.
+    """
+    degrees = [set(column.tolist()) for column in _degree_columns(manifold, shell)]
+    wanted: dict = {}
+    for points in point_sets:
+        for space, angles, ns in zip(manifold.factors, points, degrees):
+            space_ns, arrays = wanted.setdefault(space, (set(), {}))
+            space_ns.update(ns)
+            arrays.setdefault(angles.tobytes(), angles)
+    slices = {}
+    for space, (ns, arrays) in wanted.items():
+        table = spherical_table(space, ns, np.concatenate(list(arrays.values())))
+        start = 0
+        for key, angles in arrays.items():
+            stop = start + len(angles)
+            slices[space, key] = {n: row[start:stop] for n, row in table.items()}
+            start = stop
+    return [
         [
-            np.prod([_sqrt_dim(sp, n) for sp, n in zip(manifold.factors, member)])
-            for member in shell.members
+            {n: slices[space, angles.tobytes()][n] for n in ns}
+            for space, angles, ns in zip(manifold.factors, points, degrees)
         ]
-    )
+        for points in point_sets
+    ]
 
 
 @dataclass(frozen=True)
@@ -358,38 +425,30 @@ def _block_of(key: tuple, shape: tuple[int, ...]) -> tuple:
     return (*inner, Ellipsis)
 
 
-def _extremizer_grid(manifold: ProductManifold, shell: LatticeShell, amps, points, layouts):
+def _extremizer_grid(manifold: ProductManifold, shell: LatticeShell, amps, tables, layouts):
     """sum over the shell of amp * prod_i Phi_{i,n_i} on a grid, yielded as
     (f, block) once each block of the grid f is filled.
 
-    Factor i's values are its spherical table on its distinct angles
-    points[i], read onto the grid through layouts[i] as strided views.
-    Factors with the same space and the same angles share one table, built
-    for all their degrees: a row depends on neither the other points nor
-    the top degree.  A factor read at a single point is folded into the
-    member's coefficient, amp times those values in factor order.  The
-    smallest of the other views is scaled by it, and the rest multiply in
-    by factor order.  The grid is filled in the blocks of _grid_blocks,
-    every member into one block before the next, and each block is yielded
-    while it is still in cache.
+    Factor i's values are its table tables[i] (from _shell_tables) on its
+    distinct angles, read onto the grid through layouts[i] as strided
+    views.  A factor read at a single point is folded into the member's
+    coefficient, amp times those values in factor order.  The smallest of
+    the other views is scaled by it, and the rest multiply in by factor
+    order.  The grid is filled in the blocks of _grid_blocks, every member
+    into one block before the next, and each block is yielded while it is
+    still in cache.
     """
-    degrees = [{member[i] for member in shell.members} for i in range(manifold.rank)]
-    keys = [(space, angles.tobytes()) for space, angles in zip(manifold.factors, points)]
-    wanted: dict = {}
-    for key, angles, ns in zip(keys, points, degrees):
-        wanted.setdefault(key, (angles, set()))[1].update(ns)
-    tables = {key: spherical_table(key[0], ns, angles) for key, (angles, ns) in wanted.items()}
     coefs = np.array(amps, dtype=float)
     varying = []
-    for i, (key, layout) in enumerate(zip(keys, layouts)):
+    for i, (table, layout, column) in enumerate(zip(tables, layouts, _degree_columns(manifold, shell))):
         if math.prod(layout.shape) == 1:
-            coefs = coefs * np.array([tables[key][member[i]][layout.start] for member in shell.members])
+            coefs = coefs * _by_degree({n: row[layout.start] for n, row in table.items()}, column)
         else:
             varying.append(i)
     if varying:
         smallest = min(varying, key=lambda i: math.prod(layouts[i].shape))
         varying = [smallest] + [i for i in varying if i != smallest]
-    views = [{n: layouts[i].view(tables[keys[i]][n]) for n in degrees[i]} for i in varying]
+    views = [{n: layouts[i].view(row) for n, row in tables[i].items()} for i in varying]
     member_degrees = [tuple(member[i] for i in varying) for member in shell.members]
     shape = np.broadcast_shapes(*(layout.shape for layout in layouts))
     f = np.zeros(shape)
@@ -421,10 +480,13 @@ def extremizer_eval(manifold: ProductManifold, shell: LatticeShell, theta) -> fl
     theta = tuple(float(t) for t in theta)
     if len(theta) != manifold.rank:
         raise ValueError("theta must have one coordinate per factor")
-    amps = _member_amplitudes(manifold, shell)
-    points = [np.array([t]) for t in theta]
-    # a single point is a single block
-    [(f, _)] = _extremizer_grid(manifold, shell, amps, points, [_Layout.reshape(())] * manifold.rank)
+    [tables] = _shell_tables(manifold, shell, [[np.array([t]) for t in theta]])
+    return _point_value(manifold, shell, _member_amplitudes(manifold, shell), tables)
+
+
+def _point_value(manifold: ProductManifold, shell: LatticeShell, amps, tables) -> float:
+    # f at the one point that each factor's table holds; one point is one block
+    [(f, _)] = _extremizer_grid(manifold, shell, amps, tables, [_Layout.reshape(())] * manifold.rank)
     return float(f)
 
 
@@ -556,6 +618,42 @@ def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wave
     return points, layouts, h ** sub.k
 
 
+def _restriction_points(manifold: ProductManifold, shell: LatticeShell, sub: FlatSubmanifold, p_values, ppw):
+    """(points, layouts, weight) of the restriction of the shell's
+    extremizer to sub, after its checks: each factor's angles and _Layout on
+    the quadrature grid, and the weight of a grid point.  A k = 0 sub is
+    one point, whose weight is None."""
+    if len(shell) == 0:
+        raise ValueError("shell is empty")
+    if any(q != math.inf and q < 2 for q in p_values):
+        raise ValueError("p must be >= 2 or inf")
+    if len(sub.offset) != manifold.rank:
+        raise ValueError("submanifold lives in a flat of the wrong rank")
+    if sub.k == 0:
+        return [np.array([t]) for t in sub.offset], [_Layout.reshape(())] * manifold.rank, None
+    if ppw < 2:
+        raise ResolutionError(f"{ppw} points per wavelength cannot resolve the integrand; need >= 2")
+    points, layouts, cell = _restriction_grid(shell, sub, ppw)
+    return points, layouts, cell * sub.density
+
+
+def _restriction_norms(manifold: ProductManifold, shell: LatticeShell, amps, tables, layouts, weight, p_values):
+    """Each p's norm of the extremizer on the grid of _restriction_points,
+    from one evaluation of it; |f| for every p at a point."""
+    if weight is None:
+        return [abs(_point_value(manifold, shell, amps, tables))] * len(p_values)
+    sums = [0.0] * len(p_values)
+    for f, block in _extremizer_grid(manifold, shell, amps, tables, layouts):
+        a = np.abs(block)
+        sums = [
+            max(s, _power_sum(a, q, weight)) if q == math.inf else s + _power_sum(a, q, weight)
+            for s, q in zip(sums, p_values)
+        ]
+    norms = [s if q == math.inf else s ** (1.0 / q) for s, q in zip(sums, p_values)]
+    # a sum past float64 takes the whole grid's rule, which factors out the max
+    return [norm if math.isfinite(norm) else _grid_lp(f, q, weight) for norm, q in zip(norms, p_values)]
+
+
 def restriction_lp_norm(
     manifold: ProductManifold,
     shell: LatticeShell,
@@ -579,35 +677,67 @@ def restriction_lp_norm(
     """
     scalar = np.ndim(p) == 0
     p_values = [p] if scalar else list(p)
-    if len(shell) == 0:
-        raise ValueError("shell is empty")
-    if any(q != math.inf and q < 2 for q in p_values):
-        raise ValueError("p must be >= 2 or inf")
-    if len(sub.offset) != manifold.rank:
-        raise ValueError("submanifold lives in a flat of the wrong rank")
-    if sub.k == 0:
-        norms = [abs(extremizer_eval(manifold, shell, sub.offset))] * len(p_values)
-        return norms[0] if scalar else norms
-    if points_per_wavelength < 2:
-        raise ResolutionError(
-            f"{points_per_wavelength} points per wavelength cannot resolve the integrand; need >= 2"
-        )
-    points, layouts, cell = _restriction_grid(shell, sub, points_per_wavelength)
-    weight = cell * sub.density
-    sums = [0.0] * len(p_values)
-    for f, block in _extremizer_grid(manifold, shell, _member_amplitudes(manifold, shell), points, layouts):
-        a = np.abs(block)
-        sums = [
-            max(s, _power_sum(a, q, weight)) if q == math.inf else s + _power_sum(a, q, weight)
-            for s, q in zip(sums, p_values)
-        ]
-    norms = [s if q == math.inf else s ** (1.0 / q) for s, q in zip(sums, p_values)]
-    # a sum past float64 takes the whole grid's rule, which factors out the max
-    norms = [norm if math.isfinite(norm) else _grid_lp(f, q, weight) for norm, q in zip(norms, p_values)]
+    points, layouts, weight = _restriction_points(manifold, shell, sub, p_values, points_per_wavelength)
+    [tables] = _shell_tables(manifold, shell, [points])
+    amps = _member_amplitudes(manifold, shell)
+    norms = _restriction_norms(manifold, shell, amps, tables, layouts, weight, p_values)
     return norms[0] if scalar else norms
 
 
 _POLYDISC_SAMPLES = 5
+# Bytes of the Khatri-Rao factors of one chunk of members in the polydisc
+# check; a chunk takes at least one member.
+_POLYDISC_CHUNK = 1 << 21
+
+
+def _check_polydisc(manifold: ProductManifold, epsilon: float) -> None:
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if _POLYDISC_SAMPLES ** manifold.rank > 10**7:
+        raise ValueError(f"polydisc grid of {_POLYDISC_SAMPLES}^{manifold.rank} points is too large")
+
+
+def _polydisc_points(manifold: ProductManifold, shell: LatticeShell, epsilon: float) -> list[np.ndarray]:
+    # every factor's samples, |theta_i| <= epsilon/N
+    n_big = max(shell.spectral_parameter, 1.0)
+    return [np.linspace(-epsilon / n_big, epsilon / n_big, _POLYDISC_SAMPLES)] * manifold.rank
+
+
+def _polydisc_minimum(manifold: ProductManifold, shell: LatticeShell, amps, tables) -> float:
+    # min |f| / f(0) over the polydisc; f(0) is the sum of the amplitudes
+    return float(np.min(np.abs(_polydisc_grid(manifold, shell, amps, tables)))) / float(np.sum(amps))
+
+
+def _polydisc_grid(manifold: ProductManifold, shell: LatticeShell, amps, tables) -> np.ndarray:
+    """f on the polydisc grid, one axis per factor, from each factor's
+    table on its samples.
+
+    f(t_0, ..., t_{r-1}) = sum_m prod_i G_i[m, t_i] with G_i[m] factor i's
+    row of member m, and G_0 scaled by the amplitudes: a CP reconstruction.
+    The row-wise Khatri-Rao products of the first ceil(r/2) factors and of
+    the rest give it as one matrix product, left.T @ right, added up over
+    chunks of members that bound the scratch memory.
+    """
+    columns = _degree_columns(manifold, shell)
+    half = (manifold.rank + 1) // 2
+    width = _POLYDISC_SAMPLES**half + _POLYDISC_SAMPLES ** (manifold.rank - half)
+    chunk = max(1, _POLYDISC_CHUNK // (8 * width))
+    f = np.zeros((_POLYDISC_SAMPLES**half, _POLYDISC_SAMPLES ** (manifold.rank - half)))
+    for start in range(0, len(shell), chunk):
+        members = slice(start, start + chunk)
+        g = [_by_degree(table, column[members]) for table, column in zip(tables, columns)]
+        g[0] *= amps[members, None]
+        left, right = (_khatri_rao(part) for part in (g[:half], g[half:]))
+        f += left.T @ right
+    return np.reshape(f, (_POLYDISC_SAMPLES,) * manifold.rank)
+
+
+def _khatri_rao(matrices: list[np.ndarray]) -> np.ndarray:
+    # row m is the Kronecker product of row m of every matrix, in order
+    out = matrices[0]
+    for matrix in matrices[1:]:
+        out = (out[:, :, None] * matrix[:, None, :]).reshape(len(out), -1)
+    return out
 
 
 def pointwise_lower_check(manifold: ProductManifold, shell: LatticeShell, epsilon: float = 0.05) -> float:
@@ -619,20 +749,9 @@ def pointwise_lower_check(manifold: ProductManifold, shell: LatticeShell, epsilo
     """
     if len(shell) == 0:
         raise ValueError("shell is empty")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if _POLYDISC_SAMPLES ** manifold.rank > 10**7:
-        raise ValueError(f"polydisc grid of {_POLYDISC_SAMPLES}^{manifold.rank} points is too large")
-    n_big = max(shell.spectral_parameter, 1.0)
-    axis = np.linspace(-epsilon / n_big, epsilon / n_big, _POLYDISC_SAMPLES)
-    # Factor i's samples run along axis i of the polydisc grid.
-    layouts = [
-        _Layout.reshape(tuple(_POLYDISC_SAMPLES if j == i else 1 for j in range(manifold.rank)))
-        for i in range(manifold.rank)
-    ]
-    amps = _member_amplitudes(manifold, shell)
-    blocks = _extremizer_grid(manifold, shell, amps, [axis] * manifold.rank, layouts)
-    return min(float(np.min(np.abs(block))) for _, block in blocks) / float(np.sum(amps))
+    _check_polydisc(manifold, epsilon)
+    [tables] = _shell_tables(manifold, shell, [_polydisc_points(manifold, shell, epsilon)])
+    return _polydisc_minimum(manifold, shell, _member_amplitudes(manifold, shell), tables)
 
 
 # ---------------------------------------------------------------------------
@@ -766,16 +885,29 @@ def sharpness_report(
     envelope N^((d-2)/2 - k/p) and the fitted slope of the ratio, for each p;
     and the pointwise_lower_check minimum over the swept shells.
 
-    Every level's shell comes from one sweep, and each nonempty shell's
-    extremizer is evaluated on the restriction grid once, for every p; the
-    levels run on `threads` worker threads.  Returns one (rows, fit) per p,
-    and the minimum.
+    Every level's shell comes from one sweep.  Each nonempty shell is
+    measured in one pass: its amplitudes once, one spherical table per
+    space for both the restriction grid and the polydisc, the extremizer on
+    the grid once for every p, and the polydisc check; the shells run on
+    `threads` worker threads.  Errors of the restriction come first, then
+    an empty sweep, the fits and the polydisc check.  Returns one
+    (rows, fit) per p, and the minimum.
     """
     p_values = [float(p) for p in p_values]
     shells = [shell for shell in _shells(manifold, levels, ordering_constraint=True) if len(shell)]
+    try:
+        _check_polydisc(manifold, epsilon)
+        polydisc_error = None
+    except ValueError as error:
+        polydisc_error = error
 
     def measure(shell):
-        return shell, restriction_lp_norm(manifold, shell, sub, p_values, points_per_wavelength)
+        points, layouts, weight = _restriction_points(manifold, shell, sub, p_values, points_per_wavelength)
+        polydisc = [] if polydisc_error else [_polydisc_points(manifold, shell, epsilon)]
+        tables = _shell_tables(manifold, shell, [points, *polydisc])
+        amps = _member_amplitudes(manifold, shell)
+        norms = _restriction_norms(manifold, shell, amps, tables[0], layouts, weight, p_values)
+        return shell, norms, (None if polydisc_error else _polydisc_minimum(manifold, shell, amps, tables[1]))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         measured = list(pool.map(measure, shells))
@@ -792,8 +924,9 @@ def sharpness_report(
                 norms[j] / extremizer_l2_norm(shell),
                 shell.spectral_parameter ** exponent,
             )
-            for shell, norms in measured
+            for shell, norms, _ in measured
         ]
         sweeps.append((rows, fit_exponent([(row.spectral_parameter, row.ratio) for row in rows])))
-    pointwise = min(pointwise_lower_check(manifold, shell, epsilon) for shell, _ in measured)
-    return sweeps, pointwise
+    if polydisc_error:
+        raise polydisc_error
+    return sweeps, min(minimum for _, _, minimum in measured)

@@ -212,13 +212,11 @@ def spherical_table(space: CrossSpace, degrees, theta) -> dict[int, np.ndarray]:
 
 def _spherical_rows(space: CrossSpace, degrees, x):
     """Yield (n, Phi_n(x)) for the wanted degrees, in increasing order, from
-    one sweep of the normalized recurrence."""
+    one sweep of the normalized recurrence, which makes no other row."""
     wanted = set(int(n) for n in degrees)
-    if not wanted:
-        return
-    for n, row in jacobi_recurrence_rows(space.params.alpha, space.params.beta, max(wanted), x, normalized=True):
-        if n in wanted:
-            yield n, row
+    if wanted:
+        params = space.params
+        yield from jacobi_recurrence_rows(params.alpha, params.beta, max(wanted), x, True, degrees=wanted)
 
 
 @dataclass(frozen=True, eq=False)

@@ -151,9 +151,10 @@ def _normalized_coefficients(a: float, b: float, n_max: int) -> tuple[np.ndarray
     return np.append([0.0, 0.0], beta), np.append([0.0, (a + b + 2.0) / (a + 1.0)], gamma)
 
 
-def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x, normalized: bool = False):
+def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x, normalized: bool = False, *, degrees=None):
     """Yield (n, values) for P_n^{(alpha,beta)} at the points x, n = 0..n_max,
-    or for q_n = P_n / P_n(1) when normalized.
+    or for q_n = P_n / P_n(1) when normalized; given degrees, only for the n
+    among them.
 
     This is the raw engine: it takes plain floats and emits one degree per
     step so callers can scan large degree ranges in O(1) memory.  It runs
@@ -168,9 +169,11 @@ def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x, normalized:
     The values are q_n * P_n(1) for x >= 0 and q_n^{(beta,alpha)} times
     (-1)^n binomial(n + beta, n) for x < 0, the latter divided by
     binomial(n + alpha, n) when normalized, so a normalized row is exactly
-    1 at x = 1.
+    1 at x = 1.  A degree outside degrees is stepped through but never made
+    into a row: no copy, no scale pass, no gather.
     """
     _check_recurrence(alpha, beta, n_max)
+    wanted = range(n_max + 1) if degrees is None else {int(n) for n in degrees}
     negative, s = _check_x(x)
     a, b = float(alpha), float(beta)
     shape, s, negative = s.shape, s.ravel(), negative.ravel()
@@ -210,6 +213,8 @@ def jacobi_recurrence_rows(alpha: float, beta: float, n_max: int, x, normalized:
                 sq_h *= gammas[n]
                 d_h -= sq_h
                 q_h += d_h
+        if n not in wanted:
+            continue
         if len(halves) == 1:
             scale = halves[0][2]
             row = q.copy() if scale is None else q * scale[n]

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +173,27 @@ class TestEnumerateShell:
         for level in range(61):
             assert unconstrained[level] == len(brute_force_shell(MIXED_RANK4, level, False))
             assert constrained[level] == len(brute_force_shell(MIXED_RANK4, level, True))
+
+
+    @pytest.mark.parametrize(
+        "manifold, level_max",
+        [
+            (S3_FIFTH, 9900),
+            (MIXED_RANK4, 9000),
+            # real_projective(3) sorts last: only even last degrees
+            (ProductManifold.of(sphere(3), sphere(3), real_projective(3)), 3000),
+            (S3_FIFTH, 0),
+            (S3_FIFTH, 1),
+            (MIXED_RANK4, 1),
+        ],
+        ids=["S3_FIFTH", "MIXED_RANK4", "even-last", "level-0", "level-1", "MIXED_RANK4-level-1"],
+    )
+    def test_counts_match_the_full_sweep(self, manifold, level_max):
+        # the counts without the last degree column equal a histogram of the
+        # levels of every admissible tuple
+        _, levels = products._sweep(manifold.factors, level_max, True, every_column=False)
+        counts = count_constrained(manifold, level_max)
+        assert counts.dtype == np.int64 and np.array_equal(counts, np.bincount(levels, minlength=level_max + 1))
 
 
 class TestExactAmplitudes:
@@ -369,8 +391,7 @@ class TestRestrictionNorm:
         )
         points, layouts, cell = products._restriction_grid(shell, sub, 8.0)
         monkeypatch.setattr(products, "_GRID_BLOCK", 8 * np.broadcast_shapes(*(lay.shape for lay in layouts))[-1])
-        amps = products._member_amplitudes(S3_FIFTH, shell)
-        blocks = list(products._extremizer_grid(S3_FIFTH, shell, amps, points, layouts))
+        blocks = evaluated_grid(S3_FIFTH, shell, points, layouts)
         f, weight = blocks[-1][0], cell * sub.density
         overflowed = {
             p: [math.isinf(_power_sum(np.abs(block), p, weight)) for _, block in blocks] for p in (44.0, 64.0)
@@ -503,6 +524,14 @@ class TestExtremizerOracle:
         assert extremizer_eval(MIXED_RANK4, self.SHELL, theta) == pytest.approx(expected, rel=1e-12)
 
 
+def evaluated_grid(manifold, shell, points, layouts):
+    """The evaluator's (f, block) pairs on a grid, from the tables that
+    restriction_lp_norm builds for the same points."""
+    [tables] = products._shell_tables(manifold, shell, [points])
+    amps = products._member_amplitudes(manifold, shell)
+    return list(products._extremizer_grid(manifold, shell, amps, tables, layouts))
+
+
 def gathered_extremizer(manifold, shell, points, index):
     """f on a grid from each factor's table on points[i], gathered through
     the integer arrays index[i]; products in the evaluator's order: amp
@@ -582,8 +611,7 @@ class TestGridViews:
         sub = FlatSubmanifold.of(matrix, [0.1, 0.0, -0.3, 0.2], box)
         points, layouts, _ = products._restriction_grid(self.SHELL, sub, 4.0)
         assert integer_arrays((points, layouts)) == 0
-        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
-        *_, (f, _) = products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts)
+        *_, (f, _) = evaluated_grid(MIXED_RANK4, self.SHELL, points, layouts)
         assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, lattice_index(sub, layouts)))
 
     @pytest.mark.parametrize(
@@ -598,8 +626,7 @@ class TestGridViews:
         monkeypatch.setattr(products, "_GRID_BLOCK", 8 * 7 * shape[-1])
         sizes = [np.empty(shape)[key].size for key in products._grid_blocks(shape)]
         assert len(sizes) > math.prod(shape[:-2]) and min(sizes) < max(sizes) and sum(sizes) == math.prod(shape)
-        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
-        blocks = list(products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts))
+        blocks = evaluated_grid(MIXED_RANK4, self.SHELL, points, layouts)
         assert len(blocks) == len(sizes)
         f = blocks[-1][0]
         assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, lattice_index(sub, layouts)))
@@ -610,8 +637,7 @@ class TestGridViews:
         monkeypatch.setattr(products, "_GRID_BLOCK", block)
         sub = FlatSubmanifold.of([[2, -1], [1, 0], [0, 1], [0, 0]], [0.1, 0.0, -0.3, 0.2])
         points, layouts, cell = products._restriction_grid(self.SHELL, sub, 4.0)
-        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
-        *_, (f, _) = products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts)
+        *_, (f, _) = evaluated_grid(MIXED_RANK4, self.SHELL, points, layouts)
         ps = [2.0, 3.0, 6.5, 12.0, math.inf]
         norms = restriction_lp_norm(MIXED_RANK4, self.SHELL, sub, ps, 4.0)
         for p, norm in zip(ps, norms):
@@ -624,20 +650,23 @@ class TestGridViews:
         points, layouts, _ = products._restriction_grid(self.SHELL, sub, 8.0)
         assert integer_arrays((points, layouts)) == 0
         index = [np.arange(len(angles)).reshape(layout.shape) for angles, layout in zip(points, layouts)]
-        amps = products._member_amplitudes(MIXED_RANK4, self.SHELL)
-        *_, (f, _) = products._extremizer_grid(MIXED_RANK4, self.SHELL, amps, points, layouts)
+        *_, (f, _) = evaluated_grid(MIXED_RANK4, self.SHELL, points, layouts)
         assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, index))
 
     def test_no_caller_passes_integer_arrays(self, monkeypatch):
-        seen = []
-        evaluate = products._extremizer_grid
+        # all three callers take their tables from one helper; the polydisc
+        # check reads its tables without the grid evaluator
+        seen, evaluated = [], []
+        tabulate, evaluate = products._shell_tables, products._extremizer_grid
+        monkeypatch.setattr(products, "_shell_tables", lambda *args: seen.append(args[2]) or tabulate(*args))
         monkeypatch.setattr(
-            products, "_extremizer_grid", lambda *args: seen.append(args[3:]) or evaluate(*args)
+            products, "_extremizer_grid", lambda *args: evaluated.append(args[4]) or evaluate(*args)
         )
         restriction_lp_norm(MIXED_RANK4, self.SHELL, FlatSubmanifold.of([[1], [1], [0], [2]]), 2.0)
         pointwise_lower_check(MIXED_RANK4, self.SHELL, 0.1)
         extremizer_eval(MIXED_RANK4, self.SHELL, [0.3, -1.1, 2.0, 0.7])
         assert len(seen) == 3 and integer_arrays(seen) == 0
+        assert len(evaluated) == 2 and integer_arrays(evaluated) == 0
 
     def test_factors_with_equal_angles_share_one_table(self, monkeypatch):
         # the polydisc samples every factor on one axis: one table per space
@@ -649,6 +678,117 @@ class TestGridViews:
         assert calls == [sphere(3)]
         pointwise_lower_check(MIXED_RANK4, self.SHELL, 0.05)
         assert calls[1:] == [sphere(2), sphere(3), complex_projective(4)]
+
+
+class TestShellPass:
+    """The one pass per shell of a sharpness sweep against the public calls."""
+
+    BOX = FlatSubmanifold.of([[1, 0], [1, -1], [0, 1], [0, 0], [0, 0]], [0.0] * 5, box=[(-0.25, 0.25)] * 2)
+    TORUS = FlatSubmanifold.of([[1, 0], [1, 1], [0, 1], [0, 0]], [0.0] * 4)
+
+    @pytest.mark.parametrize("manifold", [S3_FIFTH, MIXED_RANK4], ids=["S3_FIFTH", "MIXED_RANK4"])
+    def test_amplitudes_are_the_per_member_products(self, manifold):
+        shell = enumerate_shell(manifold, 495 if manifold is S3_FIFTH else 300, ordering_constraint=False)
+        expected = [np.prod([math.sqrt(weyl_dimension(sp, n)) for sp, n in zip(manifold.factors, member)])
+                    for member in shell.members]
+        amps = products._member_amplitudes(manifold, shell)
+        assert len(shell) > 20 and amps.tobytes() == np.array(expected).tobytes()
+
+    @staticmethod
+    def polydisc(manifold, shell, epsilon):
+        # the polydisc samples, their tables, and f from the matrix product
+        points = products._polydisc_points(manifold, shell, epsilon)
+        [tables] = products._shell_tables(manifold, shell, [points])
+        f = products._polydisc_grid(manifold, shell, products._member_amplitudes(manifold, shell), tables)
+        return points, tables, f
+
+    @pytest.mark.parametrize(
+        "manifold, level, constrained, chunk",
+        [
+            (S3_FIFTH, 9900, True, None),
+            (S3_FIFTH, 315, False, None),
+            (MIXED_RANK4, 300, False, None),
+            (S3_FIFTH, 315, False, 100),
+            (MIXED_RANK4, 300, False, 7),
+        ],
+        ids=["S3_FIFTH", "S3_FIFTH-1446", "MIXED_RANK4-145", "S3_FIFTH-chunks-of-100", "MIXED_RANK4-chunks-of-7"],
+    )
+    def test_polydisc_product_matches_the_evaluator(self, monkeypatch, manifold, level, constrained, chunk):
+        # the matrix product against the grid evaluator at every polydisc
+        # point, and against extremizer_eval at some of them, in one chunk
+        # of members and in several, the last one short
+        r = manifold.rank
+        half = (r + 1) // 2
+        if chunk is not None:
+            monkeypatch.setattr(products, "_POLYDISC_CHUNK", 8 * chunk * (5**half + 5 ** (r - half)))
+        shell = enumerate_shell(manifold, level, ordering_constraint=constrained)
+        assert chunk is None or len(shell) % chunk
+        points, _, f = self.polydisc(manifold, shell, 0.4)
+        layouts = [products._Layout.reshape(tuple(5 if j == i else 1 for j in range(r))) for i in range(r)]
+        *_, (expected, _) = evaluated_grid(manifold, shell, points, layouts)
+        assert f.shape == expected.shape == (5,) * r
+        assert np.all(np.abs(f - expected) <= 1e-14 * np.abs(expected))
+        for index in np.random.default_rng(1).integers(0, 5, (6, r)):
+            value = extremizer_eval(manifold, shell, [points[0][t] for t in index])
+            assert f[tuple(index)] == pytest.approx(value, rel=1e-14)
+        assert np.min(np.abs(expected)) / np.sum(products._member_amplitudes(manifold, shell)) < 0.99
+
+    def test_polydisc_product_in_two_chunks_is_near_the_exact_sum(self):
+        # the 2416 members of this shell take two chunks at the default
+        # size; the product stays within 2e-15 of the correctly rounded sum
+        # of the member terms, where the evaluator's running sum drifts by
+        # about 1.4e-14
+        shell = enumerate_shell(S3_FIFTH, 495, ordering_constraint=False)
+        per_chunk = products._POLYDISC_CHUNK // (8 * (125 + 25))
+        assert per_chunk < len(shell) <= 2 * per_chunk
+        _, tables, f = self.polydisc(S3_FIFTH, shell, 0.4)
+        amps = products._member_amplitudes(S3_FIFTH, shell)
+        for index in np.random.default_rng(2).integers(0, 5, (12, 5)):
+            terms = [amp * math.prod(table[n][t] for table, n, t in zip(tables, member, index))
+                     for amp, member in zip(amps, shell.members)]
+            exact = math.fsum(terms)
+            assert abs(f[tuple(index)] - exact) <= 2e-15 * abs(exact)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "manifold, sub, levels",
+        [
+            (S3_FIFTH, BOX, [315, 495, 840, 1275]),
+            (MIXED_RANK4, TORUS, [720, 915, 1019]),
+            (MIXED_RANK4, FlatSubmanifold.of([[] for _ in range(4)], [0.1, 0.0, -0.2, 0.3]), [720, 915, 1019]),
+        ],
+        ids=["box", "torus", "point"],
+    )
+    def test_sweep_equals_the_public_calls(self, monkeypatch, manifold, sub, levels, threads):
+        # ratios equal restriction_lp_norm per shell and the minimum that of
+        # pointwise_lower_check, to the bit; one table per space per shell
+        spaces = []
+        table = products.spherical_table
+        monkeypatch.setattr(products, "spherical_table", lambda *args: spaces.append(args[0]) or table(*args))
+        ps = [2.0, 6.0]
+        sweeps, minimum = sharpness_report(manifold, sub, ps, levels, epsilon=0.3, threads=threads)
+        per_shell = list(dict.fromkeys(manifold.factors)) * len(levels)
+        assert Counter(spaces) == Counter(per_shell) and (threads > 1 or spaces == per_shell)
+        shells = [enumerate_shell(manifold, level) for level in levels]
+        for j, p in enumerate(ps):
+            rows, _ = sweeps[j]
+            assert [row.ratio for row in rows] == [
+                restriction_lp_norm(manifold, shell, sub, p) / math.sqrt(len(shell)) for shell in shells
+            ]
+        assert minimum == min(pointwise_lower_check(manifold, shell, 0.3) for shell in shells)
+
+    def test_polydisc_errors_come_after_the_fits(self, monkeypatch):
+        # an oversized polydisc is reported only once the sweep has measured
+        # and fitted every shell; an empty sweep is reported before it
+        monkeypatch.setattr(products, "_POLYDISC_SAMPLES", 10**4)
+        fits = []
+        fit = products.fit_exponent
+        monkeypatch.setattr(products, "fit_exponent", lambda points: fits.append(points) or fit(points))
+        with pytest.raises(ValueError, match="polydisc grid"):
+            sharpness_report(S3_FIFTH, self.BOX, [2.0, 6.0], [315, 495, 840])
+        assert len(fits) == 2
+        with pytest.raises(ValueError, match="no nonempty shells"):
+            sharpness_report(S3_FIFTH, self.BOX, [2.0], [1, 2])
 
 
 class TestExponentAlgebra:

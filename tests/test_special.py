@@ -206,6 +206,27 @@ class TestRecurrenceEngine:
             assert row.shape == x.shape and row.dtype == np.float64
             assert row.tobytes() == expected.tobytes(), n
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.random.default_rng(3).permutation(np.concatenate((np.linspace(-1, 1, 15), [0.0, -0.0]))),
+            np.random.default_rng(4).uniform(-1, 1, (3, 5)),
+            np.linspace(0.0, 1.0, 6),
+        ],
+        ids=["shuffled mixed-sign", "2-D", "nonnegative"],
+    )
+    @pytest.mark.parametrize("degrees", [{0, 3, 17, 40}, {40}, {5, 9, 60}, set()], ids=str)
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_wanted_degrees_are_the_full_sweeps_rows(self, x, degrees, normalized):
+        # rows for the wanted degrees only, in increasing order, each equal
+        # to the full sweep's row to the bit; degrees past n_max are ignored
+        a, b = 3.0, 1.0
+        full = dict(jacobi_recurrence_rows(a, b, 40, x, normalized))
+        rows = list(jacobi_recurrence_rows(a, b, 40, x, normalized, degrees=degrees))
+        assert [n for n, _ in rows] == sorted(n for n in degrees if n <= 40)
+        for n, row in rows:
+            assert row.shape == x.shape and row.tobytes() == full[n].tobytes(), n
+
     @pytest.mark.parametrize("params", CATALOG_PARAMS, ids=str)
     def test_normalized_rows_are_the_rows_over_the_binomial(self, params):
         # q_n carries one rounding fewer than P_n / P_n(1) for x >= 0 and

@@ -12,13 +12,17 @@ a k = 3 flat on the full torus, a point (k = 0) and a product whose last
 factor takes even degrees only, a `dimension` probe to degree 1000 and a
 `jacobi` probe to degree 4096 (PROBES; no bundled or workload config runs
 those) run through `python -m crossflat` once with each tree's `src`
-on PYTHONPATH, at `--threads 1` and at `--threads 2`.  The two trees' CSV
-and summary bytes, exit codes and stderr must match.  Prints one line per run
-that differs, followed, when its CSV or summary differs, by the largest
-relative and the largest absolute difference of each numeric CSV column and
-each numeric summary field that moved (a value near 0 can move far in
-relative terms and hardly at all in absolute ones), and by whether any
-non-numeric cell differs.  Exits 1 if any run differs, 0 otherwise.
+on PYTHONPATH, at `--threads 1` and at `--threads 2`, after one `--check` of
+the config.  The two trees' CSV and summary bytes, exit codes and stderr
+must match, and so must the exit code and stderr of their `--check`s: each
+command imports its layers while it parses, which `--check` and a run share.
+A `sharpness` probe at 1 point per wavelength exits 3 (numerical
+rejection).  Prints one line per run or check that differs, followed, when
+its CSV or summary differs, by the largest relative and the largest absolute
+difference of each numeric CSV column and each numeric summary field that
+moved (a value near 0 can move far in relative terms and hardly at all in
+absolute ones), and by whether any non-numeric cell differs.  Exits 1 if
+any run or check differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -91,6 +95,9 @@ PROBES = [
     ("probe-dimension-op16", {"command": "dimension",
                               "parameters": {"space": {"kind": "octonionic_plane", "dimension": 16}, "n_max": 1000}}),
     ("probe-jacobi-3-1", {"command": "jacobi", "parameters": {"alpha": 3, "beta": 1, "n_max": 4096}}),
+    ("probe-sharpness-ppw1", {"command": "sharpness", "parameters": {
+        "factors": {"space": {"kind": "sphere", "dimension": 3}, "copies": 5}, "matrix": [[1.0]] * 5,
+        "levels": [315, 495, 840], "points_per_wavelength": 1.0}}),
 ]
 
 
@@ -104,12 +111,21 @@ def configs() -> list[tuple[str, dict]]:
     return out + PROBES
 
 
+def _cli(src: Path, config_path: Path, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "crossflat", "--config", str(config_path), *args]
+    return subprocess.run(argv, env=env, cwd=config_path.parent, capture_output=True, text=True)
+
+
+def check(src: Path, config_path: Path) -> tuple:
+    """The exit code and stderr of one `--check`."""
+    proc = _cli(src, config_path, "--check")
+    return proc.returncode, proc.stderr
+
+
 def run(src: Path, config_path: Path, out_dir: Path, threads: int, command: str) -> tuple:
     """The exit code, stderr, CSV bytes and summary bytes of one CLI run."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = [sys.executable, "-m", "crossflat", "--config", str(config_path), "--out", str(out_dir),
-            "--threads", str(threads)]
-    proc = subprocess.run(argv, env=env, cwd=out_dir.parent, capture_output=True, text=True)
+    proc = _cli(src, config_path, "--out", str(out_dir), "--threads", str(threads))
     slug = command.replace("-", "_")
     files = [out_dir / f"{slug}.csv", out_dir / f"{slug}_summary.json"]
     return (proc.returncode, proc.stderr, *(f.read_bytes() if f.exists() else None for f in files))
@@ -184,12 +200,18 @@ def main(argv: list[str]) -> int:
         return 2
     trees = {"other": Path(argv[0]).resolve(), "this": ROOT / "src"}
     fields = ("exit code", "stderr", "csv", "summary")
-    differences = runs = 0
+    differences = runs = checks = 0
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         for name, config in configs():
             config_path = scratch / f"{name}.json"
             config_path.write_bytes(workloads.dump(config))
+            results = {tree: check(src, config_path) for tree, src in trees.items()}
+            checks += 1
+            differ = [f for f, a, b in zip(fields, results["other"], results["this"]) if a != b]
+            if differ:
+                differences += 1
+                print(f"DIFF {name} --check: {', '.join(differ)}")
             for threads in THREADS:
                 results = {
                     tree: run(src, config_path, scratch / f"{name}-t{threads}-{tree}", threads, config["command"])
@@ -205,7 +227,7 @@ def main(argv: list[str]) -> int:
                             index = fields.index(kind)
                             for line in describe(kind, results["this"][index], results["other"][index]):
                                 print(line)
-    print(f"{runs} config runs compared, {differences} differ")
+    print(f"{runs} config runs and {checks} --check runs compared, {differences} differ")
     return 1 if differences else 0
 
 

@@ -16,14 +16,13 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
-from . import products, spaces, torus
-from .products import ResolutionError
-from .special import JacobiParams, jacobi_binomial
+# Each parse function imports the other layers its command runs, so that a
+# command loads no layer it does not use.
+from .special import JacobiParams, ResolutionError, jacobi_binomial
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "CROSSFLAT_OUT"
@@ -193,6 +192,8 @@ class _Parameters:
 
 def _manifold(spec) -> products.ProductManifold:
     """The product a `factors` value names: a list of spaces, or {space, copies}."""
+    from . import products, spaces
+
     if isinstance(spec, dict):
         copies = spec.get("copies")
         if not (_is_int(copies) and copies >= 2):
@@ -275,6 +276,8 @@ def _parse_jacobi(r: _Parameters):
 
 
 def _parse_kernel_norms(r: _Parameters):
+    from . import torus
+
     jp, n_values, slope_tol = _parse_circle_kernel(r)
     q_values = r.numbers("q_values", [2.0], _POSITIVE)
     if None not in (jp, n_values, q_values):
@@ -316,6 +319,8 @@ def _parse_kernel_norms(r: _Parameters):
 
 
 def _parse_opnorm(r: _Parameters):
+    from . import torus
+
     jp, n_values, slope_tol = _parse_circle_kernel(r)
     p = r.number("p", rule=_FINITE_EXPONENT)
     if p is not None and n_values is not None:
@@ -323,6 +328,8 @@ def _parse_opnorm(r: _Parameters):
     budget = r.integer("iteration_budget", 200)
 
     def handler(seed, threads):
+        from concurrent.futures import ThreadPoolExecutor
+
         header = ["alpha", "beta", "n", "p", "lower", "upper", "envelope", "ratio"]
 
         def cell(n: int):
@@ -353,6 +360,8 @@ def _parse_opnorm(r: _Parameters):
 
 
 def _parse_fourier(r: _Parameters):
+    from . import spaces
+
     space = r.build("space", spaces.space_from_dict, r.read("space"))
     n_max = r.integer("n_max", 400)
     neg_tol = r.number("negativity_tolerance", 1e-9)
@@ -376,6 +385,8 @@ def _parse_fourier(r: _Parameters):
 
 
 def _parse_dimension(r: _Parameters):
+    from . import spaces, torus
+
     space = r.build("space", spaces.space_from_dict, r.read("space"))
     n_values = r.integers("n_values", None)
     n_max = r.integer("n_max", 50)
@@ -422,6 +433,8 @@ def _parse_dimension(r: _Parameters):
 
 
 def _parse_shell(r: _Parameters):
+    from . import products
+
     manifold = r.build("factors", _manifold, r.read("factors"))
     level = r.integer("level", below=products.LEVEL_BOUND)
     constrained = r.boolean("ordering_constraint", True)
@@ -437,6 +450,8 @@ def _parse_shell(r: _Parameters):
 
 
 def _parse_sharpness(r: _Parameters):
+    from . import products, torus
+
     manifold = r.build("factors", _manifold, r.read("factors"))
     sub = r.build("matrix, offset, box", products.FlatSubmanifold.of,
                   r.read("matrix"), r.read("offset", None), r.read("box", None))
@@ -512,6 +527,8 @@ def _parse_sharpness(r: _Parameters):
 
 
 def _parse_exponents(r: _Parameters):
+    from . import products
+
     def is_dimension_list(v) -> bool:
         return isinstance(v, list) and len(v) >= 2 and all(_is_int(d) and d >= 2 for d in v)
 

@@ -15,7 +15,6 @@ baseline rho) is done in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .spaces import CrossSpace, spherical_table, weyl_dimension
+from .special import ResolutionError
 from .torus import ExponentFit, _grid_lp, _power_sum, fit_exponent
 
 __all__ = [
@@ -48,10 +48,6 @@ __all__ = [
     "sharpness_report",
     "diagonal_levels",
 ]
-
-
-class ResolutionError(ValueError):
-    """A quadrature grid cannot resolve the oscillation it is asked to integrate."""
 
 
 @dataclass(frozen=True)
@@ -908,6 +904,8 @@ def sharpness_report(
         amps = _member_amplitudes(manifold, shell)
         norms = _restriction_norms(manifold, shell, amps, tables[0], layouts, weight, p_values)
         return shell, norms, (None if polydisc_error else _polydisc_minimum(manifold, shell, amps, tables[1]))
+
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         measured = list(pool.map(measure, shells))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ResolutionError",
     "REGIME_WINDOW_CONSTANT",
     "JacobiParams",
     "AsymptoticFrame",
@@ -44,6 +45,13 @@ REGIME_WINDOW_CONSTANT = 1.0
 # Entries of one jacobi_fourier_rows block: each of its three arrays (the
 # rows and the recurrence's two factors) holds at most this many doubles, 8 MB.
 _FOURIER_BLOCK = 1 << 20
+
+
+class ResolutionError(ValueError):
+    """A quadrature grid cannot resolve the oscillation it is asked to integrate.
+
+    Defined here, in the module every CLI command loads, so that the CLI can
+    map it to its exit code without importing `products`, which raises it."""
 
 
 @dataclass(frozen=True)

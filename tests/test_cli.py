@@ -295,15 +295,43 @@ after_check = scipy_modules()
 codes = {config["command"]: run(config, out_dir=out) for config in small}
 print(json.dumps([after_check, codes, scipy_modules()]))
 """
+# Runs in a fresh interpreter: `--check` on one config, then the crossflat
+# modules loaded and whether the thread pool's module was.
+CHECK_MODULES = """
+import json, sys
+from crossflat.cli import main
+
+code = main(["--check", "--config", sys.argv[1]])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "crossflat")
+print(json.dumps([code, loaded, "concurrent.futures" in sys.modules]))
+"""
+# The layers each command loads besides crossflat, crossflat.cli and
+# crossflat.special; products loads spaces and torus itself.
+COMMAND_LAYERS = {
+    "jacobi": [],
+    "fourier": ["spaces"],
+    "dimension": ["spaces", "torus"],
+    "kernel-norms": ["torus"],
+    "opnorm": ["torus"],
+    "shell": ["products", "spaces", "torus"],
+    "sharpness": ["products", "spaces", "torus"],
+    "exponents": ["products", "spaces", "torus"],
+}
+
+
+def bundled_configs() -> dict[str, str]:
+    """{command: path} of the first bundled config of each command."""
+    bundled = {}
+    for name in sorted(os.listdir(os.path.join(REPO, "configs"))):
+        path = os.path.join(REPO, "configs", name)
+        with open(path) as handle:
+            bundled.setdefault(json.load(handle)["command"], path)
+    return bundled
 
 
 class TestColdStart:
     def test_no_scipy_on_any_cli_path(self, tmp_path):
-        bundled = {}
-        for name in sorted(os.listdir(os.path.join(REPO, "configs"))):
-            path = os.path.join(REPO, "configs", name)
-            with open(path) as handle:
-                bundled.setdefault(json.load(handle)["command"], path)
+        bundled = bundled_configs()
         assert sorted(bundled) == sorted(COMMANDS)
         small = [{"command": command, **copy.deepcopy(CONTRACT_BASES[command])} for command in sorted(COMMANDS)]
         opnorm = next(config for config in small if config["command"] == "opnorm")
@@ -317,6 +345,64 @@ class TestColdStart:
         assert after_check == []
         assert set(codes.values()) == {0}, codes
         assert after_runs == []
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
+    def test_check_loads_only_the_layers_the_command_runs(self, command):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crossflat.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", CHECK_MODULES, bundled_configs()[command]],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, loaded, pool_loaded = json.loads(done.stdout)
+        assert code == 0, done.stderr
+        layers = ["cli", "special", *COMMAND_LAYERS[command]]
+        assert loaded == sorted(["crossflat", *(f"crossflat.{layer}" for layer in layers)])
+        assert not pool_loaded
+
+
+# Every name the package exported before its exports became lazy, by module.
+EXPORTED = {
+    "special": [
+        "JacobiParams", "AsymptoticFrame", "jacobi_eval", "jacobi_binomial", "chebyshev_half_case",
+        "jacobi_theta_derivative", "interior_main_term", "edge_main_term", "bessel_j",
+    ],
+    "spaces": [
+        "CrossSpace", "sphere", "real_projective", "complex_projective", "quaternionic_projective",
+        "octonionic_plane", "catalog", "spherical_eval", "fourier_expansion", "rep_dimension",
+        "laplace_eigenvalue",
+    ],
+    "torus": [
+        "PeriodicGrid", "lp_norm_periodic", "kernel_lp_norm", "envelope_A", "envelope_A_tilde",
+        "opnorm_l2_exact", "opnorm_bracket", "tensor_opnorm_upper", "fit_exponent",
+    ],
+    "products": [
+        "ProductManifold", "LatticeShell", "enumerate_shell", "extremizer_eval", "extremizer_l2_norm",
+        "FlatSubmanifold", "restriction_lp_norm", "pointwise_lower_check", "exponent_table",
+        "sharpness_report",
+    ],
+}
+
+
+class TestPackageExports:
+    def test_each_name_is_its_modules_object(self):
+        for module, names in EXPORTED.items():
+            for name in names:
+                assert getattr(crossflat, name) is getattr(getattr(crossflat, module), name), name
+                assert name in dir(crossflat), name
+
+    def test_star_import_binds_every_name_and_layer(self):
+        namespace = {}
+        exec("from crossflat import *", namespace)
+        namespace.pop("__builtins__")
+        assert set(namespace) == {*EXPORTED, *(name for names in EXPORTED.values() for name in names)}
+        assert all(namespace[module] is getattr(crossflat, module) for module in EXPORTED)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            crossflat.no_such_name
+
+    def test_resolution_error_is_one_class(self):
+        assert crossflat.products.ResolutionError is crossflat.special.ResolutionError
 
 
 class TestRun:

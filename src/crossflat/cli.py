@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -45,9 +44,12 @@ def _fmt(value) -> str:
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # O_EXCL under a random name, as mkstemp does, but with mode 0o666 so that
+    # the umask decides the file's permissions, as for a plain open().
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -649,7 +651,7 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true", help="validate the config and exit")
     args = parser.parse_args(argv)
     try:
-        with open(args.config) as handle:
+        with open(args.config, encoding="utf-8") as handle:
             config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
@@ -660,7 +662,3 @@ def main(argv=None) -> int:
             print(line, file=sys.stderr)
         return 0 if not diagnostics else 2
     return run(config, out_dir=args.out, seed_override=args.seed, threads=args.threads)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -278,6 +279,13 @@ class TestValidate:
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports this crossflat."""
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crossflat.__file__))}
+
+
 # Runs in a fresh interpreter, so that no other test can have loaded scipy:
 # validates the given bundled configs, runs the small ones, and prints the
 # scipy modules loaded after each stage.
@@ -336,10 +344,9 @@ class TestColdStart:
         small = [{"command": command, **copy.deepcopy(CONTRACT_BASES[command])} for command in sorted(COMMANDS)]
         opnorm = next(config for config in small if config["command"] == "opnorm")
         opnorm["parameters"]["p"] = 6  # p > 2 runs the FFT power iteration
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crossflat.__file__))}
         argument = json.dumps([list(bundled.values()), small, str(tmp_path)])
         done = subprocess.run(
-            [sys.executable, "-c", COLD_START, argument], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", COLD_START, argument], env=child_env(), capture_output=True, text=True, check=True
         )
         after_check, codes, after_runs = json.loads(done.stdout)
         assert after_check == []
@@ -348,16 +355,88 @@ class TestColdStart:
 
     @pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
     def test_check_loads_only_the_layers_the_command_runs(self, command):
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crossflat.__file__))}
         done = subprocess.run(
             [sys.executable, "-c", CHECK_MODULES, bundled_configs()[command]],
-            env=env, capture_output=True, text=True, check=True,
+            env=child_env(), capture_output=True, text=True, check=True,
         )
         code, loaded, pool_loaded = json.loads(done.stdout)
         assert code == 0, done.stderr
         layers = ["cli", "special", *COMMAND_LAYERS[command]]
         assert loaded == sorted(["crossflat", *(f"crossflat.{layer}" for layer in layers)])
         assert not pool_loaded
+
+
+# Runs in a fresh interpreter: starts the CLI the way `python -m crossflat`
+# ("module") or the console script ("script") does, with the given arguments,
+# and prints the exit code and the GC freeze count after it.
+PROCESS_ENTRY = """
+import gc, json, runpy, sys
+
+entry, argv = json.loads(sys.argv[1])
+sys.argv = ["crossflat", *argv]
+try:
+    if entry == "module":
+        runpy.run_module("crossflat", run_name="__main__", alter_sys=True)
+    else:
+        from crossflat.__main__ import main
+        main()
+except SystemExit as exc:
+    code = exc.code
+else:
+    code = "returned"
+print(json.dumps([code, gc.get_freeze_count()]))
+"""
+# One config per exit code of a run: 0, 1 (a slope tolerance no fit meets),
+# 2 (a config error) and 3 (one sample per wavelength).
+EXIT_CASES = {
+    0: {"command": "jacobi", **CONTRACT_BASES["jacobi"]},
+    1: {"command": "kernel-norms", "parameters": {**KERNEL_NORMS, "q_values": [2], "slope_tolerance": 1e-9}},
+    2: {"command": "opnorm", "parameters": {}},
+    3: {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [40], "points_per_wavelength": 1.0}},
+}
+
+
+class TestProcessEntry:
+    @staticmethod
+    def start(entry, argv):
+        done = subprocess.run(
+            [sys.executable, "-c", PROCESS_ENTRY, json.dumps([entry, argv])],
+            env=child_env(), capture_output=True, text=True, check=True,
+        )
+        code, frozen = json.loads(done.stdout)
+        return code, done.stderr, frozen
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize("expected", sorted(EXIT_CASES))
+    def test_run_exits_like_cli_run_with_a_frozen_heap(self, tmp_path, capsys, entry, expected):
+        config = EXIT_CASES[expected]
+        assert run(config, out_dir=str(tmp_path / "in_process")) == expected
+        stderr = capsys.readouterr().err
+        argv = ["--config", write_config(tmp_path, config), "--out", str(tmp_path / "process")]
+        code, process_stderr, frozen = self.start(entry, argv)
+        assert (code, process_stderr) == (expected, stderr)
+        assert frozen > 0
+        written = {
+            side: {path.name: path.read_bytes() for path in (tmp_path / side).glob("*")}
+            for side in ("in_process", "process")
+        }
+        assert written["process"] == written["in_process"]
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize("expected", [0, 2])
+    def test_check_exits_like_cli_validate_with_a_frozen_heap(self, tmp_path, entry, expected):
+        config = EXIT_CASES[expected]
+        diagnostics = validate(config)
+        assert bool(diagnostics) == (expected == 2)
+        code, stderr, frozen = self.start(entry, ["--check", "--config", write_config(tmp_path, config)])
+        assert (code, stderr) == (expected, "".join(f"{line}\n" for line in diagnostics))
+        assert frozen > 0
+
+    def test_cli_main_leaves_the_collector_alone(self, tmp_path):
+        path = write_config(tmp_path, EXIT_CASES[0])
+        assert main(["--config", path, "--out", str(tmp_path)]) == 0
+        assert main(["--check", "--config", path]) == 0
+        assert gc.get_freeze_count() == 0
 
 
 # Every name the package exported before its exports became lazy, by module.
@@ -704,10 +783,9 @@ class TestRun:
         }
         config = tmp_path / "opnorm.json"
         config.write_text(json.dumps(cfg))
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crossflat.__file__))}
         done = subprocess.run(
             [sys.executable, "-m", "crossflat", "--config", str(config), "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True,
+            env=child_env(), capture_output=True, text=True,
         )
         assert (done.returncode, done.stderr) == (0, "")
         summary = json.loads((tmp_path / "out" / "opnorm_summary.json").read_text())["summary"]
@@ -895,6 +973,44 @@ class TestMain:
         assert main(["--config", path, "--out", str(fanout), "--threads", "2"]) == code
         for name in ("sharpness.csv", "sharpness_summary.json"):
             assert (serial / name).read_bytes() == (fanout / name).read_bytes()
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_follow_the_umask(self, tmp_path, umask):
+        path = write_config(tmp_path, {"command": "exponents", "parameters": EXPONENTS})
+        out = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            assert main(["--config", path, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert sorted(os.listdir(out)) == ["exponents.csv", "exponents_summary.json"]
+        for name in os.listdir(out):
+            assert os.stat(out / name).st_mode & 0o777 == 0o666 & ~umask, name
+
+    def test_a_failed_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path, monkeypatch):
+        target = tmp_path / "table.csv"
+        target.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            crossflat.cli._write_atomic(str(target), "new\n")
+        assert os.listdir(tmp_path) == ["table.csv"]
+        assert target.read_text() == "old\n"
+
+    @pytest.mark.parametrize("command", sorted(CONTRACT_BASES))
+    def test_no_locale_dependent_encoding(self, tmp_path, command):
+        path = write_config(tmp_path, {"command": command, **CONTRACT_BASES[command]})
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "crossflat", "--config", path, "--out", str(tmp_path / "out")],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 def _compare_outputs_module():

@@ -6,7 +6,9 @@
 <other-src> is the `src` directory of another checkout, typically the parent
 commit.  Every bundled config in configs/, every config of every benchmark
 workload (perfbench/workloads.py) for seeds 101-105, a few `opnorm` probes
-at odd and non-integer p, two `fourier` probes up to degree 2048, five
+at odd and non-integer p and on sphere kernels (odd degrees, whose kernel
+does not fold onto half the circle, and p = 4 down to the 8-point
+iteration grid), two `fourier` probes up to degree 2048, five
 `sharpness` probes, a non-integer matrix on the full torus, a box at p = 40,
 a k = 3 flat on the full torus, a point (k = 0) and a product whose last
 factor takes even degrees only, a `dimension` probe to degree 1000 and a
@@ -79,6 +81,8 @@ PROBES = [
     ("probe-opnorm-p3", _opnorm(1, 0, 3, [64, 128, 256, 512])),
     ("probe-opnorm-p6.5", _opnorm(0.5, 0.5, 6.5, [64, 128, 256, 512])),
     ("probe-opnorm-p99", _opnorm(3, 1, 99, [64, 128, 256])),
+    ("probe-opnorm-sphere-odd", _opnorm(1, 1, 6, [63, 127, 255, 511])),
+    ("probe-opnorm-sphere-p4", _opnorm(1, 1, 4, [2, 4, 8])),
     ("probe-fourier-s3", _fourier("sphere", 3, 2048)),
     ("probe-fourier-op16", _fourier("octonionic_plane", 16, 2048)),
     ("probe-sharpness-torus", _sharpness([[1, 0], [1, 1], [0, 0.5], [0, 0], [0, 0]], None, [315, 495, 840], [2, 6])),

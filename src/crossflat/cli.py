@@ -330,8 +330,6 @@ def _parse_opnorm(r: _Parameters):
     budget = r.integer("iteration_budget", 200)
 
     def handler(seed, threads):
-        from concurrent.futures import ThreadPoolExecutor
-
         header = ["alpha", "beta", "n", "p", "lower", "upper", "envelope", "ratio"]
 
         def cell(n: int):
@@ -340,8 +338,13 @@ def _parse_opnorm(r: _Parameters):
             row = (jp.alpha, jp.beta, n, p, bracket.lower, bracket.upper, env, bracket.upper / env)
             return row, bracket.refined
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows, refined = zip(*pool.map(cell, n_values))
+        if threads == 1:
+            rows, refined = zip(*map(cell, n_values))
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                rows, refined = zip(*pool.map(cell, n_values))
         upper_fit = torus.fit_exponent([(row[2], row[5]) for row in rows])
         lower_fit = torus.fit_exponent([(row[2], row[4]) for row in rows])
         expected = torus.envelope_exponent(jp.alpha, p / 2.0)

@@ -885,9 +885,9 @@ def sharpness_report(
     measured in one pass: its amplitudes once, one spherical table per
     space for both the restriction grid and the polydisc, the extremizer on
     the grid once for every p, and the polydisc check; the shells run on
-    `threads` worker threads.  Errors of the restriction come first, then
-    an empty sweep, the fits and the polydisc check.  Returns one
-    (rows, fit) per p, and the minimum.
+    `threads` worker threads, or inline for one.  Errors of the restriction
+    come first, then an empty sweep, the fits and the polydisc check.
+    Returns one (rows, fit) per p, and the minimum.
     """
     p_values = [float(p) for p in p_values]
     shells = [shell for shell in _shells(manifold, levels, ordering_constraint=True) if len(shell)]
@@ -905,10 +905,13 @@ def sharpness_report(
         norms = _restriction_norms(manifold, shell, amps, tables[0], layouts, weight, p_values)
         return shell, norms, (None if polydisc_error else _polydisc_minimum(manifold, shell, amps, tables[1]))
 
-    from concurrent.futures import ThreadPoolExecutor
+    if threads == 1:
+        measured = list(map(measure, shells))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        measured = list(pool.map(measure, shells))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            measured = list(pool.map(measure, shells))
     if not measured:
         raise ValueError("no nonempty shells in the sweep")
     sweeps = []

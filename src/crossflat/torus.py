@@ -9,7 +9,11 @@ stops after _PLATEAU_SWEEPS sweeps without gain, or when its budget runs out.
 A ratio counts from the second sweep on; for even p every iterate is then a
 trigonometric polynomial whose norms the iteration grid sums exactly, so the
 lower bound is certified up to rounding.  That grid is the smallest
-5-smooth length above p n.  Other p iterate on the default grid, and their
+5-smooth length above p n.  A pi-periodic kernel, one with no odd frequency
+(alpha = beta at even n > 0), maps every f to a pi-periodic T f, so its
+iteration runs on one period, in phi = 2 theta, where h^p has degree p n / 2
+and the grid is the smallest 5-smooth length above that.  Other p iterate on
+the default grid, folded onto one period when its size is even, and their
 lower bounds are best-effort.  Each half-step scales a row by its largest
 magnitude before raising it to the power p - 1, by multiplication for even
 p, so no power overflows.  The candidates of a bracket refine
@@ -395,11 +399,19 @@ def opnorm_bracket(
     sweep on each iterate is h^(p-1) with h of degree <= n, the rectangle
     rule sums both norms of its ratio exactly there, and the lower bound is
     a true one up to rounding.  Other p iterate on PeriodicGrid.for_degree(n),
-    where Young's sum always runs.  For every p each half-step scales a row
-    by its largest magnitude before it raises it to the power p - 1 (by
-    multiplication for even p), so a large p cannot overflow.  The
-    witness is the first candidate, the closed-form exponential first, whose
-    value is within 1e-12 relative of the best.
+    where Young's sum always runs.  A kernel whose row is zero at every odd
+    frequency at even n > 0 (every alpha = beta) is pi-periodic, and T sees
+    only a start's even frequencies.  Each start, built on the full circle,
+    is then folded onto one period (its two halves added), and the iteration
+    runs there in phi = 2 theta, on the multiplier's even entries with
+    weight 2 pi / M for M points: the same Rayleigh ratios.  For even p, M
+    is the smallest 5-smooth length above p n / 2 (at least 8), so the sums
+    stay exact and the lower bound certified; other p fold when the default
+    grid's size is even, which keeps its points.  For every p each
+    half-step scales a row by its largest magnitude before it raises it to
+    the power p - 1 (by multiplication for even p), so a large p cannot
+    overflow.  The witness is the first candidate, the closed-form
+    exponential first, whose value is within 1e-12 relative of the best.
     """
     _check_exponent(p)
     _check_iteration_grid(p, n)
@@ -414,10 +426,13 @@ def opnorm_bracket(
     # Single exponentials admit a closed-form ratio |khat(m)| (2 pi)^(1/p - 1/p').
     found = [(top * (2.0 * math.pi) ** (1.0 / p - 1.0 / p_dual), f"exponential m={top_m}")]
 
+    # The number of periods of a kernel with no odd frequency on the circle.
+    fold = 2 if n > 0 and n % 2 == 0 and not np.any(c[1::2]) else 1
     if p % 2 == 0:
-        grid = PeriodicGrid(_next_fast_len(max(8, int(p) * n + 1), _FAST_PRIMES))
+        grid = PeriodicGrid(fold * _next_fast_len(max(8, int(p) * n // fold + 1), _FAST_PRIMES))
     else:
         grid = PeriodicGrid.for_degree(n)
+        fold = 1 if grid.size % 2 else fold
     thetas = grid.thetas
     widths = []
     width = 1.0
@@ -434,10 +449,14 @@ def opnorm_bracket(
         starts[2 + j] = _bump(thetas, width)
     starts[-1] = np.random.default_rng(seed).standard_normal(grid.size)
     names, starts = _distinct_starts(names, starts)
+    if fold > 1:
+        # The folded row keeps every even frequency of its start.
+        starts = starts.reshape(len(starts), fold, -1).sum(axis=1)
+        grid = PeriodicGrid(grid.size // fold)
 
     # The kernel is real and even, so its multiplier is real.
     khat = np.zeros(grid.size // 2 + 1)
-    khat[: n + 1] = 2.0 * math.pi * c
+    khat[: n // fold + 1] = 2.0 * math.pi * c[::fold]
     spectra = np.empty((len(starts), len(khat)), dtype=complex)
     samples = np.empty_like(starts)
 

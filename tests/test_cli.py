@@ -303,13 +303,13 @@ after_check = scipy_modules()
 codes = {config["command"]: run(config, out_dir=out) for config in small}
 print(json.dumps([after_check, codes, scipy_modules()]))
 """
-# Runs in a fresh interpreter: `--check` on one config, then the crossflat
-# modules loaded and whether the thread pool's module was.
-CHECK_MODULES = """
+# Runs in a fresh interpreter: the CLI on the given arguments, then the
+# crossflat modules loaded and whether the thread pool's module was.
+CLI_MODULES = """
 import json, sys
 from crossflat.cli import main
 
-code = main(["--check", "--config", sys.argv[1]])
+code = main(json.loads(sys.argv[1]))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "crossflat")
 print(json.dumps([code, loaded, "concurrent.futures" in sys.modules]))
 """
@@ -353,16 +353,33 @@ class TestColdStart:
         assert set(codes.values()) == {0}, codes
         assert after_runs == []
 
-    @pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
-    def test_check_loads_only_the_layers_the_command_runs(self, command):
+    @staticmethod
+    def modules_after(argv):
         done = subprocess.run(
-            [sys.executable, "-c", CHECK_MODULES, bundled_configs()[command]],
+            [sys.executable, "-c", CLI_MODULES, json.dumps(argv)],
             env=child_env(), capture_output=True, text=True, check=True,
         )
         code, loaded, pool_loaded = json.loads(done.stdout)
         assert code == 0, done.stderr
+        return loaded, pool_loaded
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
+    def test_check_loads_only_the_layers_the_command_runs(self, command):
+        loaded, pool_loaded = self.modules_after(["--check", "--config", bundled_configs()[command]])
         layers = ["cli", "special", *COMMAND_LAYERS[command]]
         assert loaded == sorted(["crossflat", *(f"crossflat.{layer}" for layer in layers)])
+        assert not pool_loaded
+
+    @pytest.mark.parametrize("command", ["opnorm", "sharpness"])
+    def test_a_one_thread_run_loads_no_thread_pool(self, tmp_path, command):
+        # Both commands fan their cells out over --threads workers; one
+        # worker runs them inline.
+        config = {"command": command, **copy.deepcopy(CONTRACT_BASES[command])}
+        if command == "opnorm":
+            config["parameters"]["p"] = 6  # p > 2 runs the power iteration
+        argv = ["--config", write_config(tmp_path, config), "--out", str(tmp_path / "out"), "--threads", "1"]
+        loaded, pool_loaded = self.modules_after(argv)
+        assert f"crossflat.{COMMAND_LAYERS[command][0]}" in loaded
         assert not pool_loaded
 
 

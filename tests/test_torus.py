@@ -53,6 +53,13 @@ def smallest_5_smooth(targets) -> list[int]:
     return [found[bisect.bisect_left(found, t)] for t in targets]
 
 
+def period_fold(params, n: int) -> int:
+    """The number of periods of the degree-n kernel on the circle: 2 where
+    it is pi-periodic, 1 otherwise.  A Gegenbauer kernel (alpha = beta) has
+    the parity of n, so it is pi-periodic at even n > 0."""
+    return 2 if params.alpha == params.beta and n > 0 and n % 2 == 0 else 1
+
+
 def dirichlet_l2_sq(n: int) -> float:
     # int_0^{2pi} (C sin((n+1)t)/((n+1) sin t))^2 dt = C^2 2 pi / (n+1)
     return jacobi_binomial(0.5, n) ** 2 * 2 * math.pi / (n + 1)
@@ -525,8 +532,10 @@ class TestLockstepRefinement:
 
     def test_an_all_zero_start_is_skipped(self, monkeypatch):
         # At n = 16 the bumps have widths 2^0..2^-6; the 2^-1 one is zeroed.
-        # At p = 6 the candidates live on the 100-point iteration grid, whose
+        # At p = 6 the candidates are built on a 100-point grid, whose
         # spacing exceeds 2^-4: the last three bumps are one row, kept once.
+        # The kernel is pi-periodic, so each row iterates folded onto one
+        # period of 50 points.
         clean = opnorm_bracket(HALF, 16, 6.0)
         bump, refine = torus._bump, torus._boyd_refine
         seen = []
@@ -542,9 +551,13 @@ class TestLockstepRefinement:
         assert len(starts) == 2 + 7 + 1 - 1 - 2
         assert np.all(np.max(np.abs(starts), axis=1) > 0)
         thetas = PeriodicGrid(100).thetas
-        assert starts.shape[1] == len(thetas)
-        assert sum(np.array_equal(row, bump(thetas, 0.25)) for row in starts) == 1
-        assert not any(np.array_equal(row, bump(thetas, 0.5)) for row in starts)
+        assert period_fold(HALF, 16) * starts.shape[1] == len(thetas)
+
+        def folded(row):
+            return row.reshape(period_fold(HALF, 16), -1).sum(axis=0)
+
+        assert sum(np.array_equal(row, folded(bump(thetas, 0.25))) for row in starts) == 1
+        assert not any(np.array_equal(row, folded(bump(thetas, 0.5))) for row in starts)
         assert bracket.refined and bracket.upper == clean.upper
         assert bracket.lower_witness != "bump width 2^-1 (power iteration)"
         assert 0.0 < bracket.lower <= clean.lower
@@ -604,15 +617,19 @@ class TestEvenPIterationGrid:
     @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
     @pytest.mark.parametrize("n", [0, 5, 64, 300])
     def test_even_p_iterates_on_the_smallest_exact_grid(self, monkeypatch, n, p):
-        # The smallest length above p n with no prime factor above 5.
+        # On one period of the kernel, the smallest length above p n / fold
+        # with no prime factor above 5: h^p has that degree in the period's
+        # variable.
         bracket, starts = recorded_bracket(monkeypatch, HALF, n, p, seed=7)
-        assert [starts.shape[1]] == smallest_5_smooth([max(8, int(p) * n + 1)])
+        fold = period_fold(HALF, n)
+        assert [starts.shape[1]] == smallest_5_smooth([max(8, int(p) * n // fold + 1)])
         # Young's sum keeps the default grid.
         assert bracket.upper == kernel_lp_norm(HALF, n, p / 2.0)
 
     def test_grid_sizes_at_degree_64(self, monkeypatch):
+        # One period of full grids of 400 and 540 points.
         sizes = [recorded_bracket(monkeypatch, HALF, 64, p)[1].shape[1] for p in (6.0, 8.0)]
-        assert sizes == [400, 540]
+        assert [period_fold(HALF, 64) * size for size in sizes] == [400, 540]
 
     def test_a_large_p_refines_to_near_its_upper_bound(self):
         # Every |g|^64 of the pow iteration overflowed here, so every
@@ -634,8 +651,10 @@ class TestEvenPIterationGrid:
 
     @pytest.mark.parametrize("p", [3.0, 6.5, 7.0])
     def test_other_p_iterate_on_the_default_grid(self, monkeypatch, p):
+        # Folded onto one period: the default grid's size is even, so its
+        # first half holds the same points.
         _, starts = recorded_bracket(monkeypatch, HALF, 64, p)
-        assert starts.shape[1] == PeriodicGrid.for_degree(64).size
+        assert starts.shape[1] == PeriodicGrid.for_degree(64).size // period_fold(HALF, 64)
 
     @pytest.mark.parametrize("p", [6.0, 8.0])
     @pytest.mark.parametrize("n", [0, 5, 64, 300])
@@ -646,7 +665,9 @@ class TestEvenPIterationGrid:
         # interpolated onto four times as many points, gives the same ratio.
         params = JacobiParams.of(alpha, beta)
         bracket, starts = recorded_bracket(monkeypatch, params, n, p, seed=7)
-        fine = PeriodicGrid(4 * starts.shape[1])
+        fold = period_fold(params, n)
+        full = PeriodicGrid(fold * starts.shape[1])
+        fine = PeriodicGrid(4 * full.size)
         name = bracket.lower_witness
         if name.startswith("exponential m="):
             # T e^{im theta} = khat(m) e^{im theta}, with |e^{im theta}| = 1.
@@ -660,14 +681,16 @@ class TestEvenPIterationGrid:
             ratio = _grid_lp(te, p, fine.weight) / _grid_lp(e, p_dual, fine.weight)
         else:
             # Exact copies among the starts are dropped, so a bump is rebuilt
-            # on the iteration grid.  A kernel witness is no copy of the cos
+            # on the full period.  A kernel witness is no copy of the cos
             # row before it (that row would be the witness), so it is row 1.
+            # A folded row, repeated over the full period, has the even
+            # frequencies of its start, doubled, and T sees no others.
             name = name.removesuffix(" (power iteration)")
             if name.startswith("bump width 2^-"):
                 width = 2.0 ** -int(name.removeprefix("bump width 2^-"))
-                row = torus._bump(PeriodicGrid(starts.shape[1]).thetas, width)
+                row = torus._bump(full.thetas, width)
             else:
-                row = starts[{"kernel": 1, "random start": -1}.get(name, 0)]
+                row = np.tile(starts[{"kernel": 1, "random start": -1}.get(name, 0)], fold)
             values, diverged = _boyd_refine(
                 convolution(params, n, fine), np.fft.irfft(np.fft.rfft(row), fine.size)[None], p, fine.weight, 200
             )
@@ -694,6 +717,61 @@ class TestEvenPIterationGrid:
         # share with even p.
         bracket = opnorm_bracket(JacobiParams.of(alpha, beta), n, p, seed=7)
         assert (bracket.lower.hex(), bracket.upper.hex()) == (lower, upper)
+
+
+def full_period_bracket(params, n, p, seed):
+    """opnorm_bracket's (lower, upper, witness, refined) with no fold, and
+    the size of its grid: the starts, built on the full period that
+    opnorm_bracket builds them on, go to _boyd_refine with the full
+    multiplier."""
+    fold = period_fold(params, n)
+    if p % 2 == 0:
+        grid = PeriodicGrid(fold * smallest_5_smooth([max(8, int(p) * n // fold + 1)])[0])
+    else:
+        grid = PeriodicGrid.for_degree(n)
+    c = jacobi_fourier_row(params.alpha, params.beta, n)
+    top_m = int(np.argmax(np.abs(c)))
+    t = grid.thetas
+    d = np.minimum(t, 2 * math.pi - t)
+    widths = [2.0**-j for j in range(64) if 2.0**-j >= 1.0 / (4.0 * max(n, 1))]
+    names = [f"cos({top_m} theta)", "kernel", *(f"bump width 2^-{j}" for j in range(len(widths))), "random start"]
+    rows = [np.cos(top_m * t), kernel_samples(params, n, grid)]
+    rows += [np.where(d < w, np.cos(0.5 * math.pi * d / w) ** 2, 0.0) for w in widths]
+    rows.append(np.random.default_rng(seed).standard_normal(grid.size))
+    first = {}
+    for name, row in zip(names, rows):
+        if np.any(row):
+            first.setdefault(row.tobytes(), (name, row))
+    names, rows = zip(*first.values())
+    values, diverged = _boyd_refine(convolution(params, n, grid), np.array(rows), p, grid.weight, 200)
+    upper = kernel_lp_norm(params, n, p / 2.0)
+    top, p_dual = 2.0 * math.pi * abs(float(c[top_m])), p / (p - 1.0)
+    found = [(top * (2.0 * math.pi) ** (1.0 / p - 1.0 / p_dual), f"exponential m={top_m}")]
+    found += [(v, f"{name} (power iteration)") for name, v, bad in zip(names, values.tolist(), diverged) if not bad]
+    lower = max(value for value, _ in found)
+    witness = next(name for value, name in found if value >= lower * (1.0 - 1e-12))
+    return (min(lower, upper), upper, witness, not diverged.any()), grid.size
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0, 6.5, 8.0])
+@pytest.mark.parametrize("n", [0, 2, 4, 5, 64, 300])
+@pytest.mark.parametrize("alpha, beta", CATALOG_PAIRS)
+def test_a_folded_iteration_matches_the_full_period(monkeypatch, alpha, beta, n, p):
+    # A Gegenbauer row of even degree has exact zeros at every odd
+    # frequency, and no other catalog row does: only those kernels fold.
+    params = JacobiParams.of(alpha, beta)
+    fold = period_fold(params, n)
+    assert (n > 0 and not np.any(jacobi_fourier_row(alpha, beta, n)[1::2])) == (fold == 2)
+    bracket, starts = recorded_bracket(monkeypatch, params, n, p, seed=7)
+    expected, size = full_period_bracket(params, n, p, seed=7)
+    assert fold * starts.shape[1] == size
+    got = (bracket.lower, bracket.upper, bracket.lower_witness, bracket.refined)
+    if fold == 1:
+        assert got == expected
+    else:
+        # The same ratios, rounded on another grid.
+        assert got[1:] == expected[1:]
+        assert bracket.lower == pytest.approx(expected[0], rel=1e-14, abs=0.0)
 
 
 class TestTensor:

@@ -8,10 +8,12 @@ commit.  Every bundled config in configs/, every config of every benchmark
 workload (perfbench/workloads.py) for seeds 101-105, a few `opnorm` probes
 at odd and non-integer p and on sphere kernels (odd degrees, whose kernel
 does not fold onto half the circle, and p = 4 down to the 8-point
-iteration grid), two `fourier` probes up to degree 2048, five
+iteration grid), two `fourier` probes up to degree 2048, eight
 `sharpness` probes, a non-integer matrix on the full torus, a box at p = 40,
-a k = 3 flat on the full torus, a point (k = 0) and a product whose last
-factor takes even degrees only, a `dimension` probe to degree 1000 and a
+a k = 3 flat on the full torus, a point (k = 0), a product whose last
+factor takes even degrees only, a box about 0 with an odd number of rows
+on its first axis, p = inf on the full torus and an integer matrix off the
+origin on the full torus, a `dimension` probe to degree 1000 and a
 `jacobi` probe to degree 4096 (PROBES; no bundled or workload config runs
 those) run through `python -m crossflat` once with each tree's `src`
 on PYTHONPATH, at `--threads 1` and at `--threads 2`, after one `--check` of
@@ -73,7 +75,12 @@ def _sharpness(matrix: list, box: list | None, levels: list[int], p_values: list
 # 192^2 points, each longer than one extremizer grid block; a zero-column
 # matrix, a point of the flat, whose restriction is a point value; and
 # S^2 x S^3 x RP^3 from level_min/level_max, whose shell counts take the
-# last factor's even degrees in steps of 2.  The dimension
+# last factor's even degrees in steps of 2.  Three more try the mirror of a
+# flat through the origin, which evaluates one half of its grid: a box
+# about 0 whose first axis has an odd number of rows (33, 45 and 55), so
+# the middle row counts once; p = inf, the max over the half, on the full
+# torus; and an offset that moves an integer flat off the origin, which
+# must keep the whole grid and its bits.  The dimension
 # probe runs the exact Weyl dimensions far past the workloads' degree 300,
 # and the jacobi probe takes the recurrence's mixed-sign path at alpha != beta
 # to twice the workloads' degree.
@@ -91,6 +98,12 @@ PROBES = [
     ("probe-sharpness-k3", _sharpness([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]], None,
                                       [315, 400, 495], [2, 6])),
     ("probe-sharpness-point", _sharpness([[]] * 5, None, [315, 495, 840, 1275], [2, 6], [0.01, 0, -0.02, 0, 0.03])),
+    ("probe-sharpness-box-odd", _sharpness([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], [[-0.3, 0.3], [-0.25, 0.25]],
+                                           [1501, 2502, 3500], [2, 6])),
+    ("probe-sharpness-torus-inf", _sharpness([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], None, [315, 495, 840],
+                                             [2, math.inf])),
+    ("probe-sharpness-torus-offset", _sharpness([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], None, [315, 495, 840],
+                                                [2, 6], [0.1, 0, 0, 0, 0])),
     ("probe-sharpness-even-last", {"command": "sharpness", "parameters": {
         "factors": [{"kind": "sphere", "dimension": 2}, {"kind": "sphere", "dimension": 3},
                     {"kind": "sphere", "dimension": 3, "even_degrees_only": True}],

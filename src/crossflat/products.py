@@ -8,6 +8,10 @@ n_1 >= ... >= n_r >= n_1/2.  The shell extremizer
 
 has L^2 norm |shell|^(1/2) over the product, and its L^p norms along affine
 submanifolds of the maximal flat T^r are computed by tensor-grid quadrature.
+Every Phi is a function of cos(theta), so f(-theta) = f(theta): on a flat
+through the origin whose grid is symmetric under theta -> -theta, only
+half of the grid is evaluated, each point counted for itself and its
+mirror (see _restriction_grid).
 Exponent bookkeeping (tau, the product/joint exponents, and the general
 baseline rho) is done in exact rational arithmetic.
 """
@@ -390,7 +394,9 @@ class _Layout:
 # while it is there.  On a 2-core Xeon with 2 MB of L2 per core, the eight
 # restriction calls of a sharpness_mixed sweep (grids up to 1016^2) took
 # 118 ms at 2**18 bytes, 123 ms at 2**19, 131 ms at 2**20 and 138 ms at
-# 2**17 (medians of 15 alternating rounds).
+# 2**17 (medians of 15 alternating rounds).  On the mirror's half grids
+# (up to 508 x 1016), the whole sharpness_mixed run read 61, 60, 59 and
+# 60 ms at 2**17, 2**18, 2**19 and 2**20, within noise.
 _GRID_BLOCK = 1 << 18
 
 
@@ -423,7 +429,7 @@ def _block_of(key: tuple, shape: tuple[int, ...]) -> tuple:
 
 def _extremizer_grid(manifold: ProductManifold, shell: LatticeShell, amps, tables, layouts):
     """sum over the shell of amp * prod_i Phi_{i,n_i} on a grid, yielded as
-    (f, block) once each block of the grid f is filled.
+    (f, key) once the block f[key] of the grid f is filled.
 
     Factor i's values are its table tables[i] (from _shell_tables) on its
     distinct angles, read onto the grid through layouts[i] as strided
@@ -466,7 +472,7 @@ def _extremizer_grid(manifold: ProductManifold, shell: LatticeShell, amps, table
                     for part, n in zip(parts[2:], ns[2:]):
                         term *= part[n]
             block += term
-        yield f, block
+        yield f, key
 
 
 def extremizer_eval(manifold: ProductManifold, shell: LatticeShell, theta) -> float:
@@ -560,7 +566,7 @@ _LATTICE_THRESHOLD = 200_000
 def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wavelength: float):
     """(points, layouts, cell): each factor's distinct angles and the
     _Layout that places them on the quadrature grid along sub, for
-    _extremizer_grid, and the grid's cell volume.
+    _extremizer_grid, and the cell volume of each grid point.
 
     The rule depends on the domain and the matrix.  An integer matrix on
     the full torus takes the lattice rule at any size; so does one on a box
@@ -577,6 +583,19 @@ def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wave
     lattice; a box snaps up to whole grid cells, and the full torus, a
     whole number of them already, is unchanged.  Factor i's table index is
     then row . u - t_lo at grid point u, affine, so a strided view reads it.
+
+    A mirror-symmetric grid is emitted on one half.  Every Phi is a
+    function of cos(theta), so f(-theta) = f(theta); where the map
+    u -> m - 1 - u on every parameter axis sends each factor's angle to
+    its negative mod 2 pi, f takes the same value at u and at its mirror.
+    That holds for a zero offset on the full torus with an integer matrix
+    (theta(u*) = 2 pi sum(row) - theta(u)), and on a box whose nodes are
+    symmetric about 0: lo = -hi on the direct rule, a snapped box of
+    exactly 2 hi on the lattice rule.  Only the rows u_0 < ceil(m_0 / 2) of
+    the first axis are then emitted, each point standing for itself and its
+    mirror at twice the cell, and the middle row of an odd m_0, its own
+    mirror, at once the cell: cell is then an array over the first axis.
+    Their angles are those of the full grid's first rows, to the bit.
     """
     a = sub.matrix_array
     freqs = np.abs(a).T @ np.max(np.array(shell.members), axis=0)  # per parameter axis
@@ -587,15 +606,17 @@ def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wave
         for f, length in zip(freqs, lengths)
     ]
     total = int(np.prod(sizes))
+    zero_offset = not any(sub.offset)
     if not np.all(a == np.round(a)) or (sub.box is not None and total <= _LATTICE_THRESHOLD):
         if total > 10 * _LATTICE_THRESHOLD:
             raise ResolutionError(f"direct grid of {total} points is too large and the matrix is not integer")
-        axes = [lo + (np.arange(m) + 0.5) * (length / m) for (lo, _), length, m in zip(box, lengths, sizes)]
+        mirror = zero_offset and all(lo == -hi for lo, hi in box)  # never on the full torus, (0, 2 pi)
+        half, cell = _mirror(sizes, float(np.prod([length / m for length, m in zip(lengths, sizes)])), mirror)
+        axes = [lo + (np.arange(m) + 0.5) * (length / n) for (lo, _), length, m, n in zip(box, lengths, half, sizes)]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         thetas = [
             np.asarray(b + sum(row[j] * grids[j] for j in np.flatnonzero(row))) for row, b in zip(a, sub.offset)
         ]
-        cell = float(np.prod([length / m for length, m in zip(lengths, sizes)]))
         return [th.ravel() for th in thetas], [_Layout.reshape(th.shape) for th in thetas], cell
     if sub.box is None:
         sizes = [max(8, int(np.ceil(points_per_wavelength * float(np.max(freqs)))))] * sub.k
@@ -603,22 +624,42 @@ def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wave
     else:
         h = min(2.0 * math.pi / (points_per_wavelength * max(float(f), 1.0)) for f in freqs)
         sizes = [max(8, int(math.ceil(length / h))) for length in lengths]
+    mirror = zero_offset and (sub.box is None or all(2.0 * lo + h * m == 0.0 for (lo, _), m in zip(box, sizes)))
+    half, cell = _mirror(sizes, h ** sub.k, mirror)
     points, layouts = [], []
     for row, b in zip(a.astype(int).tolist(), sub.offset):
-        shape = tuple(m if r else 1 for r, m in zip(row, sizes))
+        shape = tuple(m if r else 1 for r, m in zip(row, half))
         base = b + (h / 2.0) * float(np.sum(row)) + float(np.dot(row, [lo for lo, _ in box]))
-        t_lo = sum(r * (m - 1) for r, m in zip(row, sizes) if r < 0)
-        t_hi = sum(r * (m - 1) for r, m in zip(row, sizes) if r > 0)
+        t_lo = sum(r * (m - 1) for r, m in zip(row, half) if r < 0)
+        t_hi = sum(r * (m - 1) for r, m in zip(row, half) if r > 0)
         points.append(base + h * np.arange(t_lo, t_hi + 1))
         layouts.append(_Layout(shape, tuple(row), -t_lo))
-    return points, layouts, h ** sub.k
+    return points, layouts, cell
+
+
+def _mirror(sizes: list[int], cell: float, mirror: bool):
+    """The grid sizes emitted and the cell volume of each emitted point.
+
+    A mirror emits the first ceil(m_0 / 2) rows of the first axis at twice
+    the cell, but the middle row of an odd m_0 at once the cell, as an
+    array that broadcasts over the first axis."""
+    if not mirror:
+        return sizes, cell
+    half = [(sizes[0] + 1) // 2, *sizes[1:]]
+    if sizes[0] % 2 == 0:
+        return half, 2.0 * cell
+    rows = np.full(half[0], 2.0 * cell)
+    rows[-1] = cell
+    return half, rows.reshape(-1, *(1,) * (len(sizes) - 1))
 
 
 def _restriction_points(manifold: ProductManifold, shell: LatticeShell, sub: FlatSubmanifold, p_values, ppw):
     """(points, layouts, weight) of the restriction of the shell's
     extremizer to sub, after its checks: each factor's angles and _Layout on
-    the quadrature grid, and the weight of a grid point.  A k = 0 sub is
-    one point, whose weight is None."""
+    the quadrature grid, and the weight of a grid point, the cell volume of
+    _restriction_grid (an array over the first axis on a mirror's half with
+    a middle row) times the density.  A k = 0 sub is one point, whose
+    weight is None."""
     if len(shell) == 0:
         raise ValueError("shell is empty")
     if any(q != math.inf and q < 2 for q in p_values):
@@ -635,14 +676,18 @@ def _restriction_points(manifold: ProductManifold, shell: LatticeShell, sub: Fla
 
 def _restriction_norms(manifold: ProductManifold, shell: LatticeShell, amps, tables, layouts, weight, p_values):
     """Each p's norm of the extremizer on the grid of _restriction_points,
-    from one evaluation of it; |f| for every p at a point."""
+    from one evaluation of it; |f| for every p at a point.  Each block's
+    points take their own weights, for p = inf none: the max over the grid
+    is the max over its mirror's half too."""
     if weight is None:
         return [abs(_point_value(manifold, shell, amps, tables))] * len(p_values)
     sums = [0.0] * len(p_values)
-    for f, block in _extremizer_grid(manifold, shell, amps, tables, layouts):
-        a = np.abs(block)
+    weights = np.asarray(weight)
+    for f, key in _extremizer_grid(manifold, shell, amps, tables, layouts):
+        a = np.abs(f[key])
+        w = weights[_block_of(key, weights.shape)]
         sums = [
-            max(s, _power_sum(a, q, weight)) if q == math.inf else s + _power_sum(a, q, weight)
+            max(s, _power_sum(a, q, w)) if q == math.inf else s + _power_sum(a, q, w)
             for s, q in zip(sums, p_values)
         ]
     norms = [s if q == math.inf else s ** (1.0 / q) for s, q in zip(sums, p_values)]
@@ -670,6 +715,17 @@ def restriction_lp_norm(
     evaluator's blocks as each one is filled, and the norm is its 1/p-th
     power; where that sum passes float64, the p takes torus._grid_lp on the
     whole grid, which factors out the maximum.
+
+    A flat through the origin whose nodes are symmetric about it (the full
+    torus with an integer matrix, a box with lo = -hi, or a lattice box
+    snapped to exactly that) is evaluated on the first half of its first
+    parameter axis: f(u*) = f(u) at the mirror point u* = m - 1 - u, since
+    every Phi is a function of cos(theta), so each point is weighted twice,
+    and the middle row of an odd axis once; p = inf takes the max over the
+    half.  The norms then agree with the whole grid's to about 1e-14
+    relative (the tests hold them to 1e-13): the sums run in another order,
+    and the mirror's angles differ from the half's negatives by rounding.
+    A flat off the origin, or any other grid, keeps the whole grid.
     """
     scalar = np.ndim(p) == 0
     p_values = [p] if scalar else list(p)

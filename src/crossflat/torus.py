@@ -206,8 +206,9 @@ class NormBracket:
             raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
 
 
-def _power_sum(a: np.ndarray, p: float, weight: float) -> float:
-    # sum of weight * a^p over magnitudes a, or their max for p = inf.  Even
+def _power_sum(a: np.ndarray, p: float, weight) -> float:
+    # sum of weight * a^p over magnitudes a, with weight a float or an array
+    # that broadcasts against a, or their max for p = inf.  Even
     # p below 2**53 take a^p by left-to-right binary powering of a, about
     # 2 log2(p) passes; other p, and every double from 2**53 on (all of them
     # even), take one pow pass.  A power or sum past float64 comes out inf
@@ -228,11 +229,12 @@ def _power_sum(a: np.ndarray, p: float, weight: float) -> float:
         return float(np.sum(out))
 
 
-def _grid_lp(f: np.ndarray, p: float, weight: float) -> float:
+def _grid_lp(f: np.ndarray, p: float, weight) -> float:
     # Rectangle-rule L^p norm of grid values f whose cells each weigh
-    # `weight`, or their sup for p = inf.  Circle norms here take it;
-    # restriction norms in products add _power_sum over blocks of their
-    # grid, and take this rule on the whole grid when that sum overflows.
+    # `weight`, a float or an array that broadcasts against f, or their sup
+    # for p = inf.  Circle norms here take it; restriction norms in products
+    # add _power_sum over blocks of their grid, and take this rule on the
+    # whole grid when that sum overflows.
     # The root is numpy's: for p < 1 a root past float64 is inf, where a
     # float's ** would raise, and neither root warns.
     a = np.abs(f)

@@ -389,12 +389,15 @@ class TestRestrictionNorm:
         sub = FlatSubmanifold.of(
             [[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], [0.0] * 5, box=[(-0.25, 0.25)] * 2
         )
+        # the flat mirrors: the grid is the full grid's first half, 17 of its
+        # 34 rows, at twice the cell, and the norms are the full grid's to 1e-13
         points, layouts, cell = products._restriction_grid(shell, sub, 8.0)
+        assert grid_rows(layouts) == 17 and grid_rows(full_grid(shell, sub, 8.0)[1]) == 34
         monkeypatch.setattr(products, "_GRID_BLOCK", 8 * np.broadcast_shapes(*(lay.shape for lay in layouts))[-1])
         blocks = evaluated_grid(S3_FIFTH, shell, points, layouts)
         f, weight = blocks[-1][0], cell * sub.density
         overflowed = {
-            p: [math.isinf(_power_sum(np.abs(block), p, weight)) for _, block in blocks] for p in (44.0, 64.0)
+            p: [math.isinf(_power_sum(np.abs(f[key]), p, weight)) for _, key in blocks] for p in (44.0, 64.0)
         }
         assert 0 < sum(overflowed[44.0]) < len(blocks) and all(overflowed[64.0])
         with warnings.catch_warnings():
@@ -402,6 +405,8 @@ class TestRestrictionNorm:
             norms = restriction_lp_norm(S3_FIFTH, shell, sub, [2.0, 44.0, 64.0])
         assert all(math.isfinite(norm) for norm in norms)
         assert norms[1:] == [_grid_lp(f, 44.0, weight), _grid_lp(f, 64.0, weight)]
+        full = full_grid_norms(S3_FIFTH, shell, sub, [2.0, 44.0, 64.0], 8.0)
+        assert norms == pytest.approx(full, rel=1e-13, abs=0)
 
     def test_under_resolution_rejected(self):
         shell = enumerate_shell(S3_FIFTH, 40)
@@ -469,6 +474,81 @@ def dense_norm(manifold, shell, sub, p, axes_nodes, cell):
     return float((np.sum(np.abs(f) ** p) * cell * sub.density) ** (1.0 / p))
 
 
+def full_grid(shell, sub, points_per_wavelength):
+    """The restriction grid without the mirror: a copy of the builder as it
+    was before a mirror-symmetric flat took half of its grid.  Returns the
+    same (points, layouts, cell) as products._restriction_grid."""
+    a = sub.matrix_array
+    freqs = np.abs(a).T @ np.max(np.array(shell.members), axis=0)
+    box = sub.box or ((0.0, 2.0 * math.pi),) * sub.k
+    lengths = [hi - lo for lo, hi in box]
+    sizes = [
+        max(8, int(math.ceil(points_per_wavelength * f * length / (2.0 * math.pi))))
+        for f, length in zip(freqs, lengths)
+    ]
+    total = int(np.prod(sizes))
+    if not np.all(a == np.round(a)) or (sub.box is not None and total <= products._LATTICE_THRESHOLD):
+        axes = [lo + (np.arange(m) + 0.5) * (length / m) for (lo, _), length, m in zip(box, lengths, sizes)]
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+        thetas = [
+            np.asarray(b + sum(row[j] * grids[j] for j in np.flatnonzero(row))) for row, b in zip(a, sub.offset)
+        ]
+        cell = float(np.prod([length / m for length, m in zip(lengths, sizes)]))
+        return [th.ravel() for th in thetas], [products._Layout.reshape(th.shape) for th in thetas], cell
+    if sub.box is None:
+        sizes = [max(8, int(np.ceil(points_per_wavelength * float(np.max(freqs)))))] * sub.k
+        h = 2.0 * math.pi / sizes[0]
+    else:
+        h = min(2.0 * math.pi / (points_per_wavelength * max(float(f), 1.0)) for f in freqs)
+        sizes = [max(8, int(math.ceil(length / h))) for length in lengths]
+    points, layouts = [], []
+    for row, b in zip(a.astype(int).tolist(), sub.offset):
+        shape = tuple(m if r else 1 for r, m in zip(row, sizes))
+        base = b + (h / 2.0) * float(np.sum(row)) + float(np.dot(row, [lo for lo, _ in box]))
+        t_lo = sum(r * (m - 1) for r, m in zip(row, sizes) if r < 0)
+        t_hi = sum(r * (m - 1) for r, m in zip(row, sizes) if r > 0)
+        points.append(base + h * np.arange(t_lo, t_hi + 1))
+        layouts.append(products._Layout(shape, tuple(row), -t_lo))
+    return points, layouts, h ** sub.k
+
+
+def full_grid_norms(manifold, shell, sub, p_values, points_per_wavelength):
+    """Each p's restriction norm on full_grid: the block power sums at one
+    scalar weight, and the whole grid's rule past float64, as they were
+    taken before the mirror."""
+    points, layouts, cell = full_grid(shell, sub, points_per_wavelength)
+    weight = cell * sub.density
+    [tables] = products._shell_tables(manifold, shell, [points])
+    amps = products._member_amplitudes(manifold, shell)
+    sums = [0.0] * len(p_values)
+    for f, key in products._extremizer_grid(manifold, shell, amps, tables, layouts):
+        a = np.abs(f[key])
+        sums = [
+            max(s, _power_sum(a, q, weight)) if q == math.inf else s + _power_sum(a, q, weight)
+            for s, q in zip(sums, p_values)
+        ]
+    norms = [s if q == math.inf else s ** (1.0 / q) for s, q in zip(sums, p_values)]
+    return [norm if math.isfinite(norm) else _grid_lp(f, q, weight) for norm, q in zip(norms, p_values)]
+
+
+def grid_rows(layouts) -> int:
+    # the number of rows of the first parameter axis on a grid
+    return np.broadcast_shapes(*(layout.shape for layout in layouts))[0]
+
+
+def lattice_step(shell, sub):
+    # the lattice rule's step on a box at 8 points per wavelength
+    freqs = np.abs(sub.matrix_array).T @ np.max(np.array(shell.members), axis=0)
+    return min(2 * math.pi / (8.0 * max(f, 1.0)) for f in freqs)
+
+
+def symmetric_lattice_box(shell, sub, rows):
+    """sub on the box whose lattice nodes lie symmetric about 0, with
+    rows[j] cells on axis j: each half-width h m_j / 2."""
+    h = lattice_step(shell, sub)
+    return FlatSubmanifold.of(sub.matrix, sub.offset, [(-h * m / 2, h * m / 2) for m in rows])
+
+
 class TestExtremizerOracle:
     """Every evaluation of the extremizer against a dense point-by-point oracle."""
 
@@ -508,6 +588,42 @@ class TestExtremizerOracle:
         mine = restriction_lp_norm(MIXED_RANK4, self.SHELL, sub, p, ppw)
         assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, h * h), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
+    def test_mirror_on_the_full_torus(self, p):
+        # a zero offset and an integer matrix: the lattice rule on one half
+        sub = FlatSubmanifold.of([[1, 0], [2, -1], [0, 1], [0, 0]])
+        ppw = 8.0
+        m = max(8, math.ceil(ppw * max(np.abs(sub.matrix_array).T @ np.max(np.array(self.SHELL.members), axis=0))))
+        assert grid_rows(products._restriction_grid(self.SHELL, sub, ppw)[1]) == m // 2
+        h = 2 * math.pi / m
+        axes = [(np.arange(m) + 0.5) * h] * 2
+        mine = restriction_lp_norm(MIXED_RANK4, self.SHELL, sub, p, ppw)
+        assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, h * h), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
+    def test_mirror_on_a_box_with_a_middle_row(self, p):
+        # lo = -hi on both axes, and 13 rows on the first: the middle row counts once
+        sub = FlatSubmanifold.of([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0], [-1.0, 0.0]], None, [(-0.5, 0.5), (-0.9, 0.9)])
+        ppw = 8.0
+        freqs = np.abs(sub.matrix_array).T @ np.max(np.array(self.SHELL.members), axis=0)
+        sizes = [max(8, math.ceil(ppw * f * (hi - lo) / (2 * math.pi))) for f, (lo, hi) in zip(freqs, sub.box)]
+        assert sizes[0] == 13 and grid_rows(products._restriction_grid(self.SHELL, sub, ppw)[1]) == 7
+        axes = [lo + (np.arange(m) + 0.5) * ((hi - lo) / m) for m, (lo, hi) in zip(sizes, sub.box)]
+        cell = float(np.prod([(hi - lo) / m for m, (lo, hi) in zip(sizes, sub.box)]))
+        mine = restriction_lp_norm(MIXED_RANK4, self.SHELL, sub, p, ppw)
+        assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, cell), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
+    def test_mirror_on_a_lattice_box(self, monkeypatch, p):
+        # a box of exactly 13 x 10 lattice cells about 0, each axis snapped onto itself
+        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+        sub = symmetric_lattice_box(self.SHELL, FlatSubmanifold.of([[1, 0], [2, -1], [0, 1], [0, 0]]), [13, 10])
+        h = lattice_step(self.SHELL, sub)
+        assert grid_rows(products._restriction_grid(self.SHELL, sub, 8.0)[1]) == 7
+        axes = [-h * m / 2 + (np.arange(m) + 0.5) * h for m in (13, 10)]
+        mine = restriction_lp_norm(MIXED_RANK4, self.SHELL, sub, p, 8.0)
+        assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, h * h), rel=1e-12)
+
     def test_pointwise_lower_check(self):
         epsilon, samples = 0.4, 5
         n_big = self.SHELL.spectral_parameter
@@ -525,8 +641,8 @@ class TestExtremizerOracle:
 
 
 def evaluated_grid(manifold, shell, points, layouts):
-    """The evaluator's (f, block) pairs on a grid, from the tables that
-    restriction_lp_norm builds for the same points."""
+    """The evaluator's (f, key) pairs on a grid, from the tables that
+    restriction_lp_norm builds for the same points; f[key] is a block."""
     [tables] = products._shell_tables(manifold, shell, [points])
     amps = products._member_amplitudes(manifold, shell)
     return list(products._extremizer_grid(manifold, shell, amps, tables, layouts))
@@ -678,6 +794,109 @@ class TestGridViews:
         assert calls == [sphere(3)]
         pointwise_lower_check(MIXED_RANK4, self.SHELL, 0.05)
         assert calls[1:] == [sphere(2), sphere(3), complex_projective(4)]
+
+
+K2 = [[1, 0], [1, -1], [0, 1], [0, 0], [0, 0]]
+K3 = [[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]]
+MIXED_K2 = [[1, 0], [1, 1], [0, 1], [0, 0]]
+
+
+class TestMirror:
+    """The half grid of a mirror-symmetric flat against the full grid of
+    full_grid_norms: within 1e-13 where the flat mirrors, to the bit where
+    it does not."""
+
+    P_VALUES = [2.0, 6.0, 12.0, math.inf, 44.0, 64.0]
+
+    @staticmethod
+    def shell(manifold, level):
+        return enumerate_shell(manifold, level, ordering_constraint=False)
+
+    @pytest.mark.parametrize(
+        "manifold, level, matrix, box, ppw, rows",
+        [
+            (S3_FIFTH, 495, [[1]] * 5, [(-0.25, 0.25)], 8.0, 67),
+            (S3_FIFTH, 495, [[1]] * 5, [(-0.25, 0.25)], 5.0, 42),
+            (MIXED_RANK4, 300, [[1], [1], [0], [2]], None, 8.0, 496),
+            (MIXED_RANK4, 300, [[1], [1], [0], [2]], None, 4.5, 279),
+            (S3_FIFTH, 495, K2, [(-0.25, 0.25)] * 2, 8.0, 27),
+            (S3_FIFTH, 495, K2, [(-0.25, 0.25)] * 2, 4.0, 14),
+            (S3_FIFTH, 1998, K2, [(-0.25, 0.25)] * 2, 8.0, 55),
+            (MIXED_RANK4, 38, MIXED_K2, None, 8.0, 80),
+            (MIXED_RANK4, 38, MIXED_K2, None, 8.5, 85),
+            (S3_FIFTH, 315, K3, [(-0.25, 0.25)] * 3, 8.0, 21),
+            (S3_FIFTH, 315, K3, [(-0.25, 0.25)] * 3, 3.0, 8),
+            (S3_FIFTH, 40, K3, None, 4.0, 32),
+            (S3_FIFTH, 40, K3, None, 4.6, 37),
+        ],
+        ids=[
+            "k1-box-odd", "k1-box-even", "k1-torus-even", "k1-torus-odd", "k2-box-odd", "k2-box-even",
+            "k2-box-odd-overflow", "k2-torus-even", "k2-torus-odd", "k3-box-odd", "k3-box-even", "k3-torus-even",
+            "k3-torus-odd",
+        ],
+    )
+    def test_a_mirror_takes_half_the_rows(self, manifold, level, matrix, box, ppw, rows):
+        shell = self.shell(manifold, level)
+        sub = FlatSubmanifold.of(matrix, None, box)
+        self.check_mirror(manifold, shell, sub, ppw, rows)
+
+    @pytest.mark.parametrize("rows", [13, 12])
+    def test_a_lattice_box_about_zero_mirrors(self, monkeypatch, rows):
+        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+        shell = self.shell(MIXED_RANK4, 38)
+        sub = symmetric_lattice_box(shell, FlatSubmanifold.of([[1, 0], [2, -1], [0, 1], [0, 0]]), [rows, 10])
+        self.check_mirror(MIXED_RANK4, shell, sub, 8.0, rows)
+
+    def check_mirror(self, manifold, shell, sub, ppw, rows):
+        # the angles of the first ceil(m_0 / 2) rows of the full grid, to the
+        # bit, and f on them and the norms within 1e-13: the evaluator may
+        # multiply the factors in another order on the half
+        points, layouts, _ = products._restriction_grid(shell, sub, ppw)
+        full_points, full_layouts, _ = full_grid(shell, sub, ppw)
+        shape = np.broadcast_shapes(*(layout.shape for layout in layouts))
+        full_shape = np.broadcast_shapes(*(layout.shape for layout in full_layouts))
+        assert full_shape[0] == rows and shape == ((rows + 1) // 2, *full_shape[1:])
+        for angles, layout, full_angles, full_layout in zip(points, layouts, full_points, full_layouts):
+            half = np.broadcast_to(layout.view(angles), shape)
+            assert np.array_equal(half, np.broadcast_to(full_layout.view(full_angles), full_shape)[: shape[0]])
+        *_, (f, _) = evaluated_grid(manifold, shell, points, layouts)
+        *_, (full, _) = evaluated_grid(manifold, shell, full_points, full_layouts)
+        assert np.all(np.abs(f - full[: shape[0]]) <= 1e-13 * np.max(np.abs(full)))
+        norms = restriction_lp_norm(manifold, shell, sub, self.P_VALUES, ppw)
+        expected = full_grid_norms(manifold, shell, sub, self.P_VALUES, ppw)
+        assert norms == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
+        "manifold, level, matrix, offset, box",
+        [
+            (S3_FIFTH, 495, K2, [0.1, 0.0, 0.0, 0.0, 0.0], [(-0.25, 0.25)] * 2),
+            (MIXED_RANK4, 38, MIXED_K2, [0.1, 0.0, -0.3, 0.2], None),
+            (S3_FIFTH, 495, K2, None, [(-0.25, 0.3), (-0.25, 0.25)]),
+            (S3_FIFTH, 495, K2, None, [(-0.25, 0.25), (-0.2, 0.25)]),
+            (MIXED_RANK4, 38, [[1, 0], [1, 1], [0, 0.5], [0, 0]], None, None),
+            (S3_FIFTH, 40, K3, [0.0, 0.0, 0.0, 0.0, 0.3], None),
+        ],
+        ids=["offset-box", "offset-torus", "first-axis-off-centre", "last-axis-off-centre", "non-integer-torus",
+             "offset-on-a-zero-row"],
+    )
+    def test_an_asymmetric_flat_keeps_its_bits(self, manifold, level, matrix, offset, box):
+        shell = self.shell(manifold, level)
+        sub = FlatSubmanifold.of(matrix, offset, box)
+        self.check_unchanged(manifold, shell, sub)
+
+    def test_a_lattice_box_off_zero_keeps_its_bits(self, monkeypatch):
+        # (-0.25, 0.25) is not a whole number of lattice cells: the snapped box is not centred
+        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+        shell = self.shell(MIXED_RANK4, 38)
+        self.check_unchanged(MIXED_RANK4, shell, FlatSubmanifold.of(MIXED_K2, None, [(-0.25, 0.25)] * 2))
+
+    def check_unchanged(self, manifold, shell, sub):
+        points, layouts, cell = products._restriction_grid(shell, sub, 8.0)
+        full_points, full_layouts, full_cell = full_grid(shell, sub, 8.0)
+        assert layouts == full_layouts and cell == full_cell
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(points, full_points))
+        norms = restriction_lp_norm(manifold, shell, sub, self.P_VALUES)
+        assert norms == full_grid_norms(manifold, shell, sub, self.P_VALUES, 8.0)
 
 
 class TestShellPass:

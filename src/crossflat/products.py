@@ -19,7 +19,6 @@ baseline rho) is done in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .spaces import CrossSpace, spherical_table, weyl_dimension
-from .special import ResolutionError
+from .special import ResolutionError, frozen
 from .torus import ExponentFit, _grid_lp, _power_sum, fit_exponent
 
 __all__ = [
@@ -54,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class ProductManifold:
     """An ordered product of rank-one factors, sorted by ascending dimension."""
 
@@ -80,7 +79,7 @@ class ProductManifold:
         return sum(f.dimension for f in self.factors)
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeShell:
     """Degree tuples at one spectral level, in ascending lexicographic order."""
 
@@ -369,7 +368,7 @@ def _shell_tables(manifold: ProductManifold, shell: LatticeShell, point_sets) ->
     ]
 
 
-@dataclass(frozen=True)
+@frozen
 class _Layout:
     """Where a factor's 1-D table row lies on a grid: grid point u reads
     element start + sum_j steps[j] u_j of the row."""
@@ -502,7 +501,7 @@ def extremizer_l2_norm(shell: LatticeShell) -> float:
 # affine submanifolds of the maximal flat
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class FlatSubmanifold:
     """Affine map u -> A u + b from a box in T^k into the flat T^r.
 
@@ -861,7 +860,7 @@ def baseline_rho(k: int, d: int, p):
     return Fraction(d - 1, 2) - k * _inv(p), ""
 
 
-@dataclass(frozen=True)
+@frozen
 class ExponentTable:
     """All exponents attached to one (dimension list, k, p) configuration."""
 
@@ -908,7 +907,7 @@ def exponent_table(d_list, k: int, p) -> ExponentTable:
 # sharpness sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class SharpnessRow:
     level: int
     spectral_parameter: float

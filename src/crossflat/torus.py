@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import irfft, rfft
 
-from .special import JacobiParams, jacobi_fourier_row
+from .special import JacobiParams, frozen, jacobi_fourier_row
 
 __all__ = [
     "PeriodicGrid",
@@ -91,13 +89,15 @@ def _next_fast_len(target: int, primes: tuple[int, ...] = (2, 3, 5, 7, 11)) -> i
     return table[bisect_left(table, target)]
 
 
-@dataclass(frozen=True)
+@frozen
 class PeriodicGrid:
     """Uniform grid theta_j = 2*pi*j/size on the circle."""
 
     size: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.size, (int, np.integer)):
+            raise TypeError(f"grid size must be an integer, got {self.size!r}")
         if self.size < 8:
             raise ValueError("grid needs at least 8 points")
 
@@ -128,14 +128,19 @@ def lp_norm_periodic(grid: PeriodicGrid, samples, p) -> float:
     if not np.all(np.isfinite(f)):
         raise ValueError("samples must be finite")
     p = float(p)
-    if p <= 0:
+    if not p > 0:
         raise ValueError("p must be positive or inf")
     return _grid_lp(f, p, grid.weight)
 
 
 def _synthesize(c: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     # Frequencies past the grid's Nyquist bin fold onto m mod size, which
-    # keeps the samples exact on grids of any size.
+    # keeps the samples exact on grids of any size.  numpy.fft is imported
+    # here and in opnorm_bracket, where it runs, so that the commands that
+    # load this module and run no FFT (shell, sharpness, exponents) do not
+    # load it.
+    from numpy.fft import irfft
+
     n = len(c) - 1
     ms = np.arange(-n, n + 1)
     folded = np.bincount(ms % grid.size, weights=c[np.abs(ms)], minlength=grid.size)
@@ -165,14 +170,14 @@ def envelope_exponent(delta: float, p: float) -> float:
 
 def envelope_A(delta: float, p: float, n: int) -> float:
     """Two-branch growth envelope (n+1)^envelope_exponent(delta, p)."""
-    if delta < 0 or p <= 0 or n < 0:
+    if not (delta >= 0 and p > 0 and n >= 0):
         raise ValueError("need delta >= 0, p > 0, n >= 0")
     return float((n + 1.0) ** envelope_exponent(delta, p))
 
 
 def envelope_A_tilde(delta: float, p: float, n: int) -> float:
     """Same as envelope_A but carrying log^{delta+1/2}(n+2) at the kink."""
-    if delta < 0 or p <= 0 or n < 0:
+    if not (delta >= 0 and p > 0 and n >= 0):
         raise ValueError("need delta >= 0, p > 0, n >= 0")
     kink = 1.0 / (delta + 0.5)
     if abs(p - kink) <= _KINK_TOL:
@@ -191,7 +196,7 @@ def opnorm_l2_exact(params: JacobiParams, n: int) -> float:
     return 2.0 * math.pi * float(np.max(np.abs(jacobi_fourier_row(params.alpha, params.beta, n))))
 
 
-@dataclass(frozen=True)
+@frozen
 class NormBracket:
     """Two-sided estimate of an operator norm, with provenance."""
 
@@ -461,6 +466,7 @@ def opnorm_bracket(
     khat[: n // fold + 1] = 2.0 * math.pi * c[::fold]
     spectra = np.empty((len(starts), len(khat)), dtype=complex)
     samples = np.empty_like(starts)
+    from numpy.fft import irfft, rfft
 
     def apply_op(f: np.ndarray) -> np.ndarray:
         # The result lives in a buffer that the next call overwrites.
@@ -488,7 +494,7 @@ def tensor_opnorm_upper(factors, p: float) -> float:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class ExponentFit:
     """Least-squares line through (log n, log value)."""
 
@@ -514,11 +520,11 @@ def fit_exponent(points) -> ExponentFit:
         raise ValueError("need at least 3 points")
     ns = np.array([float(n) for n, _ in pts])
     vals = np.array([float(v) for _, v in pts])
-    if np.any(vals <= 0):
+    if not np.all(vals > 0):
         raise ValueError("values must be positive")
-    if np.any(np.diff(ns) <= 0):
+    if not np.all(np.diff(ns) > 0):
         raise ValueError("abscissas must be strictly increasing")
-    if ns[0] <= 0:
+    if not ns[0] > 0:
         raise ValueError(f"abscissas must be positive for a log-log fit, got n = {pts[0][0]}")
     x = np.log(ns)
     y = np.log(vals)

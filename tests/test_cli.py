@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import dataclasses
 import gc
 import io
 import json
@@ -304,15 +303,21 @@ codes = {config["command"]: run(config, out_dir=out) for config in small}
 print(json.dumps([after_check, codes, scipy_modules()]))
 """
 # Runs in a fresh interpreter: the CLI on the given arguments, then the
-# crossflat modules loaded and whether the thread pool's module was.
+# crossflat modules loaded and which of WATCHED_MODULES were.
 CLI_MODULES = """
 import json, sys
 from crossflat.cli import main
 
 code = main(json.loads(sys.argv[1]))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "crossflat")
-print(json.dumps([code, loaded, "concurrent.futures" in sys.modules]))
+print(json.dumps([code, loaded, [m for m in sys.argv[2:] if m in sys.modules]]))
 """
+# Modules a CLI process loads only when it needs them: the thread pool's,
+# dataclasses (which the value classes do not use), and numpy.fft, which
+# only the commands that run FFTs load.
+WATCHED_MODULES = ["concurrent.futures", "dataclasses", "numpy.fft"]
+# The commands that load torus but run no FFT.
+NO_FFT_COMMANDS = ["exponents", "sharpness", "shell"]
 # The layers each command loads besides crossflat, crossflat.cli and
 # crossflat.special; products loads spaces and torus itself.
 COMMAND_LAYERS = {
@@ -356,31 +361,34 @@ class TestColdStart:
     @staticmethod
     def modules_after(argv):
         done = subprocess.run(
-            [sys.executable, "-c", CLI_MODULES, json.dumps(argv)],
+            [sys.executable, "-c", CLI_MODULES, json.dumps(argv), *WATCHED_MODULES],
             env=child_env(), capture_output=True, text=True, check=True,
         )
-        code, loaded, pool_loaded = json.loads(done.stdout)
+        code, loaded, watched = json.loads(done.stdout)
         assert code == 0, done.stderr
-        return loaded, pool_loaded
+        return loaded, watched
 
     @pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
     def test_check_loads_only_the_layers_the_command_runs(self, command):
-        loaded, pool_loaded = self.modules_after(["--check", "--config", bundled_configs()[command]])
+        loaded, watched = self.modules_after(["--check", "--config", bundled_configs()[command]])
         layers = ["cli", "special", *COMMAND_LAYERS[command]]
         assert loaded == sorted(["crossflat", *(f"crossflat.{layer}" for layer in layers)])
-        assert not pool_loaded
+        assert watched == []
 
-    @pytest.mark.parametrize("command", ["opnorm", "sharpness"])
+    @pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
     def test_a_one_thread_run_loads_no_thread_pool(self, tmp_path, command):
-        # Both commands fan their cells out over --threads workers; one
-        # worker runs them inline.
+        # opnorm and sharpness fan their cells out over --threads workers;
+        # one worker runs them inline.  No run loads dataclasses, and the
+        # commands that run no FFT do not load numpy.fft.
         config = {"command": command, **copy.deepcopy(CONTRACT_BASES[command])}
         if command == "opnorm":
             config["parameters"]["p"] = 6  # p > 2 runs the power iteration
         argv = ["--config", write_config(tmp_path, config), "--out", str(tmp_path / "out"), "--threads", "1"]
-        loaded, pool_loaded = self.modules_after(argv)
-        assert f"crossflat.{COMMAND_LAYERS[command][0]}" in loaded
-        assert not pool_loaded
+        loaded, watched = self.modules_after(argv)
+        assert all(f"crossflat.{layer}" in loaded for layer in COMMAND_LAYERS[command])
+        assert "concurrent.futures" not in watched and "dataclasses" not in watched
+        if command in NO_FFT_COMMANDS:
+            assert "numpy.fft" not in watched
 
 
 # Runs in a fresh interpreter: starts the CLI the way `python -m crossflat`
@@ -853,11 +861,12 @@ class TestRun:
         bracket = crossflat.torus.opnorm_bracket
         cfg = {"command": "opnorm", "seed": 1, "parameters": {**OPNORM, "p": 4, "iteration_budget": 5}}
         assert run(cfg, out_dir=str(tmp_path / "a")) in (0, 1)
-        monkeypatch.setattr(
-            crossflat.torus,
-            "opnorm_bracket",
-            lambda *args, **kwargs: dataclasses.replace(bracket(*args, **kwargs), refined=args[1] != 32),
-        )
+
+        def unrefined_at_32(*args, **kwargs):
+            b = bracket(*args, **kwargs)
+            return type(b)(b.lower, b.upper, b.lower_witness, b.upper_method, refined=args[1] != 32)
+
+        monkeypatch.setattr(crossflat.torus, "opnorm_bracket", unrefined_at_32)
         assert run(cfg, out_dir=str(tmp_path / "b")) in (0, 1)
         summaries = [json.loads((tmp_path / side / "opnorm_summary.json").read_text()) for side in "ab"]
         assert [s["summary"]["unrefined_degrees"] for s in summaries] == [[], [32]]

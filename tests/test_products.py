@@ -698,8 +698,8 @@ def integer_arrays(value) -> int:
         return int(value.dtype.kind in "iu")
     if isinstance(value, (list, tuple)):
         return sum(integer_arrays(v) for v in value)
-    if hasattr(value, "__dataclass_fields__"):
-        return sum(integer_arrays(getattr(value, name)) for name in value.__dataclass_fields__)
+    if hasattr(value, "__match_args__"):
+        return sum(integer_arrays(getattr(value, name)) for name in value.__match_args__)
     return 0
 
 

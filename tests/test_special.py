@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import crossflat.special
 import exact
+from crossflat.products import FlatSubmanifold, ProductManifold, SharpnessRow, _Layout, enumerate_shell, exponent_table
+from crossflat.spaces import CrossSpace, Kind, fourier_expansion, sphere
 from crossflat.special import (
     AsymptoticFrame,
     JacobiParams,
@@ -17,6 +19,7 @@ from crossflat.special import (
     binomial_main_term,
     chebyshev_half_case,
     edge_main_term,
+    frozen,
     interior_main_term,
     jacobi_binomial,
     jacobi_eval,
@@ -26,6 +29,7 @@ from crossflat.special import (
     jacobi_theta_derivative,
     _binomial_row,
 )
+from crossflat.torus import NormBracket, PeriodicGrid, fit_exponent
 
 HALF = JacobiParams.of(0.5, 0.5)
 
@@ -619,3 +623,94 @@ class TestAsymptoticFrame:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             AsymptoticFrame.for_degree(HALF, -1)
+
+
+def value_instances():
+    """One instance of each of crossflat's frozen value classes, with the
+    class's fields in order."""
+    manifold = ProductManifold.of(sphere(2), sphere(3))
+    return [
+        (JacobiParams(2, 0), ("twice_alpha", "twice_beta")),
+        (AsymptoticFrame.for_degree(HALF, 12), ("n", "n_tilde", "gamma_phase")),
+        (sphere(3), ("kind", "dimension", "params", "eigenvalue_shift", "even_degrees_only")),
+        (fourier_expansion(sphere(3), 4), ("row",)),
+        (PeriodicGrid(64), ("size",)),
+        (NormBracket(1.0, 2.0, "kernel", "young", False), ("lower", "upper", "lower_witness", "upper_method", "refined")),
+        (fit_exponent([(2, 4.0), (4, 15.0), (8, 66.0)]), ("slope", "intercept", "max_residual", "sample_count")),
+        (manifold, ("factors",)),
+        (enumerate_shell(manifold, 40), ("level", "members")),
+        (_Layout((2, 3), (3, 1), 5), ("shape", "steps", "start")),
+        (FlatSubmanifold.of([[1.0], [2.0]], box=[(-1.0, 1.0)]), ("matrix", "offset", "box")),
+        (
+            exponent_table([3, 3], 1, 4),
+            (
+                "dims", "k", "p", "taus", "product_exponent", "joint_exponent",
+                "no_loss_exponent", "baseline_exponent", "baseline_note", "improvement",
+            ),
+        ),
+        (SharpnessRow(40, math.sqrt(40), 6, 0.75, 1.5), ("level", "spectral_parameter", "shell_size", "ratio", "envelope")),
+    ]
+
+
+VALUE_INSTANCES = value_instances()
+
+
+@pytest.mark.parametrize("value, fields", VALUE_INSTANCES, ids=[type(v).__name__ for v, _ in VALUE_INSTANCES])
+def test_value_class_semantics(value, fields):
+    cls = type(value)
+    assert cls.__match_args__ == fields
+    values = tuple(getattr(value, name) for name in fields)
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    for copy in (by_position, by_keyword):
+        assert copy is not value
+        assert tuple(getattr(copy, name) for name in fields) == values
+        if cls.__name__ == "FourierExpansion":
+            # eq=False: equality and hashing by identity, as for object.
+            assert copy != value and copy == copy
+            assert hash(copy) == object.__hash__(copy)
+        else:
+            assert copy == value and not copy != value
+            assert hash(copy) == hash(value) == hash(values)
+            assert {value: 1}[copy] == 1
+
+    # Only instances of the same class compare equal.
+    twin = frozen(type(cls.__name__, (), {"__annotations__": dict.fromkeys(fields, "object")}))
+    assert twin(*values) != value and value != twin(*values)
+    assert value != values
+
+    for name in (fields[0], "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(value, fields[0])
+    assert tuple(getattr(value, name) for name in fields) == values
+
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(f"{name}={v!r}" for name, v in zip(fields, values)) + ")"
+
+    keywords = dict(zip(fields, values))
+    for args, kwargs in [
+        ((), {}),
+        ((), {name: v for name, v in keywords.items() if name != fields[0]}),
+        ((*values, values[0]), {}),
+        (values, {"unknown": 0}),
+        ((), {**keywords, "unknown": 0}),
+        (values[:1], {fields[0]: values[0]}),
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_value_class_defaults_repr_and_post_init():
+    assert NormBracket(0.0, 1.0, "kernel", "young") == NormBracket(0.0, 1.0, "kernel", "young", True)
+    assert NormBracket(0.0, 1.0, "kernel", "young", refined=False).refined is False
+    assert _Layout((2,), (1,)).start == 0
+    assert FlatSubmanifold(((1.0,),), (0.0,)).box is None
+    assert sphere(3) == CrossSpace(Kind.SPHERE, 3, JacobiParams(1, 1), 2)
+    assert repr(JacobiParams(1, 0)) == "JacobiParams(twice_alpha=1, twice_beta=0)"
+    assert repr(_Layout((2,), (1,))) == "_Layout(shape=(2,), steps=(1,), start=0)"
+    # __post_init__ runs on either path.
+    for make in (lambda: JacobiParams(-2, 0), lambda: JacobiParams(twice_alpha=0, twice_beta=-2),
+                 lambda: PeriodicGrid(4), lambda: PeriodicGrid(size=4)):
+        with pytest.raises(ValueError):
+            make()

@@ -123,6 +123,10 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm_periodic(g, np.ones(16), 0)
 
+    def test_rejects_a_nan_exponent(self):
+        with pytest.raises(ValueError, match="p must be positive"):
+            lp_norm_periodic(PeriodicGrid(16), np.ones(16), math.nan)
+
     @given(
         st.integers(0, 10),
         st.lists(st.floats(-2, 2), min_size=3, max_size=5),
@@ -182,6 +186,17 @@ class TestNextFastLen:
         assert sizes == smallest_5_smooth(targets)
 
 
+class TestPeriodicGrid:
+    def test_size_must_be_an_integer(self):
+        # 8.5 would give 9 thetas but a weight of 2 pi / 8.5.
+        with pytest.raises(TypeError, match="grid size must be an integer"):
+            PeriodicGrid(8.5)
+        with pytest.raises(ValueError, match="at least 8 points"):
+            PeriodicGrid(4)
+        grid = PeriodicGrid(np.int64(16))
+        assert len(grid.thetas) == 16 and grid.weight == 2.0 * math.pi / 16
+
+
 class TestEnvelopes:
     def test_boundary_branch(self):
         # delta = 1/2 puts the kink at p = 1, and p <= kink reads (n+1)^(-1/2)
@@ -213,6 +228,12 @@ class TestEnvelopes:
         # log(n+2) >= 1 from degree 1 on, so the kink branch dominates there
         kink = 1.0 / (delta + 0.5)
         assert envelope_A_tilde(delta, kink, n) >= envelope_A(delta, kink, n)
+
+    @pytest.mark.parametrize("envelope", [envelope_A, envelope_A_tilde])
+    @pytest.mark.parametrize("args", [(math.nan, 4.0, 3), (0.5, math.nan, 3), (0.5, 4.0, math.nan)])
+    def test_rejects_nan_arguments(self, envelope, args):
+        with pytest.raises(ValueError, match="need delta >= 0, p > 0, n >= 0"):
+            envelope(*args)
 
 
 class TestMultiplier:
@@ -837,6 +858,14 @@ class TestFitExponent:
             fit_exponent([(1, 1.0), (1, 2.0), (3, 1.0)])
         with pytest.raises(ValueError):
             ExponentFit(1.0, 0.0, 0.0, 2)
+
+    def test_rejects_nan_values_and_abscissas(self):
+        with pytest.raises(ValueError, match="values must be positive"):
+            fit_exponent([(1, 1.0), (2, math.nan), (3, 1.0)])
+        with pytest.raises(ValueError, match="abscissas must be strictly increasing"):
+            fit_exponent([(1, 1.0), (math.nan, 2.0), (3, 1.0)])
+        with pytest.raises(ValueError, match="abscissas must be strictly increasing"):
+            fit_exponent([(math.nan, 1.0), (2, 2.0), (3, 1.0)])
 
     def test_rejects_nonpositive_abscissas(self):
         with pytest.raises(ValueError, match="abscissas must be positive for a log-log fit, got n = 0"):

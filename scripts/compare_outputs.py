@@ -8,12 +8,13 @@ commit.  Every bundled config in configs/, every config of every benchmark
 workload (perfbench/workloads.py) for seeds 101-105, a few `opnorm` probes
 at odd and non-integer p and on sphere kernels (odd degrees, whose kernel
 does not fold onto half the circle, and p = 4 down to the 8-point
-iteration grid), two `fourier` probes up to degree 2048, eight
+iteration grid), two `fourier` probes up to degree 2048, ten
 `sharpness` probes, a non-integer matrix on the full torus, a box at p = 40,
 a k = 3 flat on the full torus, a point (k = 0), a product whose last
 factor takes even degrees only, a box about 0 with an odd number of rows
-on its first axis, p = inf on the full torus and an integer matrix off the
-origin on the full torus, a `dimension` probe to degree 1000 and a
+on its first axis, p = inf on the full torus, an integer matrix off the
+origin on the full torus, a k = 1 flat on the full torus and a box whose
+shells hold 543 to 893 members, a `dimension` probe to degree 1000 and a
 `jacobi` probe to degree 4096 (PROBES; no bundled or workload config runs
 those) run through `python -m crossflat` once with each tree's `src`
 on PYTHONPATH, at `--threads 1` and at `--threads 2`, after one `--check` of
@@ -80,7 +81,13 @@ def _sharpness(matrix: list, box: list | None, levels: list[int], p_values: list
 # about 0 whose first axis has an odd number of rows (33, 45 and 55), so
 # the middle row counts once; p = inf, the max over the half, on the full
 # torus; and an offset that moves an integer flat off the origin, which
-# must keep the whole grid and its bits.  The dimension
+# must keep the whole grid and its bits.  Two try the extremizer's sum over
+# the shell's members: a k = 1 flat on the full torus, each of whose
+# factors varies along the first grid axis only, so that the weight matrix
+# carries them all, and a box at levels whose shells hold 543, 677 and 893
+# members, more than the scratch of one grid block takes at once, so that
+# each block is cut across members; their direct-rule rows of up to 32,258
+# angles also take the evaluator through groups of members.  The dimension
 # probe runs the exact Weyl dimensions far past the workloads' degree 300,
 # and the jacobi probe takes the recurrence's mixed-sign path at alpha != beta
 # to twice the workloads' degree.
@@ -104,6 +111,9 @@ PROBES = [
                                              [2, math.inf])),
     ("probe-sharpness-torus-offset", _sharpness([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], None, [315, 495, 840],
                                                 [2, 6], [0.1, 0, 0, 0, 0])),
+    ("probe-sharpness-k1-torus", _sharpness([[1], [1], [0], [2], [1]], None, [315, 495, 840], [2, 6])),
+    ("probe-sharpness-large-shells", _sharpness([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], [[-0.25, 0.25]] * 2,
+                                                [30001, 34997, 40001], [2, 6])),
     ("probe-sharpness-even-last", {"command": "sharpness", "parameters": {
         "factors": [{"kind": "sphere", "dimension": 2}, {"kind": "sphere", "dimension": 3},
                     {"kind": "sphere", "dimension": 3, "even_degrees_only": True}],

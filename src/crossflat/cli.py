@@ -519,7 +519,7 @@ def _parse_sharpness(r: _Parameters):
         counts = products.count_unconstrained(manifold, max(levels))
         lo = max(100, min(levels))
         nonzero = np.flatnonzero(counts[lo : max(levels) + 1]) + lo
-        pts = list(zip(np.sqrt(nonzero), counts[nonzero]))
+        pts = np.column_stack((np.sqrt(nonzero), counts[nonzero]))
         if len(pts) >= 3:
             count_fit = torus.fit_exponent(pts)
             summary["count_slope"] = count_fit.slope

@@ -8,6 +8,9 @@ n_1 >= ... >= n_r >= n_1/2.  The shell extremizer
 
 has L^2 norm |shell|^(1/2) over the product, and its L^p norms along affine
 submanifolds of the maximal flat T^r are computed by tensor-grid quadrature.
+On a grid, the sum over the shell is one contraction over its members per
+grid block, a CP reconstruction (see _extremizer_grid), as is the
+pointwise check's sum on its polydisc (see _polydisc_grid).
 Every Phi is a function of cos(theta), so f(-theta) = f(theta): on a flat
 through the origin whose grid is symmetric under theta -> -theta, only
 half of the grid is evaluated, each point counted for itself and its
@@ -382,21 +385,24 @@ class _Layout:
         """The row read in C order, as np.reshape would."""
         return cls(shape, tuple(math.prod(shape[j + 1:]) for j in range(len(shape))))
 
-    def view(self, row: np.ndarray) -> np.ndarray:
-        strides = tuple(step * row.itemsize for step in self.steps)
-        return as_strided(row[self.start:], self.shape, strides, writeable=False)
+    def view(self, rows: np.ndarray) -> np.ndarray:
+        # rows stacked along leading axes keep those axes in front
+        strides = rows.strides[:-1] + tuple(step * rows.itemsize for step in self.steps)
+        return as_strided(rows[..., self.start:], rows.shape[:-1] + self.shape, strides, writeable=False)
 
 
-# Bytes of one block of an extremizer grid.  Every member's product is
-# formed, and added into the sum, one block at a time, so both stay in the
-# core's cache, and restriction norms take their power sums from each block
-# while it is there.  On a 2-core Xeon with 2 MB of L2 per core, the eight
-# restriction calls of a sharpness_mixed sweep (grids up to 1016^2) took
-# 118 ms at 2**18 bytes, 123 ms at 2**19, 131 ms at 2**20 and 138 ms at
-# 2**17 (medians of 15 alternating rounds).  On the mirror's half grids
-# (up to 508 x 1016), the whole sharpness_mixed run read 61, 60, 59 and
-# 60 ms at 2**17, 2**18, 2**19 and 2**20, within noise.
-_GRID_BLOCK = 1 << 18
+# Bytes of one block of an extremizer grid, and of the scratch in which
+# _extremizer_grid forms a block's product of factors.  The product and
+# the block stay in the core's cache while the member sum runs, and
+# restriction norms take their power sums from each block while it is
+# there.  On a 2-core Xeon with 2 MB of L2 per core, the restriction norms
+# of the sharpness_mixed sweeps of workload seeds 101 and 151 took 35 and
+# 33, 30 and 27, 28 and 26, and 28 and 25 ms at 2**17, 2**18, 2**19 and
+# 2**20 bytes, and those of configs/sharpness_s3_fifth_k3.json 215, 172,
+# 159 and 152 ms (the best of three alternating rounds of best-of-9, one
+# CPU).  2**19 takes most of the gain, and a block and its scratch fill
+# half of the L2.
+_GRID_BLOCK = 1 << 19
 
 
 def _grid_blocks(shape: tuple[int, ...]):
@@ -426,52 +432,111 @@ def _block_of(key: tuple, shape: tuple[int, ...]) -> tuple:
     return (*inner, Ellipsis)
 
 
+# Bytes of the member-stacked table rows that the extremizer evaluator
+# holds at once.  A shell whose rows take more (long direct-rule rows of a
+# large shell) is summed in groups of members, each group added into the
+# grid in its own pass.  The largest workload shell, 78 members on 2,653
+# angles, takes 1.6 MB in one group.
+_STACKED_ROWS = 1 << 23
+
+
 def _extremizer_grid(manifold: ProductManifold, shell: LatticeShell, amps, tables, layouts):
     """sum over the shell of amp * prod_i Phi_{i,n_i} on a grid, yielded as
     (f, key) once the block f[key] of the grid f is filled.
 
-    Factor i's values are its table tables[i] (from _shell_tables) on its
-    distinct angles, read onto the grid through layouts[i] as strided
-    views.  A factor read at a single point is folded into the member's
-    coefficient, amp times those values in factor order.  The smallest of
-    the other views is scaled by it, and the rest multiply in by factor
-    order.  The grid is filled in the blocks of _grid_blocks, every member
-    into one block before the next, and each block is yielded while it is
-    still in cache.
+    Factor i's table tables[i] (from _shell_tables) is stacked by member,
+    one row of its distinct angles per member, and read onto the grid
+    through layouts[i] as a strided view with a leading member axis.  The
+    factors that vary along the first grid axis only, or not at all, fold
+    into a weight matrix W[u_0, m]: amp_m times their values.  The product
+    P of the others is formed one sub-block at a time in a scratch buffer
+    of the call's own of at most _GRID_BLOCK bytes, cut across members and,
+    where P varies along the first axis, across its rows.  Each sub-block
+    then adds sum_m W[u_0, m] P[m, u_0, v] into f's rows as one np.matmul
+    over the member axis: a CP reconstruction, as in _polydisc_grid, whose
+    sum is fused into the product.  The grid is filled in the blocks of
+    _grid_blocks, and each block is yielded while it is still in cache.
+    Where the stacked rows of the whole shell would take more than
+    _STACKED_ROWS bytes, the members are summed in groups, each added into
+    every block in its own pass, and the blocks are yielded in the last.
     """
-    coefs = np.array(amps, dtype=float)
-    varying = []
-    for i, (table, layout, column) in enumerate(zip(tables, layouts, _degree_columns(manifold, shell))):
-        if math.prod(layout.shape) == 1:
-            coefs = coefs * _by_degree({n: row[layout.start] for n, row in table.items()}, column)
-        else:
-            varying.append(i)
-    if varying:
-        smallest = min(varying, key=lambda i: math.prod(layouts[i].shape))
-        varying = [smallest] + [i for i in varying if i != smallest]
-    views = [{n: layouts[i].view(row) for n, row in tables[i].items()} for i in varying]
-    member_degrees = [tuple(member[i] for i in varying) for member in shell.members]
     shape = np.broadcast_shapes(*(layout.shape for layout in layouts))
+    columns = _degree_columns(manifold, shell)
+    weighted = [math.prod(layout.shape[1:]) == 1 for layout in layouts]
+    # a weight factor's rows hold its values along the first axis only
+    rows_of = [
+        {n: layout.view(row).ravel() for n, row in table.items()} if weight else table
+        for table, layout, weight in zip(tables, layouts, weighted)
+    ]
+    # one member's rows, over every factor
+    row_bytes = sum(8 * len(row) for rows in rows_of for row in list(rows.values())[:1])
+    group = max(1, _STACKED_ROWS // max(row_bytes, 1))
     f = np.zeros(shape)
-    for key in _grid_blocks(shape):
-        block = f[key]
-        parts = [
-            {n: view[_block_of(key, layouts[i].shape)] for n, view in factor.items()}
-            for i, factor in zip(varying, views)
-        ]
-        # buffers of this call's own, so that concurrent calls share none
-        scaled = np.empty(next(iter(parts[0].values())).shape) if parts else None
-        prod = np.empty(block.shape)
-        for ns, c in zip(member_degrees, coefs):
-            term = c
-            if parts:
-                term = np.multiply(parts[0][ns[0]], c, out=scaled)
-                if len(parts) > 1:
-                    term = np.multiply(term, parts[1][ns[1]], out=prod)
-                    for part, n in zip(parts[2:], ns[2:]):
-                        term *= part[n]
-            block += term
-        yield f, key
+    # a buffer of this call's own, so that concurrent calls share none
+    scratch = np.empty(_GRID_BLOCK // 8)
+    for begin in range(0, max(len(shell), 1), group):
+        members = slice(begin, begin + group)
+        weights = amps[None, members]
+        varying = []
+        for rows, layout, weight, column in zip(rows_of, layouts, weighted, columns[:, members].tolist()):
+            stacked = np.array([rows[n] for n in column])
+            if weight:
+                weights = weights * stacked.T
+            else:
+                varying.append((layout.view(stacked), layout.shape))
+        for key in _grid_blocks(shape):
+            _add_block(f[key], key, weights, varying, scratch, begin > 0)
+            if begin + group >= len(shell):
+                yield f, key
+
+
+def _add_block(block: np.ndarray, key: tuple, weights: np.ndarray, varying: list, scratch: np.ndarray, add: bool):
+    """Write (or, with add, add) one block's sum over a group of members
+    into the block f[key]; weights and varying as _extremizer_grid makes
+    them."""
+    members = weights.shape[1]
+    parts = [stacked[(slice(None), *_block_of(key, layout_shape))] for stacked, layout_shape in varying]
+    if isinstance(key[0], int):
+        # a block within one row of the first axis
+        rows, inner = slice(key[0], key[0] + 1), block.shape
+        parts = [part[None] for part in parts]
+    else:
+        rows, inner = (key[0] if isinstance(key[0], slice) else slice(None)), block.shape[1:]
+        parts = [np.moveaxis(part, 0, 1) for part in parts]
+    # every part is now (rows or 1, members, *inner); the block's rows take
+    # w @ P, one product per row where P varies along the first axis
+    points = math.prod(inner)
+    out = block.reshape(-1, points)
+    w = np.broadcast_to(weights[rows] if len(weights) > 1 else weights, (len(out), members))
+    batch = max((len(part) for part in parts), default=1)
+    w, out = (w[:, None], out[:, None]) if batch > 1 else (w[None], out[None])
+    chunk = max(1, min(members, len(scratch) // points))
+    run = len(scratch) // (chunk * points) if batch > 1 else 1
+    for start in range(0, batch, run):
+        here = slice(start, start + run)
+        for begin in range(0, members, chunk):
+            these = slice(begin, begin + chunk)
+            sub = [(part[here] if len(part) > 1 else part)[:, these] for part in parts]
+            size = (min(run, batch - start), min(chunk, members - begin))
+            product = _product(sub, scratch[: math.prod(size) * points].reshape(*size, *inner))
+            terms = w[here, :, these], product.reshape(*size, points)
+            if add or begin:
+                out[here] += np.matmul(*terms)
+            else:
+                np.matmul(*terms, out=out[here])
+
+
+def _product(parts: list, out: np.ndarray) -> np.ndarray:
+    # the product of the parts, broadcast into out
+    if not parts:
+        out.fill(1.0)
+    elif len(parts) == 1:
+        np.copyto(out, parts[0])
+    else:
+        np.multiply(parts[0], parts[1], out=out)
+        for part in parts[2:]:
+            out *= part
+    return out
 
 
 def extremizer_eval(manifold: ProductManifold, shell: LatticeShell, theta) -> float:
@@ -661,12 +726,14 @@ def _restriction_points(manifold: ProductManifold, shell: LatticeShell, sub: Fla
     weight is None."""
     if len(shell) == 0:
         raise ValueError("shell is empty")
-    if any(q != math.inf and q < 2 for q in p_values):
+    if any(not q >= 2 for q in p_values):
         raise ValueError("p must be >= 2 or inf")
     if len(sub.offset) != manifold.rank:
         raise ValueError("submanifold lives in a flat of the wrong rank")
     if sub.k == 0:
         return [np.array([t]) for t in sub.offset], [_Layout.reshape(())] * manifold.rank, None
+    if not math.isfinite(ppw):
+        raise ValueError(f"points per wavelength must be finite, got {ppw}")
     if ppw < 2:
         raise ResolutionError(f"{ppw} points per wavelength cannot resolve the integrand; need >= 2")
     points, layouts, cell = _restriction_grid(shell, sub, ppw)

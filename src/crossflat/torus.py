@@ -513,13 +513,13 @@ class ExponentFit:
 def fit_exponent(points) -> ExponentFit:
     """Fit value ~ C * n^slope on log-log axes.
 
-    Points are (n, value) with n strictly increasing and values positive.
+    Points are (n, value) with n strictly increasing and values positive:
+    pairs, or an (m, 2) array.
     """
-    pts = list(points)
+    pts = points if isinstance(points, np.ndarray) else list(points)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    ns = np.array([float(n) for n, _ in pts])
-    vals = np.array([float(v) for _, v in pts])
+    ns, vals = np.asarray(pts, dtype=float).T
     if not np.all(vals > 0):
         raise ValueError("values must be positive")
     if not np.all(np.diff(ns) > 0):

@@ -435,6 +435,21 @@ class TestRestrictionNorm:
         with pytest.raises(ValueError):
             restriction_lp_norm(S3_FIFTH, shell, sub, 1.0)
 
+    @pytest.mark.parametrize("p", [math.nan, [2.0, math.nan], -math.inf])
+    def test_rejects_a_nan_p(self, p):
+        # S^3 x 5 at level 495 on the sharpness_s3_fifth workload's box flat
+        shell = enumerate_shell(S3_FIFTH, 495)
+        sub = FlatSubmanifold.of([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], None, [(-0.25, 0.25)] * 2)
+        with pytest.raises(ValueError, match="p must be >= 2 or inf"):
+            restriction_lp_norm(S3_FIFTH, shell, sub, p)
+
+    @pytest.mark.parametrize("ppw", [math.nan, math.inf])
+    def test_rejects_a_non_finite_resolution(self, ppw):
+        shell = enumerate_shell(S3_FIFTH, 495)
+        sub = FlatSubmanifold.of([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], None, [(-0.25, 0.25)] * 2)
+        with pytest.raises(ValueError, match="points per wavelength must be finite"):
+            restriction_lp_norm(S3_FIFTH, shell, sub, 2.0, ppw)
+
 
 class TestPointwiseLower:
     def test_origin_ratio_is_one(self):
@@ -648,36 +663,49 @@ def evaluated_grid(manifold, shell, points, layouts):
     return list(products._extremizer_grid(manifold, shell, amps, tables, layouts))
 
 
-def gathered_extremizer(manifold, shell, points, index):
-    """f on a grid from each factor's table on points[i], gathered through
-    the integer arrays index[i]; products in the evaluator's order: amp
-    times the factors whose index is constant, in factor order, times the
-    factor whose index varies over the fewest grid points (the first of
-    them), times the others in factor order."""
+def gathered_terms(manifold, shell, points, index):
+    """Each member's term amp * prod_i Phi_{i,n_i} on a grid, from each
+    factor's table on points[i] gathered through the integer arrays
+    index[i]: an array whose leading axis runs over the shell's members."""
     amps = products._member_amplitudes(manifold, shell)
     values = [
-        {n: row[ix] for n, row in spherical_table(space, {m[i] for m in shell.members}, angles).items()}
-        for i, (space, angles, ix) in enumerate(zip(manifold.factors, points, index))
+        spherical_table(space, {m[i] for m in shell.members}, angles)
+        for i, (space, angles) in enumerate(zip(manifold.factors, points))
     ]
+    terms = np.empty((len(shell), *np.broadcast_shapes(*(np.shape(ix) for ix in index))))
+    for term, member, amp in zip(terms, shell.members, amps):
+        term[...] = amp
+        for table, n, ix in zip(values, member, index):
+            term *= table[n][ix]
+    return terms
 
-    def spread(ix):
-        # the number of grid points over which ix varies
-        return math.prod(m for j, m in enumerate(np.shape(ix)) if np.any(np.diff(ix, axis=j)))
 
-    constant = [i for i, ix in enumerate(index) if spread(ix) == 1]
-    varying = [i for i, ix in enumerate(index) if spread(ix) > 1]
-    first = min(varying, key=lambda i: spread(index[i]))
-    order = [first] + [i for i in varying if i != first]
-    f = np.zeros(np.broadcast_shapes(*(np.shape(ix) for ix in index)))
-    for member, amp in zip(shell.members, amps):
-        coef = amp
-        for i in constant:
-            coef = coef * values[i][member[i]]
-        prod = values[first][member[first]] * coef
-        for i in order[1:]:
-            prod = prod * values[i][member[i]]
-        f += prod
-    return f
+def gathered_extremizer(manifold, shell, points, index):
+    """f on a grid from the gathered member terms of gathered_terms: their
+    correctly rounded sum (math.fsum) at every point, and the bound
+    (M + 1) eps sum_m |term_m| on a sum of M terms within which the
+    evaluator, which sums them in another order, must agree with it."""
+    terms = gathered_terms(manifold, shell, points, index)
+    exact = [math.fsum(point) for point in terms.reshape(len(terms), -1).T.tolist()]
+    bound = (len(terms) + 1) * np.finfo(float).eps * np.sum(np.abs(terms), axis=0)
+    return np.reshape(exact, bound.shape), bound
+
+
+def assert_near_the_gather(f, manifold, shell, points, index):
+    exact, bound = gathered_extremizer(manifold, shell, points, index)
+    assert f.shape == exact.shape and np.all(np.abs(f - exact) <= bound)
+
+
+def assert_views_read_the_gather(manifold, shell, points, layouts, index):
+    """Each factor's rows, stacked by member, read through its layout's
+    view with a member axis: the same entries as the integer gather, to
+    the bit."""
+    [tables] = products._shell_tables(manifold, shell, [points])
+    for table, layout, ix, column in zip(tables, layouts, index, products._degree_columns(manifold, shell)):
+        stacked = np.array([table[n] for n in column.tolist()])
+        view = layout.view(stacked)
+        assert view.shape == (len(shell), *layout.shape)
+        assert np.array_equal(np.broadcast_to(view, (len(shell), *np.shape(ix))), stacked[:, ix])
 
 
 def lattice_index(sub, layouts):
@@ -704,7 +732,9 @@ def integer_arrays(value) -> int:
 
 
 class TestGridViews:
-    """The strided views of the evaluator against a plain gather, to the bit."""
+    """The strided views of the evaluator against a plain gather: the views
+    to the bit, and f within the summation bound of the exact sum of the
+    member terms."""
 
     SHELL = enumerate_shell(MIXED_RANK4, 38, ordering_constraint=False)
 
@@ -720,6 +750,9 @@ class TestGridViews:
             ([[1, 0, 0], [1, -1, 0], [0, 2, -1], [0, 0, 1]], None),
             ([[2, -1], [1, 0], [0, 1], [0, 0]], [(-0.25, 0.25), (0.0, 0.6)]),
             ([[-2, 0], [1, -1], [0, 1], [0, -1]], [(-0.3, 0.1), (0.2, 0.6)]),
+            # k = 1: every factor varies along the first axis only, so the
+            # weight matrix carries them all
+            ([[1], [2], [0], [-1]], None),
         ],
     )
     def test_lattice_rule(self, monkeypatch, matrix, box):
@@ -727,25 +760,30 @@ class TestGridViews:
         sub = FlatSubmanifold.of(matrix, [0.1, 0.0, -0.3, 0.2], box)
         points, layouts, _ = products._restriction_grid(self.SHELL, sub, 4.0)
         assert integer_arrays((points, layouts)) == 0
+        index = lattice_index(sub, layouts)
+        assert_views_read_the_gather(MIXED_RANK4, self.SHELL, points, layouts, index)
         *_, (f, _) = evaluated_grid(MIXED_RANK4, self.SHELL, points, layouts)
-        assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, lattice_index(sub, layouts)))
+        assert_near_the_gather(f, MIXED_RANK4, self.SHELL, points, index)
 
     @pytest.mark.parametrize(
         "matrix", [[[2, -1], [1, 0], [0, 1], [0, 0]], [[1, 0, 0], [1, -1, 0], [0, 2, -1], [0, 0, 1]]]
     )
     def test_blocks_match_the_gather(self, monkeypatch, matrix):
         # blocks of seven lines of the last axis: several per grid, the last
-        # one short, and on the k = 3 grid several per row of the first axis
+        # one short, and on the k = 3 grid several per row of the first axis;
+        # the scratch of one block then holds fewer members than the shell,
+        # so every block is cut across members too, its last cut short
         sub = FlatSubmanifold.of(matrix, [0.1, 0.0, -0.3, 0.2])
         points, layouts, _ = products._restriction_grid(self.SHELL, sub, 4.0)
         shape = np.broadcast_shapes(*(layout.shape for layout in layouts))
         monkeypatch.setattr(products, "_GRID_BLOCK", 8 * 7 * shape[-1])
-        sizes = [np.empty(shape)[key].size for key in products._grid_blocks(shape)]
+        keys = list(products._grid_blocks(shape))
+        sizes = [np.empty(shape)[key].size for key in keys]
         assert len(sizes) > math.prod(shape[:-2]) and min(sizes) < max(sizes) and sum(sizes) == math.prod(shape)
+        assert len(self.SHELL) % 7 and len(self.SHELL) > 7
         blocks = evaluated_grid(MIXED_RANK4, self.SHELL, points, layouts)
-        assert len(blocks) == len(sizes)
-        f = blocks[-1][0]
-        assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, lattice_index(sub, layouts)))
+        assert [key for _, key in blocks] == keys
+        assert_near_the_gather(blocks[-1][0], MIXED_RANK4, self.SHELL, points, lattice_index(sub, layouts))
 
     # the grid is 60 x 60: one block, and blocks of seven rows with a short last one
     @pytest.mark.parametrize("block", [products._GRID_BLOCK, 8 * 7 * 60])
@@ -766,8 +804,51 @@ class TestGridViews:
         points, layouts, _ = products._restriction_grid(self.SHELL, sub, 8.0)
         assert integer_arrays((points, layouts)) == 0
         index = [np.arange(len(angles)).reshape(layout.shape) for angles, layout in zip(points, layouts)]
+        assert_views_read_the_gather(MIXED_RANK4, self.SHELL, points, layouts, index)
         *_, (f, _) = evaluated_grid(MIXED_RANK4, self.SHELL, points, layouts)
-        assert np.array_equal(f, gathered_extremizer(MIXED_RANK4, self.SHELL, points, index))
+        assert_near_the_gather(f, MIXED_RANK4, self.SHELL, points, index)
+
+    @pytest.mark.parametrize(
+        "limit, groups", [(products._STACKED_ROWS, 1), (2**20, 4)], ids=["one-group", "four-groups"]
+    )
+    def test_one_call_allocates_f_the_stacked_rows_and_four_blocks(self, monkeypatch, limit, groups):
+        # the k = 3 full-torus flat of probe-sharpness-k3 on a 1446-member
+        # shell, mirrored to 32 x 64 x 64 points at 2 points per wavelength:
+        # the product of a block's other factors takes 16 members at a time.
+        # Beyond f and each factor's rows stacked by member (at most
+        # _STACKED_ROWS bytes of them at once; the weight matrix takes the
+        # place of the first factor's), one call holds the scratch, a copy
+        # of the weight matrix while a factor is folded in, and a partial sum
+        monkeypatch.setattr(products, "_STACKED_ROWS", limit)
+        shell = enumerate_shell(S3_FIFTH, 315, ordering_constraint=False)
+        sub = FlatSubmanifold.of([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]])
+        points, layouts, _ = products._restriction_grid(shell, sub, 2.0)
+        [tables] = products._shell_tables(S3_FIFTH, shell, [points])
+        amps = products._member_amplitudes(S3_FIFTH, shell)
+        stacked = sum(8 * len(shell) * len(angles) for angles in points)
+        tracemalloc.start()
+        try:
+            for f, _ in products._extremizer_grid(S3_FIFTH, shell, amps, tables, layouts):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(shell) > 1000 and f.shape == (32, 64, 64) and math.ceil(stacked / limit) == groups
+        assert peak <= f.nbytes + min(stacked, limit) + 4 * products._GRID_BLOCK
+
+    def test_groups_of_members_match_the_gather(self, monkeypatch):
+        # stacked rows of 7 members at a time: five groups, the last short,
+        # each added into every block in its own pass; the blocks are still
+        # yielded once each, in order
+        sub = FlatSubmanifold.of([[2, -1], [1, 0], [0, 1], [0, 0]], [0.1, 0.0, -0.3, 0.2])
+        points, layouts, _ = products._restriction_grid(self.SHELL, sub, 4.0)
+        shape = np.broadcast_shapes(*(layout.shape for layout in layouts))
+        monkeypatch.setattr(products, "_STACKED_ROWS", 7 * 8 * sum(len(angles) for angles in points))
+        monkeypatch.setattr(products, "_GRID_BLOCK", 8 * 7 * shape[-1])
+        assert len(self.SHELL) % 7 and len(self.SHELL) > 28
+        blocks = evaluated_grid(MIXED_RANK4, self.SHELL, points, layouts)
+        assert [key for _, key in blocks] == list(products._grid_blocks(shape))
+        assert_near_the_gather(blocks[-1][0], MIXED_RANK4, self.SHELL, points, lattice_index(sub, layouts))
 
     def test_no_caller_passes_integer_arrays(self, monkeypatch):
         # all three callers take their tables from one helper; the polydisc
@@ -955,18 +1036,22 @@ class TestShellPass:
     def test_polydisc_product_in_two_chunks_is_near_the_exact_sum(self):
         # the 2416 members of this shell take two chunks at the default
         # size; the product stays within 2e-15 of the correctly rounded sum
-        # of the member terms, where the evaluator's running sum drifts by
-        # about 1.4e-14
+        # of the member terms, and so does the grid evaluator's contraction
+        # over the members (3e-16 at worst here; the per-member running sum
+        # that it replaced drifted by about 1.4e-14)
         shell = enumerate_shell(S3_FIFTH, 495, ordering_constraint=False)
         per_chunk = products._POLYDISC_CHUNK // (8 * (125 + 25))
         assert per_chunk < len(shell) <= 2 * per_chunk
-        _, tables, f = self.polydisc(S3_FIFTH, shell, 0.4)
+        points, tables, f = self.polydisc(S3_FIFTH, shell, 0.4)
         amps = products._member_amplitudes(S3_FIFTH, shell)
+        layouts = [products._Layout.reshape(tuple(5 if j == i else 1 for j in range(5))) for i in range(5)]
+        *_, (evaluated, _) = evaluated_grid(S3_FIFTH, shell, points, layouts)
         for index in np.random.default_rng(2).integers(0, 5, (12, 5)):
             terms = [amp * math.prod(table[n][t] for table, n, t in zip(tables, member, index))
                      for amp, member in zip(amps, shell.members)]
             exact = math.fsum(terms)
             assert abs(f[tuple(index)] - exact) <= 2e-15 * abs(exact)
+            assert abs(evaluated[tuple(index)] - exact) <= 2e-15 * abs(exact)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(

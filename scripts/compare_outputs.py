@@ -8,12 +8,13 @@ commit.  Every bundled config in configs/, every config of every benchmark
 workload (perfbench/workloads.py) for seeds 101-105, a few `opnorm` probes
 at odd and non-integer p and on sphere kernels (odd degrees, whose kernel
 does not fold onto half the circle, and p = 4 down to the 8-point
-iteration grid), two `fourier` probes up to degree 2048, ten
+iteration grid), two `fourier` probes up to degree 2048, eleven
 `sharpness` probes, a non-integer matrix on the full torus, a box at p = 40,
-a k = 3 flat on the full torus, a point (k = 0), a product whose last
-factor takes even degrees only, a box about 0 with an odd number of rows
-on its first axis, p = inf on the full torus, an integer matrix off the
-origin on the full torus, a k = 1 flat on the full torus and a box whose
+a k = 3 flat on the full torus, a k = 3 flat on a box at its top three
+trend levels, a point (k = 0), a product whose last factor takes even
+degrees only, a box about 0 with an odd number of rows on its first axis,
+p = inf on the full torus, an integer matrix off the origin on the full
+torus, a k = 1 flat on the full torus and a box of unequal sides whose
 shells hold 543 to 893 members, a `dimension` probe to degree 1000 and a
 `jacobi` probe to degree 4096 (PROBES; no bundled or workload config runs
 those) run through `python -m crossflat` once with each tree's `src`
@@ -73,24 +74,27 @@ def _sharpness(matrix: list, box: list | None, levels: list[int], p_values: list
 # probes take the direct rule on the full torus (a non-integer matrix), a
 # box at p = 40, where max|f|^p overflows float64, and a k = 3 integer
 # matrix on the full torus, whose top level's 192^3 lattice grid has rows of
-# 192^2 points, each longer than one extremizer grid block; a zero-column
-# matrix, a point of the flat, whose restriction is a point value; and
-# S^2 x S^3 x RP^3 from level_min/level_max, whose shell counts take the
-# last factor's even degrees in steps of 2.  Three more try the mirror of a
-# flat through the origin, which evaluates one half of its grid: a box
-# about 0 whose first axis has an odd number of rows (33, 45 and 55), so
-# the middle row counts once; p = inf, the max over the half, on the full
-# torus; and an offset that moves an integer flat off the origin, which
-# must keep the whole grid and its bits.  Two try the extremizer's sum over
-# the shell's members: a k = 1 flat on the full torus, each of whose
-# factors varies along the first grid axis only, so that the weight matrix
-# carries them all, and a box at levels whose shells hold 543, 677 and 893
-# members, more than the scratch of one grid block takes at once, so that
-# each block is cut across members; their direct-rule rows of up to 32,258
-# angles also take the evaluator through groups of members.  The dimension
-# probe runs the exact Weyl dimensions far past the workloads' degree 300,
-# and the jacobi probe takes the recurrence's mixed-sign path at alpha != beta
-# to twice the workloads' degree.
+# 192^2 points, each longer than one extremizer grid block; the k = 3 flat
+# of configs/sharpness_s3_fifth_k3.json at its top three trend levels, whose
+# direct grids would hold 188,955 to 305,520 points and whose lattice covers
+# its box about 0 and mirrors; a zero-column matrix, a point of the flat,
+# whose restriction is a point value; and S^2 x S^3 x RP^3 from
+# level_min/level_max, whose shell counts take the last factor's even
+# degrees in steps of 2.  Three more try the mirror of a flat through the
+# origin, which evaluates one half of its grid: a box about 0 whose first
+# axis has an odd number of rows (33, 45 and 55), so the middle row counts
+# once; p = inf, the max over the half, on the full torus; and an offset
+# that moves an integer flat off the origin, which must keep the whole grid
+# and its bits.  Two try the extremizer's sum over the shell's members: a
+# k = 1 flat on the full torus, each of whose factors varies along the first
+# grid axis only, so that the weight matrix carries them all, and a box at
+# levels whose shells hold 543, 677 and 893 members, more than the scratch
+# of one grid block takes at once, so that each block is cut across members;
+# its sides of unequal length send it to the direct rule, whose rows of up
+# to 13,440 angles take the evaluator through 6 to 12 groups of members.
+# The dimension probe runs the exact Weyl dimensions far past the workloads'
+# degree 300, and the jacobi probe takes the recurrence's mixed-sign path at
+# alpha != beta to twice the workloads' degree.
 PROBES = [
     ("probe-opnorm-p3", _opnorm(1, 0, 3, [64, 128, 256, 512])),
     ("probe-opnorm-p6.5", _opnorm(0.5, 0.5, 6.5, [64, 128, 256, 512])),
@@ -104,6 +108,8 @@ PROBES = [
                                        [3323, 3585, 4323], [2, 40])),
     ("probe-sharpness-k3", _sharpness([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]], None,
                                       [315, 400, 495], [2, 6])),
+    ("probe-sharpness-k3-box", _sharpness([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]],
+                                          [[-0.25, 0.25]] * 3, [7158, 8718, 9562], [2, 6])),
     ("probe-sharpness-point", _sharpness([[]] * 5, None, [315, 495, 840, 1275], [2, 6], [0.01, 0, -0.02, 0, 0.03])),
     ("probe-sharpness-box-odd", _sharpness([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], [[-0.3, 0.3], [-0.25, 0.25]],
                                            [1501, 2502, 3500], [2, 6])),
@@ -112,8 +118,8 @@ PROBES = [
     ("probe-sharpness-torus-offset", _sharpness([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], None, [315, 495, 840],
                                                 [2, 6], [0.1, 0, 0, 0, 0])),
     ("probe-sharpness-k1-torus", _sharpness([[1], [1], [0], [2], [1]], None, [315, 495, 840], [2, 6])),
-    ("probe-sharpness-large-shells", _sharpness([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], [[-0.25, 0.25]] * 2,
-                                                [30001, 34997, 40001], [2, 6])),
+    ("probe-sharpness-large-shells", _sharpness([[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]],
+                                                [[-0.25, 0.25], [-0.3, 0.3]], [30001, 34997, 40001], [2, 6])),
     ("probe-sharpness-even-last", {"command": "sharpness", "parameters": {
         "factors": [{"kind": "sphere", "dimension": 2}, {"kind": "sphere", "dimension": 3},
                     {"kind": "sphere", "dimension": 3, "even_degrees_only": True}],

@@ -479,6 +479,7 @@ def _parse_sharpness(r: _Parameters):
     ppw = r.number("points_per_wavelength", 8.0, _FINITE_POSITIVE)
     slope_tol = r.number("slope_tolerance", 0.25)
     epsilon = r.number("epsilon", 0.05, _OPEN_UNIT)
+    r.build("factors, epsilon", products._check_polydisc, manifold, epsilon)
 
     def handler(seed, threads):
         if given_levels is not None:

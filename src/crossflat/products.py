@@ -7,7 +7,8 @@ n_1 >= ... >= n_r >= n_1/2.  The shell extremizer
     f(theta) = sum_shell prod_i sqrt(k_i(n_i)) Phi_{i,n_i}(theta_i)
 
 has L^2 norm |shell|^(1/2) over the product, and its L^p norms along affine
-submanifolds of the maximal flat T^r are computed by tensor-grid quadrature.
+submanifolds of the maximal flat T^r are computed by midpoint quadrature
+over exactly the box, or the full torus, that the flat names.
 On a grid, the sum over the shell is one contraction over its members per
 grid block, a CP reconstruction (see _extremizer_grid), as is the
 pointwise check's sum on its polydisc (see _polydisc_grid).
@@ -30,7 +31,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .spaces import CrossSpace, spherical_table, weyl_dimension
 from .special import ResolutionError, frozen
-from .torus import ExponentFit, _grid_lp, _power_sum, fit_exponent
+from .torus import _MAX_ITERATION_POINTS, ExponentFit, _grid_lp, _power_sum, fit_exponent
 
 __all__ = [
     "ResolutionError",
@@ -624,57 +625,56 @@ class FlatSubmanifold:
         return float(math.sqrt(np.linalg.det(a.T @ a)))
 
 
-_LATTICE_THRESHOLD = 200_000
-
-
 def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wavelength: float):
     """(points, layouts, cell): each factor's distinct angles and the
     _Layout that places them on the quadrature grid along sub, for
     _extremizer_grid, and the cell volume of each grid point.
 
-    The rule depends on the domain and the matrix.  An integer matrix on
-    the full torus takes the lattice rule at any size; so does one on a box
-    whose direct grid would pass _LATTICE_THRESHOLD points.  Every other
-    flat takes the direct rule.
+    Both rules are midpoint rules over exactly the domain: m_j cells on
+    parameter axis j of length L_j, with nodes lo_j + (u_j + 1/2) L_j / m_j.
+    An integer matrix whose lengths L_j are all equal, as on the full torus,
+    takes the lattice rule at any size; every other flat (a non-integer
+    matrix, or a box whose lengths differ as floats) the direct rule.
 
-    The direct rule takes the midpoints of a tensor grid with at least
-    points_per_wavelength samples per wavelength of the highest frequency
-    on each parameter axis.  Factor i's angle depends only on the axes its
-    matrix row uses: on the sparse grid a one-axis row needs a
-    one-dimensional table and an all-zero row a single point, each read
-    through a reshape.  The lattice rule takes one common step h on every
-    axis instead, which puts each factor's angles on a one-dimensional
-    lattice; a box snaps up to whole grid cells, and the full torus, a
-    whole number of them already, is unchanged.  Factor i's table index is
-    then row . u - t_lo at grid point u, affine, so a strided view reads it.
+    The direct rule takes at least points_per_wavelength samples per
+    wavelength of the highest frequency on each parameter axis.  Factor
+    i's angle depends only on the axes its matrix row uses: on the sparse
+    grid a one-axis row needs a one-dimensional table and an all-zero row
+    a single point, each read through a reshape.  The lattice rule takes
+    one m, from the highest frequency on any axis, and one step h = L / m
+    on every axis, which puts each factor's angles on a one-dimensional
+    lattice.  Factor i's table index is then row . u - t_lo at grid point
+    u, affine, so a strided view reads it.
 
     A mirror-symmetric grid is emitted on one half.  Every Phi is a
     function of cos(theta), so f(-theta) = f(theta); where the map
     u -> m - 1 - u on every parameter axis sends each factor's angle to
     its negative mod 2 pi, f takes the same value at u and at its mirror.
     That holds for a zero offset on the full torus with an integer matrix
-    (theta(u*) = 2 pi sum(row) - theta(u)), and on a box whose nodes are
-    symmetric about 0: lo = -hi on the direct rule, a snapped box of
-    exactly 2 hi on the lattice rule.  Only the rows u_0 < ceil(m_0 / 2) of
-    the first axis are then emitted, each point standing for itself and its
-    mirror at twice the cell, and the middle row of an odd m_0, its own
-    mirror, at once the cell: cell is then an array over the first axis.
-    Their angles are those of the full grid's first rows, to the bit.
+    (theta(u*) = 2 pi sum(row) - theta(u)), and on a box with lo = -hi on
+    every axis.  Only the rows u_0 < ceil(m_0 / 2) of the first axis are
+    then emitted, each point standing for itself and its mirror at twice
+    the cell, and the middle row of an odd m_0, its own mirror, at once the
+    cell: cell is then an array over the first axis.  Their angles are
+    those of the full grid's first rows, to the bit.
     """
     a = sub.matrix_array
     freqs = np.abs(a).T @ np.max(np.array(shell.members), axis=0)  # per parameter axis
     box = sub.box or ((0.0, 2.0 * math.pi),) * sub.k
     lengths = [hi - lo for lo, hi in box]
-    sizes = [
-        max(8, int(math.ceil(points_per_wavelength * f * length / (2.0 * math.pi))))
-        for f, length in zip(freqs, lengths)
-    ]
-    total = int(np.prod(sizes))
-    zero_offset = not any(sub.offset)
-    if not np.all(a == np.round(a)) or (sub.box is not None and total <= _LATTICE_THRESHOLD):
-        if total > 10 * _LATTICE_THRESHOLD:
-            raise ResolutionError(f"direct grid of {total} points is too large and the matrix is not integer")
-        mirror = zero_offset and all(lo == -hi for lo, hi in box)  # never on the full torus, (0, 2 pi)
+    lattice = bool(np.all(a == np.round(a))) and len(set(lengths)) == 1
+    # the full torus, (0, 2 pi), mirrors on the lattice rule only
+    mirror = not any(sub.offset) and ((lattice and sub.box is None) or all(lo == -hi for lo, hi in box))
+    if not lattice:
+        sizes = [
+            max(8, int(math.ceil(points_per_wavelength * f * length / (2.0 * math.pi))))
+            for f, length in zip(freqs, lengths)
+        ]
+        total = math.prod(sizes)
+        if total > _MAX_ITERATION_POINTS:
+            raise ResolutionError(
+                f"direct grid of {total} points is too large and the matrix is not integer, or its box lengths differ"
+            )
         half, cell = _mirror(sizes, float(np.prod([length / m for length, m in zip(lengths, sizes)])), mirror)
         axes = [lo + (np.arange(m) + 0.5) * (length / n) for (lo, _), length, m, n in zip(box, lengths, half, sizes)]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
@@ -682,14 +682,10 @@ def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wave
             np.asarray(b + sum(row[j] * grids[j] for j in np.flatnonzero(row))) for row, b in zip(a, sub.offset)
         ]
         return [th.ravel() for th in thetas], [_Layout.reshape(th.shape) for th in thetas], cell
-    if sub.box is None:
-        sizes = [max(8, int(np.ceil(points_per_wavelength * float(np.max(freqs)))))] * sub.k
-        h = 2.0 * math.pi / sizes[0]
-    else:
-        h = min(2.0 * math.pi / (points_per_wavelength * max(float(f), 1.0)) for f in freqs)
-        sizes = [max(8, int(math.ceil(length / h))) for length in lengths]
-    mirror = zero_offset and (sub.box is None or all(2.0 * lo + h * m == 0.0 for (lo, _), m in zip(box, sizes)))
-    half, cell = _mirror(sizes, h ** sub.k, mirror)
+    # L / 2 pi is 1.0 on the full torus, where m is ceil(ppw * F) to the bit
+    m = max(8, int(math.ceil(points_per_wavelength * float(np.max(freqs)) * (lengths[0] / (2.0 * math.pi)))))
+    h = lengths[0] / m
+    half, cell = _mirror([m] * sub.k, h ** sub.k, mirror)
     points, layouts = [], []
     for row, b in zip(a.astype(int).tolist(), sub.offset):
         shape = tuple(m if r else 1 for r, m in zip(row, half))
@@ -770,27 +766,27 @@ def restriction_lp_norm(
 ) -> float | list[float]:
     """L^p norm of the shell extremizer along the submanifold.
 
-    Tensor midpoint quadrature with at least points_per_wavelength samples
-    per wavelength of the highest kernel frequency on each parameter axis;
-    k = 0 degenerates to a point evaluation.  An integer matrix on the full
-    torus, or on a box too large for the direct grid, goes through the
-    lattice lookup rule, which snaps a box up to whole grid cells (see
-    _restriction_grid).  The grid does not depend on p: given a sequence of
-    exponents, f is evaluated once and the list of their norms is returned.
-    Each p's weighted power sum (torus._power_sum) is added up over the
-    evaluator's blocks as each one is filled, and the norm is its 1/p-th
-    power; where that sum passes float64, the p takes torus._grid_lp on the
-    whole grid, which factors out the maximum.
+    Tensor midpoint quadrature over exactly the flat's box, or the full
+    torus, with at least points_per_wavelength samples per wavelength of
+    the highest kernel frequency on each parameter axis; k = 0 degenerates
+    to a point evaluation.  An integer matrix whose axis lengths are all
+    equal takes the lattice lookup rule, any other flat the direct rule
+    (see _restriction_grid).  The grid does not depend on p: given a
+    sequence of exponents, f is evaluated once and the list of their norms
+    is returned.  Each p's weighted power sum (torus._power_sum) is added
+    up over the evaluator's blocks as each one is filled, and the norm is
+    its 1/p-th power; where that sum passes float64, the p takes
+    torus._grid_lp on the whole grid, which factors out the maximum.
 
     A flat through the origin whose nodes are symmetric about it (the full
-    torus with an integer matrix, a box with lo = -hi, or a lattice box
-    snapped to exactly that) is evaluated on the first half of its first
-    parameter axis: f(u*) = f(u) at the mirror point u* = m - 1 - u, since
-    every Phi is a function of cos(theta), so each point is weighted twice,
-    and the middle row of an odd axis once; p = inf takes the max over the
-    half.  The norms then agree with the whole grid's to about 1e-14
-    relative (the tests hold them to 1e-13): the sums run in another order,
-    and the mirror's angles differ from the half's negatives by rounding.
+    torus with an integer matrix, or a box with lo = -hi on every axis) is
+    evaluated on the first half of its first parameter axis: f(u*) = f(u)
+    at the mirror point u* = m - 1 - u, since every Phi is a function of
+    cos(theta), so each point is weighted twice, and the middle row of an
+    odd axis once; p = inf takes the max over the half.  The norms then
+    agree with the whole grid's to about 1e-14 relative (the tests hold
+    them to 1e-13): the sums run in another order, and the mirror's angles
+    differ from the half's negatives by rounding.
     A flat off the origin, or any other grid, keeps the whole grid.
     """
     scalar = np.ndim(p) == 0

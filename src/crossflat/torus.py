@@ -61,8 +61,8 @@ UPPER_EXACT_MULTIPLIER = "exact_multiplier"
 _FAST_PRIMES = (2, 3, 5)
 
 # The most points an even-p iteration grid may take: its table of 5-smooth
-# lengths and each of its rows grow with p n.  The direct restriction grid
-# in products has the same cap.
+# lengths and each of its rows grow with p n.  products reads it as the
+# cap of its direct restriction grid too.
 _MAX_ITERATION_POINTS = 2_000_000
 
 

@@ -198,6 +198,8 @@ class TestValidate:
             {"command": "sharpness", "parameters": {**SHARPNESS, "levels": [0, 40, 80, 120]}},
             {"command": "sharpness", "parameters": {**SHARPNESS, "degrees": [0, 1, 2, 3]}},
             {"command": "fourier", "parameters": {"space": S3, "n_maxx": 10}},
+            {"command": "sharpness", "parameters": {
+                "factors": {"space": S3, "copies": 11}, "matrix": [[1]] * 11, "degrees": [1, 2, 3, 4]}},
         ],
         ids=[
             "boolean-seed",
@@ -257,6 +259,7 @@ class TestValidate:
             "sharpness-level-zero",
             "sharpness-degree-zero",
             "fourier-unknown-key",
+            "sharpness-oversized-polydisc",
         ],
     )
     def test_check_agrees_with_run(self, tmp_path, cfg):

@@ -311,8 +311,8 @@ class TestRestrictionNorm:
     )
     def test_one_grid_serves_every_p(self, monkeypatch, matrix, offset, box, lattice):
         # the norms of several p from one evaluation of f equal one call per p, to the bit;
-        # on the full torus an integer matrix takes the lattice rule far below the
-        # threshold, and a non-integer one the direct rule
+        # on the full torus an integer matrix takes the lattice rule, and a non-integer
+        # one the direct rule
         grids = []
         build = products._restriction_grid
         monkeypatch.setattr(products, "_restriction_grid", lambda *args: grids.append(build(*args)) or grids[-1])
@@ -321,26 +321,24 @@ class TestRestrictionNorm:
         ps = [2.0, 3.5, 6.0, math.inf]
         together = restriction_lp_norm(MIXED_RANK4, shell, sub, ps)
         assert len(grids) == (sub.k > 0)
-        sizes = [math.prod(np.broadcast_shapes(*(lay.shape for lay in grid[1]))) for grid in grids]
-        assert all(size < products._LATTICE_THRESHOLD // 10 for size in sizes)
-        # only the lattice rule reads one table entry at several grid points
-        assert any(len(angles) < math.prod(lay.shape) for grid in grids for angles, lay in zip(*grid[:2])) == lattice
+        assert any(reads_shared_angles(grid) for grid in grids) == lattice
         assert together == [restriction_lp_norm(MIXED_RANK4, shell, sub, p) for p in ps]
         assert len(set(together)) == (1 if sub.k == 0 else len(ps))
 
-    def test_lattice_path_matches_general_path(self, monkeypatch):
+    def test_lattice_path_matches_general_path(self):
         # same integral through a fine direct tensor grid (at least 200 nodes
-        # per axis) and the integer-lattice lookup rule at 8 points per wavelength
+        # per axis) and the integer-lattice lookup rule at 8 points per
+        # wavelength; a second axis one ulp longer sends the box to the direct rule
         shell = enumerate_shell(S3_FIFTH, 495)
-        sub = FlatSubmanifold.of(
-            [[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]],
-            [0.0] * 5,
-            box=[(-0.25, 0.25)] * 2,
-        )
+        matrix = [[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]]
+        sub = FlatSubmanifold.of(matrix, [0.0] * 5, box=[(-0.25, 0.25)] * 2)
+        longer = FlatSubmanifold.of(matrix, [0.0] * 5, box=[(-0.25, 0.25), (-0.25, 0.25 + 2**-53)])
+        assert longer.box[1][1] - longer.box[1][0] == math.nextafter(0.5, 1.0)
         freqs = np.abs(sub.matrix_array).T @ np.max(np.array(shell.members), axis=0)
         ppw = 200 * 2 * math.pi / (0.5 * float(np.min(freqs)))
-        direct = restriction_lp_norm(S3_FIFTH, shell, sub, 2.0, ppw)
-        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+        assert reads_shared_angles(products._restriction_grid(shell, sub, 8.0))
+        assert not reads_shared_angles(products._restriction_grid(shell, longer, 8.0))
+        direct = restriction_lp_norm(S3_FIFTH, shell, longer, 2.0, ppw)
         lattice = restriction_lp_norm(S3_FIFTH, shell, sub, 2.0, 8.0)
         assert lattice == pytest.approx(direct, rel=2e-3)
 
@@ -367,9 +365,9 @@ class TestRestrictionNorm:
             [[1, 0], [1, 1], [0, 1], [0, 0], [0, 0]], [0.0] * 5, box=[(-0.25, 0.25)] * 2
         )
         p = 64.0
+        # the lattice rule: one m on both axes, from the highest frequency
         freqs = np.abs(sub.matrix_array).T @ np.max(np.array(shell.members), axis=0)
-        sizes = [max(8, math.ceil(8.0 * f * 0.5 / (2 * math.pi))) for f in freqs]
-        assert math.prod(sizes) <= products._LATTICE_THRESHOLD
+        sizes = [max(8, math.ceil(8.0 * max(freqs) * (0.5 / (2 * math.pi))))] * 2
         axes = [-0.25 + (np.arange(m) + 0.5) * (0.5 / m) for m in sizes]
         u = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
         f = np.abs(dense_extremizer(S3_FIFTH, shell, list(sub.matrix_array @ u)))
@@ -415,9 +413,9 @@ class TestRestrictionNorm:
             restriction_lp_norm(S3_FIFTH, shell, sub, 2.0, points_per_wavelength=1.0)
 
     def test_oversized_non_integer_grid_rejected_before_allocation(self):
-        # the direct grid would hold 1200 x 1800 points, over ten times the
-        # lattice threshold, and the non-integer matrix rules the lattice out:
-        # the rejection comes before any of the grid is built
+        # the direct grid would hold 1200 x 1800 points, over its cap of
+        # 2,000,000, and the non-integer matrix rules the lattice out: the
+        # rejection comes before any of the grid is built
         shell = enumerate_shell(S3_FIFTH, 40)
         sub = FlatSubmanifold.of([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         tracemalloc.start()
@@ -490,19 +488,18 @@ def dense_norm(manifold, shell, sub, p, axes_nodes, cell):
 
 
 def full_grid(shell, sub, points_per_wavelength):
-    """The restriction grid without the mirror: a copy of the builder as it
-    was before a mirror-symmetric flat took half of its grid.  Returns the
-    same (points, layouts, cell) as products._restriction_grid."""
+    """The restriction grid without the mirror: a copy of the builder's two
+    rules on the whole grid.  Returns the same (points, layouts, cell) as
+    products._restriction_grid."""
     a = sub.matrix_array
     freqs = np.abs(a).T @ np.max(np.array(shell.members), axis=0)
     box = sub.box or ((0.0, 2.0 * math.pi),) * sub.k
     lengths = [hi - lo for lo, hi in box]
-    sizes = [
-        max(8, int(math.ceil(points_per_wavelength * f * length / (2.0 * math.pi))))
-        for f, length in zip(freqs, lengths)
-    ]
-    total = int(np.prod(sizes))
-    if not np.all(a == np.round(a)) or (sub.box is not None and total <= products._LATTICE_THRESHOLD):
+    if not np.all(a == np.round(a)) or len(set(lengths)) > 1:
+        sizes = [
+            max(8, int(math.ceil(points_per_wavelength * f * length / (2.0 * math.pi))))
+            for f, length in zip(freqs, lengths)
+        ]
         axes = [lo + (np.arange(m) + 0.5) * (length / m) for (lo, _), length, m in zip(box, lengths, sizes)]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         thetas = [
@@ -510,18 +507,14 @@ def full_grid(shell, sub, points_per_wavelength):
         ]
         cell = float(np.prod([length / m for length, m in zip(lengths, sizes)]))
         return [th.ravel() for th in thetas], [products._Layout.reshape(th.shape) for th in thetas], cell
-    if sub.box is None:
-        sizes = [max(8, int(np.ceil(points_per_wavelength * float(np.max(freqs)))))] * sub.k
-        h = 2.0 * math.pi / sizes[0]
-    else:
-        h = min(2.0 * math.pi / (points_per_wavelength * max(float(f), 1.0)) for f in freqs)
-        sizes = [max(8, int(math.ceil(length / h))) for length in lengths]
+    m = max(8, int(math.ceil(points_per_wavelength * float(np.max(freqs)) * (lengths[0] / (2.0 * math.pi)))))
+    h = lengths[0] / m
     points, layouts = [], []
     for row, b in zip(a.astype(int).tolist(), sub.offset):
-        shape = tuple(m if r else 1 for r, m in zip(row, sizes))
+        shape = tuple(m if r else 1 for r in row)
         base = b + (h / 2.0) * float(np.sum(row)) + float(np.dot(row, [lo for lo, _ in box]))
-        t_lo = sum(r * (m - 1) for r, m in zip(row, sizes) if r < 0)
-        t_hi = sum(r * (m - 1) for r, m in zip(row, sizes) if r > 0)
+        t_lo = sum(r * (m - 1) for r in row if r < 0)
+        t_hi = sum(r * (m - 1) for r in row if r > 0)
         points.append(base + h * np.arange(t_lo, t_hi + 1))
         layouts.append(products._Layout(shape, tuple(row), -t_lo))
     return points, layouts, h ** sub.k
@@ -551,17 +544,19 @@ def grid_rows(layouts) -> int:
     return np.broadcast_shapes(*(layout.shape for layout in layouts))[0]
 
 
-def lattice_step(shell, sub):
-    # the lattice rule's step on a box at 8 points per wavelength
+def reads_shared_angles(grid) -> bool:
+    # only the lattice rule reads one table entry at several grid points
+    points, layouts, _ = grid
+    return any(len(angles) < math.prod(layout.shape) for angles, layout in zip(points, layouts))
+
+
+def lattice_box(shell, sub, cells):
+    """sub on a box about 0 of equal sides, each (cells - 1/2) / 8
+    wavelengths of the highest frequency long, so that at 8 points per
+    wavelength the lattice rule takes `cells` cells on every axis."""
     freqs = np.abs(sub.matrix_array).T @ np.max(np.array(shell.members), axis=0)
-    return min(2 * math.pi / (8.0 * max(f, 1.0)) for f in freqs)
-
-
-def symmetric_lattice_box(shell, sub, rows):
-    """sub on the box whose lattice nodes lie symmetric about 0, with
-    rows[j] cells on axis j: each half-width h m_j / 2."""
-    h = lattice_step(shell, sub)
-    return FlatSubmanifold.of(sub.matrix, sub.offset, [(-h * m / 2, h * m / 2) for m in rows])
+    half = (cells - 0.5) * math.pi / (8.0 * float(np.max(freqs)))
+    return FlatSubmanifold.of(sub.matrix, sub.offset, [(-half, half)] * sub.k)
 
 
 class TestExtremizerOracle:
@@ -586,9 +581,9 @@ class TestExtremizerOracle:
         assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, cell), rel=1e-12)
 
     @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
-    @pytest.mark.parametrize("box", [None, [(-0.25, 0.25), (0.0, 0.6)]])
-    def test_lattice_path(self, monkeypatch, p, box):
-        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+    @pytest.mark.parametrize("box", [None, [(-0.25, 0.25), (0.0, 0.5)]])
+    def test_lattice_path(self, p, box):
+        # one m on both axes, from the highest frequency, and nodes that fill the box
         sub = FlatSubmanifold.of([[1, 0], [2, -1], [0, 1], [0, 0]], [0.1, 0.0, -0.3, 0.2], box=box)
         ppw = 8.0
         n_max = np.max(np.array(self.SHELL.members), axis=0)
@@ -598,8 +593,9 @@ class TestExtremizerOracle:
             h = 2 * math.pi / m
             axes = [(np.arange(m) + 0.5) * h] * 2
         else:
-            h = min(2 * math.pi / (ppw * max(f, 1.0)) for f in freqs)
-            axes = [lo + (np.arange(max(8, math.ceil((hi - lo) / h))) + 0.5) * h for lo, hi in box]
+            m = max(8, math.ceil(ppw * max(freqs) * (0.5 / (2 * math.pi))))
+            h = 0.5 / m
+            axes = [lo + (np.arange(m) + 0.5) * h for lo, _ in box]
         mine = restriction_lp_norm(MIXED_RANK4, self.SHELL, sub, p, ppw)
         assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, h * h), rel=1e-12)
 
@@ -629,13 +625,13 @@ class TestExtremizerOracle:
         assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, cell), rel=1e-12)
 
     @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
-    def test_mirror_on_a_lattice_box(self, monkeypatch, p):
-        # a box of exactly 13 x 10 lattice cells about 0, each axis snapped onto itself
-        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
-        sub = symmetric_lattice_box(self.SHELL, FlatSubmanifold.of([[1, 0], [2, -1], [0, 1], [0, 0]]), [13, 10])
-        h = lattice_step(self.SHELL, sub)
+    def test_mirror_on_a_lattice_box(self, p):
+        # a box of 13 x 13 lattice cells about 0: 7 rows of the first axis, the middle one once
+        sub = lattice_box(self.SHELL, FlatSubmanifold.of([[1, 0], [2, -1], [0, 1], [0, 0]]), 13)
+        (lo, hi), _ = sub.box
+        h = (hi - lo) / 13
         assert grid_rows(products._restriction_grid(self.SHELL, sub, 8.0)[1]) == 7
-        axes = [-h * m / 2 + (np.arange(m) + 0.5) * h for m in (13, 10)]
+        axes = [lo + (np.arange(13) + 0.5) * h] * 2
         mine = restriction_lp_norm(MIXED_RANK4, self.SHELL, sub, p, 8.0)
         assert mine == pytest.approx(dense_norm(MIXED_RANK4, self.SHELL, sub, p, axes, h * h), rel=1e-12)
 
@@ -748,15 +744,14 @@ class TestGridViews:
             # even entries skip every other angle of the table
             ([[2, 0], [0, 2], [1, 1], [0, 0]], None),
             ([[1, 0, 0], [1, -1, 0], [0, 2, -1], [0, 0, 1]], None),
-            ([[2, -1], [1, 0], [0, 1], [0, 0]], [(-0.25, 0.25), (0.0, 0.6)]),
-            ([[-2, 0], [1, -1], [0, 1], [0, -1]], [(-0.3, 0.1), (0.2, 0.6)]),
+            ([[2, -1], [1, 0], [0, 1], [0, 0]], [(-0.25, 0.25), (0.0, 0.5)]),
+            ([[-2, 0], [1, -1], [0, 1], [0, -1]], [(-0.3, 0.1), (-0.1, 0.3)]),
             # k = 1: every factor varies along the first axis only, so the
             # weight matrix carries them all
             ([[1], [2], [0], [-1]], None),
         ],
     )
-    def test_lattice_rule(self, monkeypatch, matrix, box):
-        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+    def test_lattice_rule(self, matrix, box):
         sub = FlatSubmanifold.of(matrix, [0.1, 0.0, -0.3, 0.2], box)
         points, layouts, _ = products._restriction_grid(self.SHELL, sub, 4.0)
         assert integer_arrays((points, layouts)) == 0
@@ -903,6 +898,7 @@ class TestMirror:
             (S3_FIFTH, 495, K2, [(-0.25, 0.25)] * 2, 8.0, 27),
             (S3_FIFTH, 495, K2, [(-0.25, 0.25)] * 2, 4.0, 14),
             (S3_FIFTH, 1998, K2, [(-0.25, 0.25)] * 2, 8.0, 55),
+            (S3_FIFTH, 495, K2, [(-0.25, 0.25), (-0.3, 0.3)], 8.0, 27),
             (MIXED_RANK4, 38, MIXED_K2, None, 8.0, 80),
             (MIXED_RANK4, 38, MIXED_K2, None, 8.5, 85),
             (S3_FIFTH, 315, K3, [(-0.25, 0.25)] * 3, 8.0, 21),
@@ -912,8 +908,8 @@ class TestMirror:
         ],
         ids=[
             "k1-box-odd", "k1-box-even", "k1-torus-even", "k1-torus-odd", "k2-box-odd", "k2-box-even",
-            "k2-box-odd-overflow", "k2-torus-even", "k2-torus-odd", "k3-box-odd", "k3-box-even", "k3-torus-even",
-            "k3-torus-odd",
+            "k2-box-odd-overflow", "k2-direct-box-odd", "k2-torus-even", "k2-torus-odd", "k3-box-odd", "k3-box-even",
+            "k3-torus-even", "k3-torus-odd",
         ],
     )
     def test_a_mirror_takes_half_the_rows(self, manifold, level, matrix, box, ppw, rows):
@@ -922,10 +918,9 @@ class TestMirror:
         self.check_mirror(manifold, shell, sub, ppw, rows)
 
     @pytest.mark.parametrize("rows", [13, 12])
-    def test_a_lattice_box_about_zero_mirrors(self, monkeypatch, rows):
-        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+    def test_a_lattice_box_about_zero_mirrors(self, rows):
         shell = self.shell(MIXED_RANK4, 38)
-        sub = symmetric_lattice_box(shell, FlatSubmanifold.of([[1, 0], [2, -1], [0, 1], [0, 0]]), [rows, 10])
+        sub = lattice_box(shell, FlatSubmanifold.of([[1, 0], [2, -1], [0, 1], [0, 0]]), rows)
         self.check_mirror(MIXED_RANK4, shell, sub, 8.0, rows)
 
     def check_mirror(self, manifold, shell, sub, ppw, rows):
@@ -965,11 +960,12 @@ class TestMirror:
         sub = FlatSubmanifold.of(matrix, offset, box)
         self.check_unchanged(manifold, shell, sub)
 
-    def test_a_lattice_box_off_zero_keeps_its_bits(self, monkeypatch):
-        # (-0.25, 0.25) is not a whole number of lattice cells: the snapped box is not centred
-        monkeypatch.setattr(products, "_LATTICE_THRESHOLD", 0)
+    def test_a_lattice_box_off_zero_keeps_its_bits(self):
+        # sides of equal length, 0.5, on a box that is not centred
         shell = self.shell(MIXED_RANK4, 38)
-        self.check_unchanged(MIXED_RANK4, shell, FlatSubmanifold.of(MIXED_K2, None, [(-0.25, 0.25)] * 2))
+        sub = FlatSubmanifold.of(MIXED_K2, None, [(-0.2, 0.3)] * 2)
+        assert reads_shared_angles(products._restriction_grid(shell, sub, 8.0))
+        self.check_unchanged(MIXED_RANK4, shell, sub)
 
     def check_unchanged(self, manifold, shell, sub):
         points, layouts, cell = products._restriction_grid(shell, sub, 8.0)
@@ -978,6 +974,53 @@ class TestMirror:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(points, full_points))
         norms = restriction_lp_norm(manifold, shell, sub, self.P_VALUES)
         assert norms == full_grid_norms(manifold, shell, sub, self.P_VALUES, 8.0)
+
+
+class TestRule:
+    """The rule that a flat's grid takes, and the nodes that it puts on
+    each axis of the box."""
+
+    @pytest.mark.parametrize(
+        "level, matrix, box, lattice, mirrors",
+        [
+            (495, K2, [(-0.25, 0.25)] * 2, True, True),
+            # the top two levels of configs/sharpness_s3_fifth_k3.json, whose
+            # direct grids would pass 200,000 points
+            (8718, K3, [(-0.25, 0.25)] * 3, True, True),
+            (9562, K3, [(-0.25, 0.25)] * 3, True, True),
+            (495, K2, [(-0.2, 0.3)] * 2, True, False),
+            # lengths 0.39999999999999997 and 0.4
+            (495, K2, [(0.2, 0.6), (-0.3, 0.1)], False, False),
+            (495, K2, [(-0.25, 0.25), (-0.3, 0.3)], False, True),
+            (495, [[1, 0], [1, 0.5], [0, 1], [0, 0], [0, 0]], [(-0.25, 0.25)] * 2, False, True),
+        ],
+        ids=["lattice-centred", "lattice-k3-8718", "lattice-k3-9562", "lattice-off-centre",
+             "direct-lengths-one-ulp-apart", "direct-unequal-lengths", "direct-non-integer"],
+    )
+    def test_the_rule_and_its_nodes(self, level, matrix, box, lattice, mirrors):
+        # the parameter of every emitted grid point, solved from its angles, is
+        # lo + (u + 1/2) h on each axis, h = (hi - lo) / m: the nodes run from
+        # lo + h/2 to hi - h/2; a mirror keeps the first ceil(m_0 / 2) rows,
+        # and the cells of the emitted points add up to the box's volume
+        shell = enumerate_shell(S3_FIFTH, level)
+        sub = FlatSubmanifold.of(matrix, None, box)
+        grid = products._restriction_grid(shell, sub, 8.0)
+        assert reads_shared_angles(grid) == lattice
+        points, layouts, cell = grid
+        freqs = np.abs(sub.matrix_array).T @ np.max(np.array(shell.members), axis=0)
+        lengths = [hi - lo for lo, hi in box]
+        direct = [max(8, math.ceil(8.0 * f * length / (2 * math.pi))) for f, length in zip(freqs, lengths)]
+        assert (math.prod(direct) > 200_000) == (level > 8000)
+        sizes = [max(8, math.ceil(8.0 * max(freqs) * (lengths[0] / (2 * math.pi))))] * sub.k if lattice else direct
+        shape = np.broadcast_shapes(*(layout.shape for layout in layouts))
+        assert shape == ((sizes[0] + 1) // 2 if mirrors else sizes[0], *sizes[1:])
+        thetas = np.stack([np.broadcast_to(lay.view(angles), shape).ravel() for angles, lay in zip(points, layouts)])
+        u = np.linalg.lstsq(sub.matrix_array, thetas, rcond=None)[0].reshape(sub.k, *shape)
+        for j, ((lo, hi), m, rows) in enumerate(zip(box, sizes, shape)):
+            nodes = lo + (np.arange(rows) + 0.5) * ((hi - lo) / m)
+            axis = tuple(-1 if i == j else 1 for i in range(sub.k))
+            assert np.allclose(u[j], nodes.reshape(axis), rtol=0, atol=1e-13)
+        assert np.sum(np.broadcast_to(cell, shape)) == pytest.approx(math.prod(lengths), rel=1e-12)
 
 
 class TestShellPass:

@@ -320,29 +320,25 @@ def _dimension_sweep(space: CrossSpace, size: int, degrees) -> dict[int, float]:
     return {n: float(1.0 / np.sum(w * phi * phi)) for n, phi in _spherical_rows(space, degrees, x)}
 
 
+# perfbench's tracer reads this cache's hits and misses.
 @lru_cache(maxsize=65536)
 def _rep_dimension_cached(space: CrossSpace, n: int) -> float:
-    return _dimension_sweep(space, _rule_size(space, n), [n])[n]
+    return rep_dimensions(space, [n])[0]
 
 
 def rep_dimension(space: CrossSpace, n: int) -> float:
-    """Dimension k(n) of the degree-n spherical representation.
-
-    Computed as 1 / int Phi_n^2 dmu on the measure_nodes rule of
-    _rule_size(space, n) nodes, exact for Phi_n^2: Gauss-Chebyshev for
-    half-integer alpha, beta and Fejer's first rule for integer ones.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    """Dimension k(n) of the degree-n spherical representation:
+    rep_dimensions(space, [n])[0], cached."""
     return _rep_dimension_cached(space, n)
 
 
 def rep_dimensions(space: CrossSpace, degrees) -> list[float]:
-    """rep_dimension(space, n) for each n in degrees, in their order.
-
-    Degrees that share a rule size share one recurrence sweep over its
-    nodes, and each value equals rep_dimension's to the bit.
-    """
+    """Dimension k(n) of the degree-n spherical representation for each n in
+    degrees, in their order: 1 / int Phi_n^2 dmu on the measure_nodes rule
+    of _rule_size(space, n) nodes, exact for Phi_n^2 (Gauss-Chebyshev for
+    half-integer alpha, beta, Fejer's first rule for integer ones).  Degrees
+    that share a rule size share one recurrence sweep over its nodes, and
+    each value is that of a sweep for its degree alone, to the bit."""
     degrees = [int(n) for n in degrees]
     if any(n < 0 for n in degrees):
         raise ValueError("degree must be nonnegative")

@@ -211,25 +211,29 @@ class NormBracket:
             raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
 
 
+def _binary_power(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    # x^k for an integer k >= 2 by left-to-right binary powering, about
+    # 2 log2(k) passes, in out or in a new array of x's memory layout.  The
+    # order of the passes fixes the bits of every even-p sum.
+    out = np.multiply(x, x, out=out)
+    for i, bit in enumerate(bin(k)[3:]):
+        if i:
+            out *= out
+        if bit == "1":
+            out *= x
+    return out
+
+
 def _power_sum(a: np.ndarray, p: float, weight) -> float:
     # sum of weight * a^p over magnitudes a, with weight a float or an array
     # that broadcasts against a, or their max for p = inf.  Even
-    # p below 2**53 take a^p by left-to-right binary powering of a, about
-    # 2 log2(p) passes; other p, and every double from 2**53 on (all of them
-    # even), take one pow pass.  A power or sum past float64 comes out inf
-    # without a warning.
+    # p below 2**53 take a^p by _binary_power; other p, and every double
+    # from 2**53 on (all of them even), take one pow pass.  A power or sum
+    # past float64 comes out inf without a warning.
     if p == math.inf:
         return float(np.max(a))
     with np.errstate(over="ignore"):
-        if p % 2 or p >= 2.0**53:
-            out = a ** p
-        else:
-            out = np.multiply(a, a)
-            for i, bit in enumerate(bin(int(p))[3:]):
-                if i:
-                    out *= out
-                if bit == "1":
-                    out *= a
+        out = a ** p if p % 2 or p >= 2.0**53 else _binary_power(a, int(p))
         out *= weight
         return float(np.sum(out))
 
@@ -257,11 +261,11 @@ def _grid_lp(f: np.ndarray, p: float, weight) -> float:
 
 def _scaled_power(g: np.ndarray, p: float, out: np.ndarray):
     # Each row of g divided by its largest magnitude M, so x = g / M, and
-    # sign(x) |x|^(p-1) formed in out (p > 2): for even p by left-to-right
-    # binary powering of x (p - 1 is odd, so the sign comes along), for
-    # other p through pow and copysign.  Returns M and each row's sum of
-    # |x|^p, as sum x out; g is overwritten.  Since |x| <= 1 no power can
-    # overflow.  A row holding inf turns to nan, and its sum with it.
+    # sign(x) |x|^(p-1) formed in out (p > 2): for even p by _binary_power
+    # (p - 1 is odd, so the sign comes along), for other p through pow and
+    # copysign.  Returns M and each row's sum of |x|^p, as sum x out; g is
+    # overwritten.  Since |x| <= 1 no power can overflow.  A row holding inf
+    # turns to nan, and its sum with it.
     top = np.maximum(np.maximum(np.max(g, axis=1), -np.min(g, axis=1)), 1e-300)
     with np.errstate(invalid="ignore"):
         g /= top[:, None]
@@ -270,12 +274,7 @@ def _scaled_power(g: np.ndarray, p: float, out: np.ndarray):
         out **= p - 1.0
         np.copysign(out, g, out=out)
     else:
-        np.multiply(g, g, out=out)
-        for i, bit in enumerate(bin(int(p) - 1)[3:]):
-            if i:
-                out *= out
-            if bit == "1":
-                out *= g
+        _binary_power(g, int(p) - 1, out)
     g *= out
     return top, np.sum(g, axis=1)
 
@@ -334,30 +333,13 @@ def _boyd_refine(apply_op, f: np.ndarray, p: float, weight: float, budget: int):
     return best, diverged
 
 
-def _bump(thetas: np.ndarray, width: float) -> np.ndarray:
-    d = np.minimum(thetas, 2.0 * math.pi - thetas)
-    out = np.zeros_like(thetas)
+def _bump(d: np.ndarray, width: float) -> np.ndarray:
+    # cos^2 bump of half-width `width` about theta = 0, sampled at the
+    # distances d of the grid points from 0.
+    out = np.zeros_like(d)
     inside = d < width
     out[inside] = np.cos(0.5 * math.pi * d[inside] / width) ** 2
     return out
-
-
-def _distinct_starts(names: list[str], starts: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The nonzero rows of starts, each at its first copy only, with their
-    names.  Bumps narrower than the grid spacing all sample to the same
-    one-point row.  A copy would refine to the same value, and the witness
-    is the first start within 1e-12 of the best, so dropping it changes
-    nothing."""
-    # Keyed by bytes, not np.unique: its first call imports numpy.ma.
-    first: dict[bytes, int] = {}
-    for i, row in enumerate(starts):
-        if np.max(np.abs(row)) != 0.0:
-            first.setdefault(row.tobytes(), i)
-    keep = list(first.values())
-    if len(keep) < len(starts):
-        names = [names[i] for i in keep]
-        starts = starts[keep]
-    return names, starts
 
 
 def _check_exponent(p: float) -> None:
@@ -377,7 +359,14 @@ def _check_iteration_grid(p: float, n: int) -> None:
 
 def _upper_bound(c: np.ndarray, p: float) -> tuple[float, str]:
     """A bracket's upper bound and its method: the exact multiplier at
-    p = 2, else Young's bound from the kernel samples on the default grid."""
+    p = 2, else Young's bound, the kernel's L^{p/2} norm by the rectangle
+    rule on the default grid.  The sum is exact up to rounding for p/2 an
+    even integer up to 8, where |k|^(p/2) is a trigonometric polynomial of
+    degree below the grid's size.  Other p get an estimate, off either way:
+    against 2^21 points, over the catalog pairs, by up to 4.1e-4 relative
+    at p = 6 (below the true bound by up to 2.8e-6) and 2.6e-3 at p = 3
+    for n = 1024 and 2048, 8 points per wavelength, and by 6.4e-7 at p = 6
+    for n = 256."""
     if p == 2:
         return 2.0 * math.pi * float(np.max(np.abs(c))), UPPER_EXACT_MULTIPLIER
     grid = PeriodicGrid.for_degree(len(c) - 1)
@@ -394,10 +383,14 @@ def opnorm_bracket(
     """Bracket the L^{p'} -> L^p norm of convolution with the degree-n kernel.
 
     p = 2 is exact (Fourier multiplier).  For p > 2 the upper bound is the
-    kernel's L^{p/2} norm via Young's inequality, and the lower bound is the
-    best Rayleigh ratio over a candidate family (single exponentials, bumps
-    of dyadic widths down to 1/(4n), the kernel itself, one seeded random
-    start), all refined together by power iteration, each until
+    kernel's L^{p/2} norm via Young's inequality, summed on
+    PeriodicGrid.for_degree(n): exact for p/2 an even integer up to 8, else
+    from n = 1024 on off by up to 4.1e-4 relative at p = 6 and 2.6e-3 at
+    p = 3, either way (_upper_bound).  The lower bound is the best
+    Rayleigh ratio over a candidate family, no two of them equal (single
+    exponentials, bumps of dyadic widths down to 1/(4n) that stop at the
+    first no wider than the grid spacing, the kernel itself at n > 0, one
+    seeded random start), all refined together by power iteration, each until
     _PLATEAU_SWEEPS sweeps in a row gain no more than 1e-13 relative, or
     iteration_budget sweeps have run.  A candidate's ratio counts from its
     second sweep on.  For even p the candidates iterate on the smallest
@@ -441,21 +434,23 @@ def opnorm_bracket(
         grid = PeriodicGrid.for_degree(n)
         fold = 1 if grid.size % 2 else fold
     thetas = grid.thetas
-    widths = []
-    width = 1.0
-    floor = 1.0 / (4.0 * max(n, 1))
-    while width >= floor:
-        widths.append(width)
-        width *= 0.5
-    names = [f"cos({top_m} theta)", "kernel"]
+    d = np.minimum(thetas, 2.0 * math.pi - thetas)
+    # No two starts are equal: a bump no wider than the grid spacing holds
+    # one point, as would every narrower one, and at n = 0 the kernel is
+    # the constant cos(0 theta).
+    spacing, floor = d[1:].min(), 1.0 / (4.0 * max(n, 1))
+    widths = [1.0]
+    while widths[-1] > spacing and 0.5 * widths[-1] >= floor:
+        widths.append(0.5 * widths[-1])
+    names = [f"cos({top_m} theta)"] + ["kernel"] * (n > 0)
     names += [f"bump width 2^-{j}" for j in range(len(widths))] + ["random start"]
     starts = np.empty((len(names), grid.size))
     starts[0] = np.cos(top_m * thetas)
-    starts[1] = _synthesize(c, grid)
-    for j, width in enumerate(widths):
-        starts[2 + j] = _bump(thetas, width)
+    if n > 0:
+        starts[1] = _synthesize(c, grid)
+    for j, width in enumerate(widths, start=len(names) - 1 - len(widths)):  # before the random start
+        starts[j] = _bump(d, width)
     starts[-1] = np.random.default_rng(seed).standard_normal(grid.size)
-    names, starts = _distinct_starts(names, starts)
     if fold > 1:
         # The folded row keeps every even frequency of its start.
         starts = starts.reshape(len(starts), fold, -1).sum(axis=1)
@@ -485,8 +480,10 @@ def opnorm_bracket(
 
 
 def tensor_opnorm_upper(factors, p: float) -> float:
-    """Certified upper bound for the tensor-product kernel operator on T^k:
-    the product of the per-factor bracket uppers."""
+    """Upper bound for the tensor-product kernel operator on T^k: the
+    product of the per-factor bracket uppers.  Certified only where each
+    factor's is: unless p/2 is an even integer up to 8, a factor's Young
+    sum is an estimate that can fall below the true bound (_upper_bound)."""
     _check_exponent(p)
     out = 1.0
     for params, n in factors:

@@ -329,6 +329,8 @@ class TestRepDimensions:
         assert rep_dimensions(sphere(2), []) == []
         with pytest.raises(ValueError):
             rep_dimensions(sphere(2), [3, -1])
+        with pytest.raises(ValueError):
+            rep_dimension(sphere(2), -1)
 
 
 GROWTH_SLOPE_CASES = [

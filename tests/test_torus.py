@@ -460,6 +460,19 @@ def test_odd_power_is_the_binary_chain_of_the_scaled_rows(e):
     assert sums.tolist() == [float(np.sum(row * binary_power(row, e))) for row in x]
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 12, 63])
+def test_binary_power_keeps_the_chain_and_the_layout(k, order):
+    # Both even-p paths take this chain; without an out it allocates as
+    # np.multiply does, in x's memory layout, which np.sum's rounding follows.
+    x = np.asarray(np.random.default_rng(k).uniform(-1.0, 1.0, (5, 7)), order=order)
+    got = torus._binary_power(x, k)
+    assert got.tobytes() == binary_power(x, k).tobytes()
+    assert got.flags.f_contiguous == (order == "F") and got.flags.c_contiguous == (order == "C")
+    out = np.empty_like(x)
+    assert torus._binary_power(x, k, out) is out and out.tobytes() == got.tobytes()
+
+
 @pytest.mark.parametrize("p", [2.5, 3.0, 6.5, 7.0, 99.0])
 def test_other_powers_go_through_pow_and_copysign(p):
     rows = np.random.default_rng(7).standard_normal((3, 40)) * np.array([[1e-3], [1.0], [1e3]])
@@ -551,37 +564,28 @@ class TestLockstepRefinement:
         assert bracket.lower_witness != "kernel (power iteration)"
         assert 0.0 < bracket.lower <= clean.lower
 
-    def test_an_all_zero_start_is_skipped(self, monkeypatch):
-        # At n = 16 the bumps have widths 2^0..2^-6; the 2^-1 one is zeroed.
-        # At p = 6 the candidates are built on a 100-point grid, whose
-        # spacing exceeds 2^-4: the last three bumps are one row, kept once.
-        # The kernel is pi-periodic, so each row iterates folded onto one
-        # period of 50 points.
-        clean = opnorm_bracket(HALF, 16, 6.0)
-        bump, refine = torus._bump, torus._boyd_refine
-        seen = []
-
-        def recording_refine(apply_op, starts, *args):
-            seen.append(starts.copy())
-            return refine(apply_op, starts, *args)
-
-        monkeypatch.setattr(torus, "_bump", lambda thetas, width: bump(thetas, width) * (width != 0.5))
-        monkeypatch.setattr(torus, "_boyd_refine", recording_refine)
-        bracket = opnorm_bracket(HALF, 16, 6.0)
-        (starts,) = seen
-        assert len(starts) == 2 + 7 + 1 - 1 - 2
-        assert np.all(np.max(np.abs(starts), axis=1) > 0)
+    def test_the_bump_ladder_stops_at_the_grid_spacing(self, monkeypatch):
+        # At n = 16 the ladder may run down to 2^-6.  At p = 6 the starts are
+        # built on a 100-point grid, whose spacing 2 pi / 100 passes 2^-4:
+        # the 2^-4 bump holds the one point theta = 0, as would the 2^-5 and
+        # 2^-6 ones, so the ladder stops at 2^-4.  The kernel is pi-periodic,
+        # so each row iterates folded onto one period of 50 points.
+        _, starts = recorded_bracket(monkeypatch, HALF, 16, 6.0)
+        assert len(starts) == 1 + 1 + 5 + 1
         thetas = PeriodicGrid(100).thetas
-        assert period_fold(HALF, 16) * starts.shape[1] == len(thetas)
+        d = np.minimum(thetas, 2 * math.pi - thetas)
+        one_point = np.where(d == 0.0, 1.0, 0.0)
+        assert [np.array_equal(torus._bump(d, 2.0**-j), one_point) for j in range(7)] == [False] * 4 + [True] * 3
+        assert np.array_equal(starts[-2], one_point.reshape(period_fold(HALF, 16), -1).sum(axis=0))
+        assert len({row.tobytes() for row in starts}) == len(starts)
 
-        def folded(row):
-            return row.reshape(period_fold(HALF, 16), -1).sum(axis=0)
-
-        assert sum(np.array_equal(row, folded(bump(thetas, 0.25))) for row in starts) == 1
-        assert not any(np.array_equal(row, folded(bump(thetas, 0.5))) for row in starts)
-        assert bracket.refined and bracket.upper == clean.upper
-        assert bracket.lower_witness != "bump width 2^-1 (power iteration)"
-        assert 0.0 < bracket.lower <= clean.lower
+    def test_at_degree_0_the_kernel_start_is_left_out(self, monkeypatch):
+        # The constant kernel samples to the cos(0 theta) row.  On the
+        # 8-point grid the bumps stop at 2^-1, below the spacing pi / 4.
+        bracket, starts = recorded_bracket(monkeypatch, HALF, 0, 6.0)
+        assert kernel_samples(HALF, 0, PeriodicGrid(8)).tobytes() == starts[0].tobytes()
+        assert len(starts) == 1 + 2 + 1
+        assert bracket.refined
 
 
 CATALOG_PAIRS = sorted({(space.params.alpha, space.params.beta) for space in catalog()})
@@ -602,36 +606,72 @@ def recorded_bracket(monkeypatch, *args, **kwargs):
     return bracket, starts
 
 
-def nonzero_starts(names, starts):
-    """Every nonzero start, copies included."""
-    keep = np.max(np.abs(starts), axis=1) != 0.0
-    return [name for name, k in zip(names, keep) if k], starts[keep]
+def whole_ladder(params, n, p, seed):
+    """The grid and the named starts of a bracket on the full period, with
+    the kernel at every n and a bump of every dyadic width down to
+    1/(4n), copies included."""
+    fold = period_fold(params, n)
+    if p % 2 == 0:
+        grid = PeriodicGrid(fold * smallest_5_smooth([max(8, int(p) * n // fold + 1)])[0])
+    else:
+        grid = PeriodicGrid.for_degree(n)
+    c = jacobi_fourier_row(params.alpha, params.beta, n)
+    top_m = int(np.argmax(np.abs(c)))
+    t = grid.thetas
+    d = np.minimum(t, 2 * math.pi - t)
+    widths = [2.0**-j for j in range(64) if 2.0**-j >= 1.0 / (4.0 * max(n, 1))]
+    names = [f"cos({top_m} theta)", "kernel", *(f"bump width 2^-{j}" for j in range(len(widths))), "random start"]
+    rows = [np.cos(top_m * t), kernel_samples(params, n, grid)]
+    rows += [np.where(d < w, np.cos(0.5 * math.pi * d / w) ** 2, 0.0) for w in widths]
+    rows.append(np.random.default_rng(seed).standard_normal(grid.size))
+    return grid, names, rows
 
 
-@pytest.mark.parametrize("config", sorted(CONFIGS.glob("opnorm_*.json")), ids=lambda path: path.stem)
-def test_dropping_copied_starts_keeps_every_bracket(monkeypatch, config):
-    # Refining each copy again cannot move the bounds, the witness or the
-    # refined flag of any bracket of the bundled opnorm configs.
+OPNORM_CONFIGS = [
+    path for path in sorted(CONFIGS.glob("opnorm_*.json")) if json.loads(path.read_text())["parameters"]["p"] > 2
+]
+
+
+@pytest.mark.parametrize("config", OPNORM_CONFIGS, ids=lambda path: path.stem)
+def test_the_starts_left_out_are_copies(monkeypatch, config):
+    # For each bracket of the bundled opnorm configs at p > 2, the starts
+    # are the distinct rows of the whole ladder, in its order, folded as
+    # the bracket folds them.  Every row left out copies a kept one and
+    # refines to its bits, so it could not move the bounds, the refined
+    # flag or the witness, the first row within 1e-12 of the best.
     spec = json.loads(config.read_text())
     params = spec["parameters"]
     jp, p = JacobiParams.of(params["alpha"], params["beta"]), float(params["p"])
-    distinct, dropped = torus._distinct_starts, []
-
-    def counting(names, starts):
-        kept = distinct(names, starts)
-        dropped.append(len(nonzero_starts(names, starts)[0]) - len(kept[0]))
-        return kept
-
+    left_out = 0
     for n in params["n_values"]:
-        monkeypatch.setattr(torus, "_distinct_starts", counting)
-        kept = opnorm_bracket(jp, n, p, seed=spec["seed"])
-        monkeypatch.setattr(torus, "_distinct_starts", nonzero_starts)
-        every = opnorm_bracket(jp, n, p, seed=spec["seed"])
-        assert (kept.lower, kept.upper, kept.lower_witness, kept.refined) == (
-            every.lower, every.upper, every.lower_witness, every.refined
-        )
-    # every p > 2 config has copies to drop
-    assert (sum(dropped) > 0) == (p > 2)
+        grid, _, rows = whole_ladder(jp, n, p, spec["seed"])
+        assert all(np.any(row) for row in rows)
+        first: dict[bytes, int] = {}
+        kept_rows, copied = [], []  # copied: for each row left out, the kept row it copies
+        for row in rows:
+            if row.tobytes() in first:
+                copied.append(first[row.tobytes()])
+            else:
+                first[row.tobytes()] = len(kept_rows)
+                kept_rows.append(row)
+        refine, seen = torus._boyd_refine, []
+
+        def recording_refine(apply_op, starts, *rest):
+            kept = starts.copy()
+            values, diverged = refine(apply_op, starts, *rest)
+            copies = bits(*refine(apply_op, kept[copied], *rest)) if copied else []
+            seen.append((kept, bits(values[copied], diverged[copied]), copies))
+            return values, diverged
+
+        monkeypatch.setattr(torus, "_boyd_refine", recording_refine)
+        opnorm_bracket(jp, n, p, seed=spec["seed"])
+        monkeypatch.undo()
+        ((starts, originals, copies),) = seen
+        fold = grid.size // starts.shape[1]
+        assert starts.tobytes() == np.array(kept_rows).reshape(len(kept_rows), fold, -1).sum(axis=1).tobytes()
+        assert originals == copies
+        left_out += len(copied)
+    assert left_out > 0
 
 
 class TestEvenPIterationGrid:
@@ -701,15 +741,15 @@ class TestEvenPIterationGrid:
             p_dual = p / (p - 1.0)
             ratio = _grid_lp(te, p, fine.weight) / _grid_lp(e, p_dual, fine.weight)
         else:
-            # Exact copies among the starts are dropped, so a bump is rebuilt
-            # on the full period.  A kernel witness is no copy of the cos
-            # row before it (that row would be the witness), so it is row 1.
-            # A folded row, repeated over the full period, has the even
-            # frequencies of its start, doubled, and T sees no others.
+            # A bump is rebuilt on the full period.  A kernel witness is
+            # row 1: the kernel start is left out only at n = 0, where it
+            # would copy the cos row.  A folded row, repeated over the full
+            # period, has the even frequencies of its start, doubled, and T
+            # sees no others.
             name = name.removesuffix(" (power iteration)")
             if name.startswith("bump width 2^-"):
                 width = 2.0 ** -int(name.removeprefix("bump width 2^-"))
-                row = torus._bump(full.thetas, width)
+                row = torus._bump(np.minimum(full.thetas, 2 * math.pi - full.thetas), width)
             else:
                 row = np.tile(starts[{"kernel": 1, "random start": -1}.get(name, 0)], fold)
             values, diverged = _boyd_refine(
@@ -745,24 +785,12 @@ def full_period_bracket(params, n, p, seed):
     the size of its grid: the starts, built on the full period that
     opnorm_bracket builds them on, go to _boyd_refine with the full
     multiplier."""
-    fold = period_fold(params, n)
-    if p % 2 == 0:
-        grid = PeriodicGrid(fold * smallest_5_smooth([max(8, int(p) * n // fold + 1)])[0])
-    else:
-        grid = PeriodicGrid.for_degree(n)
+    grid, names, rows = whole_ladder(params, n, p, seed)
     c = jacobi_fourier_row(params.alpha, params.beta, n)
     top_m = int(np.argmax(np.abs(c)))
-    t = grid.thetas
-    d = np.minimum(t, 2 * math.pi - t)
-    widths = [2.0**-j for j in range(64) if 2.0**-j >= 1.0 / (4.0 * max(n, 1))]
-    names = [f"cos({top_m} theta)", "kernel", *(f"bump width 2^-{j}" for j in range(len(widths))), "random start"]
-    rows = [np.cos(top_m * t), kernel_samples(params, n, grid)]
-    rows += [np.where(d < w, np.cos(0.5 * math.pi * d / w) ** 2, 0.0) for w in widths]
-    rows.append(np.random.default_rng(seed).standard_normal(grid.size))
     first = {}
     for name, row in zip(names, rows):
-        if np.any(row):
-            first.setdefault(row.tobytes(), (name, row))
+        first.setdefault(row.tobytes(), (name, row))
     names, rows = zip(*first.values())
     values, diverged = _boyd_refine(convolution(params, n, grid), np.array(rows), p, grid.weight, 200)
     upper = kernel_lp_norm(params, n, p / 2.0)
@@ -786,6 +814,7 @@ def test_a_folded_iteration_matches_the_full_period(monkeypatch, alpha, beta, n,
     bracket, starts = recorded_bracket(monkeypatch, params, n, p, seed=7)
     expected, size = full_period_bracket(params, n, p, seed=7)
     assert fold * starts.shape[1] == size
+    assert len({row.tobytes() for row in starts}) == len(starts)
     got = (bracket.lower, bracket.upper, bracket.lower_witness, bracket.refined)
     if fold == 1:
         assert got == expected
@@ -793,6 +822,17 @@ def test_a_folded_iteration_matches_the_full_period(monkeypatch, alpha, beta, n,
         # The same ratios, rounded on another grid.
         assert got[1:] == expected[1:]
         assert bracket.lower == pytest.approx(expected[0], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha, beta", CATALOG_PAIRS)
+def test_young_sum_at_p6_is_a_quadrature_estimate(alpha, beta):
+    # At n = 1024 the default grid has 8 points per wavelength, and |k|^3 is
+    # no trigonometric polynomial, so the rectangle rule only estimates
+    # Young's L^3 norm: against 2^21 points it is off by up to 4.1e-4
+    # relative, at (0, 0), and below it at (3/2, 3/2), (2, 0) and (2, 2).
+    params = JacobiParams.of(alpha, beta)
+    fine = kernel_lp_norm(params, 1024, 3.0, PeriodicGrid(2**21))
+    assert abs(tensor_opnorm_upper([(params, 1024)], 6.0) / fine - 1.0) <= 5e-4
 
 
 class TestTensor:

@@ -15,12 +15,12 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-# Each parse function imports the other layers its command runs, so that a
-# command loads no layer it does not use.
+# Each parse function imports the layers its parse reads, and each handler
+# those its run adds, so that a command, and its --check, load no layer
+# they do not use.
 from .special import JacobiParams, ResolutionError, jacobi_binomial
 
 SCHEMA_VERSION = 1
@@ -69,7 +69,9 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
+    # No Fraction exists before the exact layers have loaded fractions.
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return str(value)
     if value is math.inf:
         return "inf"
@@ -226,7 +228,7 @@ def _parse_jacobi(r: _Parameters):
     tol_closed = r.number("closed_form_tolerance", 1e-9)
 
     def handler(seed, threads):
-        from .special import _binomial_row, chebyshev_half_case, jacobi_recurrence_rows
+        from .special import _binomial_row, _half_case_rows, jacobi_recurrence_rows
 
         half = jp.twice_alpha == 1 and jp.twice_beta == 1
         theta = 2.0 * math.pi * np.arange(grid_size) / grid_size
@@ -244,6 +246,8 @@ def _parse_jacobi(r: _Parameters):
         worst = {"normalization": 0.0, "reflection": 0.0, "closed_form": 0.0}
         # Entry n is jacobi_binomial(alpha, n), bit for bit.
         binomials = _binomial_row(jp.alpha, n_max).tolist()
+        # chebyshev_half_case(n, theta) of each degree, bit for bit
+        closed_forms = _half_case_rows(range(n_max + 1), theta) if half else None
         for (n, row), (_, swapped) in sweeps:
             norm_dev = abs(row[k] / binomials[n] - 1.0)
             # row minus the reference (-1)^n swapped, the sign folded into
@@ -254,7 +258,7 @@ def _parse_jacobi(r: _Parameters):
             refl_dev = float(dev.max())
             closed_dev = 0.0
             if half:
-                cf = chebyshev_half_case(n, theta)
+                cf = next(closed_forms)
                 closed_dev = float((np.abs(row[k + 1 :] - cf) / np.maximum(1.0, np.abs(cf))).max())
             rows.append((n, norm_dev, refl_dev, closed_dev))
             worst["normalization"] = max(worst["normalization"], norm_dev)
@@ -278,8 +282,6 @@ def _parse_jacobi(r: _Parameters):
 
 
 def _parse_kernel_norms(r: _Parameters):
-    from . import torus
-
     jp, n_values, slope_tol = _parse_circle_kernel(r)
     q_values = r.numbers("q_values", [2.0], _POSITIVE)
     if None not in (jp, n_values, q_values):
@@ -291,6 +293,8 @@ def _parse_kernel_norms(r: _Parameters):
             r.fail("q_values", f"q = {q:g} puts the bound (2 pi)^(1/q) max|P_n| at n = {top} past float64")
 
     def handler(seed, threads):
+        from . import torus
+
         header = ["alpha", "beta", "n", "q", "norm", "envelope", "ratio"]
         rows = []
         fits = {}
@@ -390,7 +394,7 @@ def _parse_fourier(r: _Parameters):
 
 
 def _parse_dimension(r: _Parameters):
-    from . import spaces, torus
+    from . import spaces
 
     space = r.build("space", spaces.space_from_dict, r.read("space"))
     n_values = r.integers("n_values", None)
@@ -404,6 +408,8 @@ def _parse_dimension(r: _Parameters):
     check_slope = r.boolean("check_slope", False)
 
     def handler(seed, threads):
+        from . import torus
+
         header = ["n", "dimension", "nearest_integer", "integer_rel_dev"]
         rows = []
         int_ok = True
@@ -455,7 +461,7 @@ def _parse_shell(r: _Parameters):
 
 
 def _parse_sharpness(r: _Parameters):
-    from . import products, torus
+    from . import products
 
     manifold = r.build("factors", _manifold, r.read("factors"))
     sub = r.build("matrix, offset, box", products.FlatSubmanifold.of,
@@ -482,6 +488,8 @@ def _parse_sharpness(r: _Parameters):
     r.build("factors, epsilon", products._check_polydisc, manifold, epsilon)
 
     def handler(seed, threads):
+        from . import torus
+
         if given_levels is not None:
             levels = given_levels
         elif diagonal is not None:

@@ -31,7 +31,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .spaces import CrossSpace, spherical_table, weyl_dimension
 from .special import ResolutionError, frozen
-from .torus import _MAX_ITERATION_POINTS, ExponentFit, _grid_lp, _power_sum, fit_exponent
 
 __all__ = [
     "ResolutionError",
@@ -658,6 +657,8 @@ def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wave
     cell: cell is then an array over the first axis.  Their angles are
     those of the full grid's first rows, to the bit.
     """
+    from . import torus  # loaded by the restriction only, not by shell or exponents
+
     a = sub.matrix_array
     freqs = np.abs(a).T @ np.max(np.array(shell.members), axis=0)  # per parameter axis
     box = sub.box or ((0.0, 2.0 * math.pi),) * sub.k
@@ -671,7 +672,7 @@ def _restriction_grid(shell: LatticeShell, sub: FlatSubmanifold, points_per_wave
             for f, length in zip(freqs, lengths)
         ]
         total = math.prod(sizes)
-        if total > _MAX_ITERATION_POINTS:
+        if total > torus._MAX_ITERATION_POINTS:
             raise ResolutionError(
                 f"direct grid of {total} points is too large and the matrix is not integer, or its box lengths differ"
             )
@@ -741,6 +742,8 @@ def _restriction_norms(manifold: ProductManifold, shell: LatticeShell, amps, tab
     from one evaluation of it; |f| for every p at a point.  Each block's
     points take their own weights, for p = inf none: the max over the grid
     is the max over its mirror's half too."""
+    from . import torus
+
     if weight is None:
         return [abs(_point_value(manifold, shell, amps, tables))] * len(p_values)
     sums = [0.0] * len(p_values)
@@ -749,12 +752,12 @@ def _restriction_norms(manifold: ProductManifold, shell: LatticeShell, amps, tab
         a = np.abs(f[key])
         w = weights[_block_of(key, weights.shape)]
         sums = [
-            max(s, _power_sum(a, q, w)) if q == math.inf else s + _power_sum(a, q, w)
+            max(s, torus._power_sum(a, q, w)) if q == math.inf else s + torus._power_sum(a, q, w)
             for s, q in zip(sums, p_values)
         ]
     norms = [s if q == math.inf else s ** (1.0 / q) for s, q in zip(sums, p_values)]
     # a sum past float64 takes the whole grid's rule, which factors out the max
-    return [norm if math.isfinite(norm) else _grid_lp(f, q, weight) for norm, q in zip(norms, p_values)]
+    return [norm if math.isfinite(norm) else torus._grid_lp(f, q, weight) for norm, q in zip(norms, p_values)]
 
 
 def restriction_lp_norm(
@@ -994,7 +997,7 @@ def sharpness_report(
     points_per_wavelength: float = 8.0,
     epsilon: float = 0.05,
     threads: int = 1,
-) -> tuple[list[tuple[list[SharpnessRow], ExponentFit]], float]:
+) -> tuple[list[tuple[list[SharpnessRow], torus.ExponentFit]], float]:
     """Measured restriction/L^2 ratios across a level sweep, with the target
     envelope N^((d-2)/2 - k/p) and the fitted slope of the ratio, for each p;
     and the pointwise_lower_check minimum over the swept shells.
@@ -1007,6 +1010,8 @@ def sharpness_report(
     come first, then an empty sweep, the fits and the polydisc check.
     Returns one (rows, fit) per p, and the minimum.
     """
+    from . import torus
+
     p_values = [float(p) for p in p_values]
     shells = [shell for shell in _shells(manifold, levels, ordering_constraint=True) if len(shell)]
     try:
@@ -1045,7 +1050,7 @@ def sharpness_report(
             )
             for shell, norms, _ in measured
         ]
-        sweeps.append((rows, fit_exponent([(row.spectral_parameter, row.ratio) for row in rows])))
+        sweeps.append((rows, torus.fit_exponent([(row.spectral_parameter, row.ratio) for row in rows])))
     if polydisc_error:
         raise polydisc_error
     return sweeps, min(minimum for _, _, minimum in measured)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -355,6 +354,8 @@ def weyl_dimension(space: CrossSpace, n: int) -> Fraction:
     """k(n) = (2n+rho)/rho (rho)_n (alpha+1)_n / ((beta+1)_n n!), rho = alpha + beta + 1:
     the dimension of the degree-n spherical representation, in exact
     arithmetic.  rep_dimension reaches it through quadrature."""
+    from fractions import Fraction  # loaded by the exact paths only
+
     twice_a, twice_b = space.params.twice_alpha, space.params.twice_beta
     rho = space.eigenvalue_shift  # alpha + beta + 1, an integer
     num, den = 2 * n + rho, rho
@@ -367,6 +368,8 @@ def weyl_dimension(space: CrossSpace, n: int) -> Fraction:
 def weyl_dimensions(space: CrossSpace, n_max: int) -> list[Fraction]:
     """[weyl_dimension(space, n) for n = 0..n_max], from one running product
     of the ratios (rho + j)(alpha + 1 + j) / ((beta + 1 + j)(j + 1))."""
+    from fractions import Fraction
+
     if n_max < 0:
         raise ValueError("degree must be nonnegative")
     twice_a, twice_b = space.params.twice_alpha, space.params.twice_beta

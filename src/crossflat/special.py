@@ -468,20 +468,30 @@ def chebyshev_half_case(n: int, theta):
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    scalar = np.isscalar(theta)
+    [vals] = _half_case_rows([n], theta)
+    return float(vals) if np.isscalar(theta) else vals
+
+
+def _half_case_rows(degrees, theta):
+    """Yield chebyshev_half_case(n, theta) for each nonnegative n of
+    degrees.  sin(theta), the singular mask, the side of each singular
+    angle and the binomial row are formed once for all of them; each
+    binomial is jacobi_binomial(1/2, n), bit for bit."""
     th = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(th)):
         raise ValueError("angle must be finite")
-    c = jacobi_binomial(0.5, n)
     s = np.sin(th)
     singular = np.abs(s) < 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = c * np.sin((n + 1.0) * th) / ((n + 1.0) * s)
-    if np.any(singular):
-        at_odd_pi = np.cos(th) < 0.0
-        limit = np.where(at_odd_pi, (-1.0) ** n * c, c)
-        vals = np.where(singular, limit, vals)
-    return float(vals) if scalar else vals
+    at_odd_pi = np.cos(th) < 0.0 if np.any(singular) else None
+    binomials = _binomial_row(0.5, max(degrees, default=0)).tolist()
+    for n in degrees:
+        c = binomials[n]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = c * np.sin((n + 1.0) * th) / ((n + 1.0) * s)
+        if at_odd_pi is not None:
+            limit = np.where(at_odd_pi, (-1.0) ** n * c, c)
+            vals = np.where(singular, limit, vals)
+        yield vals
 
 
 def jacobi_theta_derivative(params: JacobiParams, n: int, theta):

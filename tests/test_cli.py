@@ -316,23 +316,31 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] == "crossflat")
 print(json.dumps([code, loaded, [m for m in sys.argv[2:] if m in sys.modules]]))
 """
 # Modules a CLI process loads only when it needs them: the thread pool's,
-# dataclasses (which the value classes do not use), and numpy.fft, which
-# only the commands that run FFTs load.
-WATCHED_MODULES = ["concurrent.futures", "dataclasses", "numpy.fft"]
-# The commands that load torus but run no FFT.
+# dataclasses (which the value classes do not use), numpy.fft, which only
+# the commands that run FFTs load, and fractions with the decimal it
+# imports, which only the exact rational paths load.
+EXACT_MODULES = ["fractions", "decimal"]
+WATCHED_MODULES = ["concurrent.futures", "dataclasses", "numpy.fft", *EXACT_MODULES]
+# The commands that run no FFT.
 NO_FFT_COMMANDS = ["exponents", "sharpness", "shell"]
-# The layers each command loads besides crossflat, crossflat.cli and
-# crossflat.special; products loads spaces and torus itself.
+# The commands that hold no exact rational: neither their --check nor their
+# run loads fractions or decimal.
+FLOAT_COMMANDS = ["fourier", "jacobi", "kernel-norms", "opnorm"]
+# The layers each command's --check loads besides crossflat, crossflat.cli
+# and crossflat.special; products loads spaces itself.  Only opnorm's parse
+# calls torus.
 COMMAND_LAYERS = {
     "jacobi": [],
     "fourier": ["spaces"],
-    "dimension": ["spaces", "torus"],
-    "kernel-norms": ["torus"],
+    "dimension": ["spaces"],
+    "kernel-norms": [],
     "opnorm": ["torus"],
-    "shell": ["products", "spaces", "torus"],
-    "sharpness": ["products", "spaces", "torus"],
-    "exponents": ["products", "spaces", "torus"],
+    "shell": ["products", "spaces"],
+    "sharpness": ["products", "spaces"],
+    "exponents": ["products", "spaces"],
 }
+# The layers a run loads besides those of its --check.
+RUN_LAYERS = {"dimension": ["torus"], "kernel-norms": ["torus"], "sharpness": ["torus"]}
 
 
 def bundled_configs() -> dict[str, str]:
@@ -376,44 +384,50 @@ class TestColdStart:
         loaded, watched = self.modules_after(["--check", "--config", bundled_configs()[command]])
         layers = ["cli", "special", *COMMAND_LAYERS[command]]
         assert loaded == sorted(["crossflat", *(f"crossflat.{layer}" for layer in layers)])
-        assert watched == []
+        # products holds the exact exponent bookkeeping
+        assert watched == (EXACT_MODULES if "products" in layers else [])
 
     @pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
     def test_a_one_thread_run_loads_no_thread_pool(self, tmp_path, command):
         # opnorm and sharpness fan their cells out over --threads workers;
-        # one worker runs them inline.  No run loads dataclasses, and the
-        # commands that run no FFT do not load numpy.fft.
+        # one worker runs them inline.  A run loads the layers of its check
+        # and those of RUN_LAYERS, and no dataclasses; the commands that run
+        # no FFT do not load numpy.fft, nor those of FLOAT_COMMANDS fractions.
         config = {"command": command, **copy.deepcopy(CONTRACT_BASES[command])}
         if command == "opnorm":
             config["parameters"]["p"] = 6  # p > 2 runs the power iteration
         argv = ["--config", write_config(tmp_path, config), "--out", str(tmp_path / "out"), "--threads", "1"]
         loaded, watched = self.modules_after(argv)
-        assert all(f"crossflat.{layer}" in loaded for layer in COMMAND_LAYERS[command])
+        layers = ["cli", "special", *COMMAND_LAYERS[command], *RUN_LAYERS.get(command, [])]
+        assert loaded == sorted(["crossflat", *(f"crossflat.{layer}" for layer in layers)])
         assert "concurrent.futures" not in watched and "dataclasses" not in watched
         if command in NO_FFT_COMMANDS:
             assert "numpy.fft" not in watched
+        if command in FLOAT_COMMANDS:
+            assert not set(EXACT_MODULES) & set(watched)
 
 
 # Runs in a fresh interpreter: starts the CLI the way `python -m crossflat`
-# ("module") or the console script ("script") does, with the given arguments,
-# and prints the exit code and the GC freeze count after it.
+# ("module") or the console script ("script") does, with the given arguments.
+# Before that it writes to stdout with no newline, registers an atexit
+# handler and starts a thread that writes after a pause; each must reach the
+# pipe once, the thread's text before the handler's.  Nothing follows main.
 PROCESS_ENTRY = """
-import gc, json, runpy, sys
+import atexit, json, runpy, sys, threading, time
 
 entry, argv = json.loads(sys.argv[1])
 sys.argv = ["crossflat", *argv]
-try:
-    if entry == "module":
-        runpy.run_module("crossflat", run_name="__main__", alter_sys=True)
-    else:
-        from crossflat.__main__ import main
-        main()
-except SystemExit as exc:
-    code = exc.code
+sys.stdout.write("entry")
+atexit.register(lambda: sys.stdout.write(", atexit"))
+threading.Thread(target=lambda: time.sleep(0.3) or sys.stdout.write(", thread")).start()
+if entry == "module":
+    runpy.run_module("crossflat", run_name="__main__", alter_sys=True)
 else:
-    code = "returned"
-print(json.dumps([code, gc.get_freeze_count()]))
+    from crossflat.__main__ import main
+    main()
+sys.stdout.write(", returned")
 """
+ENTRY_STDOUT = "entry, thread, atexit"
 # One config per exit code of a run: 0, 1 (a slope tolerance no fit meets),
 # 2 (a config error) and 3 (one sample per wavelength).
 EXIT_CASES = {
@@ -424,26 +438,31 @@ EXIT_CASES = {
 }
 
 
+def buffered_env() -> dict:
+    """child_env() with block-buffered stdio on pipes, as by default."""
+    return {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
+
+
 class TestProcessEntry:
     @staticmethod
     def start(entry, argv):
+        """The exit code of the process, read by subprocess, and its
+        stderr; its stdout, a buffered pipe, must be ENTRY_STDOUT."""
         done = subprocess.run(
             [sys.executable, "-c", PROCESS_ENTRY, json.dumps([entry, argv])],
-            env=child_env(), capture_output=True, text=True, check=True,
+            env=buffered_env(), capture_output=True, text=True,
         )
-        code, frozen = json.loads(done.stdout)
-        return code, done.stderr, frozen
+        assert done.stdout == ENTRY_STDOUT, done.stderr
+        return done.returncode, done.stderr
 
     @pytest.mark.parametrize("entry", ["module", "script"])
     @pytest.mark.parametrize("expected", sorted(EXIT_CASES))
-    def test_run_exits_like_cli_run_with_a_frozen_heap(self, tmp_path, capsys, entry, expected):
+    def test_run_exits_like_cli_run(self, tmp_path, capsys, entry, expected):
         config = EXIT_CASES[expected]
         assert run(config, out_dir=str(tmp_path / "in_process")) == expected
         stderr = capsys.readouterr().err
         argv = ["--config", write_config(tmp_path, config), "--out", str(tmp_path / "process")]
-        code, process_stderr, frozen = self.start(entry, argv)
-        assert (code, process_stderr) == (expected, stderr)
-        assert frozen > 0
+        assert self.start(entry, argv) == (expected, stderr)
         written = {
             side: {path.name: path.read_bytes() for path in (tmp_path / side).glob("*")}
             for side in ("in_process", "process")
@@ -452,13 +471,39 @@ class TestProcessEntry:
 
     @pytest.mark.parametrize("entry", ["module", "script"])
     @pytest.mark.parametrize("expected", [0, 2])
-    def test_check_exits_like_cli_validate_with_a_frozen_heap(self, tmp_path, entry, expected):
+    def test_check_exits_like_cli_validate(self, tmp_path, entry, expected):
         config = EXIT_CASES[expected]
         diagnostics = validate(config)
         assert bool(diagnostics) == (expected == 2)
-        code, stderr, frozen = self.start(entry, ["--check", "--config", write_config(tmp_path, config)])
+        code, stderr = self.start(entry, ["--check", "--config", write_config(tmp_path, config)])
         assert (code, stderr) == (expected, "".join(f"{line}\n" for line in diagnostics))
-        assert frozen > 0
+
+    @pytest.mark.parametrize("command", ["opnorm", "sharpness"])
+    def test_two_threads_exit_like_one(self, tmp_path, command):
+        # the commands whose cells fan out over a thread pool
+        config = {"command": command, **copy.deepcopy(CONTRACT_BASES[command])}
+        path = write_config(tmp_path, config)
+        written = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert self.start("module", ["--config", path, "--out", str(out), "--threads", threads]) == (0, "")
+            written[threads] = {p.name: p.read_bytes() for p in out.glob("*")}
+        assert len(written["2"]) == 2 and written["2"] == written["1"]
+
+    def test_a_failed_flush_exits_as_the_interpreter_does(self, tmp_path):
+        # stdout is a pipe whose reader is gone: the flush fails, and the
+        # interpreter's shutdown reports it, with no traceback, and exits 120
+        read, write = os.pipe()
+        os.close(read)
+        argv = ["--check", "--config", write_config(tmp_path, EXIT_CASES[0])]
+        with open(write, "wb") as stdout:
+            done = subprocess.run(
+                [sys.executable, "-c", PROCESS_ENTRY, json.dumps(["module", argv])],
+                env=buffered_env(), stdout=stdout, stderr=subprocess.PIPE, text=True,
+            )
+        assert done.returncode == 120
+        assert done.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert "BrokenPipeError" in done.stderr and "Traceback" not in done.stderr
 
     def test_cli_main_leaves_the_collector_alone(self, tmp_path):
         path = write_config(tmp_path, EXIT_CASES[0])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossflat import products
+from crossflat import products, torus
 from crossflat.products import (
     FlatSubmanifold,
     LatticeShell,
@@ -1129,8 +1129,8 @@ class TestShellPass:
         # and fitted every shell; an empty sweep is reported before it
         monkeypatch.setattr(products, "_POLYDISC_SAMPLES", 10**4)
         fits = []
-        fit = products.fit_exponent
-        monkeypatch.setattr(products, "fit_exponent", lambda points: fits.append(points) or fit(points))
+        fit = torus.fit_exponent
+        monkeypatch.setattr(torus, "fit_exponent", lambda points: fits.append(points) or fit(points))
         with pytest.raises(ValueError, match="polydisc grid"):
             sharpness_report(S3_FIFTH, self.BOX, [2.0, 6.0], [315, 495, 840])
         assert len(fits) == 2
